@@ -197,10 +197,15 @@ class _ListDecoder:
     """Path-managed SCL over a batch of frames.
 
     Keeps ``L`` path slots per frame; dead slots carry an infinite metric.
-    ``origin`` maps the current path slots to the slot order at the entry
-    of the innermost active tree node, so ancestors can re-align the
-    arrays they captured before their children duplicated and re-ranked
-    the paths.
+    Paths are copied lazily (Tal & Vardy): each information leaf records
+    its decided bits and ``src``, the slot each surviving path forked from,
+    and the messages are rebuilt once at the end by tracing these
+    backpointers from the final metric order.  ``origin`` maps the current
+    path slots to the slot order at the entry of the innermost active tree
+    node, so ancestors can re-align the arrays they captured before their
+    children duplicated and re-ranked the paths.  Frozen leaves keep the
+    slot order; ``origin`` is then the shared ``identity`` array, and
+    re-alignment against it is skipped.
     """
 
     def __init__(self, spec: CodeSpec, L: int, threshold: float, rule: str):
@@ -209,6 +214,8 @@ class _ListDecoder:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("pruning threshold must lie in [0, 1]")
         self.frozen = spec.frozen_mask
+        # Message column of each information position (ascending order).
+        self.column = np.cumsum(~self.frozen) - 1
         self.L = int(L)
         self.log_thr = None if threshold == 0.0 else -float(np.log(threshold))
         self.f = {"minsum": f_minsum, "exact": f_exact}[rule]
@@ -216,42 +223,50 @@ class _ListDecoder:
     def decode(self, llr):
         B, N = llr.shape
         L = self.L
+        self.rows = np.arange(B)[:, None]
+        self.identity = np.broadcast_to(np.arange(L), (B, L))
+        self.origin = self.identity
         self.pm = np.full((B, L), np.inf)
         self.pm[:, 0] = 0.0
-        self.u = np.zeros((B, L, N), dtype=np.uint8)
-        self.origin = np.tile(np.arange(L), (B, 1))
-        codewords = self._rec(np.broadcast_to(llr[:, None, :], (B, L, N)), 0, 1)
+        self.trail = []
+        self._rec(np.broadcast_to(llr[:, None, :], (B, L, N)), 0, 1)
         order = np.argsort(self.pm, axis=1, kind="stable")
-        pm = np.take_along_axis(self.pm, order, axis=1)
-        u = np.take_along_axis(self.u, order[:, :, None], axis=1)
-        codewords = np.take_along_axis(codewords, order[:, :, None], axis=1)
-        return u, pm, codewords
+        msgs = np.empty((B, L, len(self.trail)), dtype=np.uint8)
+        slot = order
+        for column, bits, src in reversed(self.trail):
+            msgs[:, :, column] = bits[self.rows, slot]
+            slot = src[self.rows, slot]
+        return msgs, self.pm[self.rows, order]
+
+    def _align(self, x, to):
+        return x if to is self.identity else x[self.rows, to]
 
     def _rec(self, llr, offset, stride):
         if llr.shape[2] == 1:
-            self._leaf(llr[:, :, 0], offset)
-            return self.u[:, :, offset : offset + 1].copy()
+            return self._leaf(llr[:, :, 0], offset)[:, :, None]
         a = llr[..., 0::2]
         b = llr[..., 1::2]
         x_left = self._rec(self.f(a, b), offset, 2 * stride)
         left_to_entry = self.origin
-        a_cur = np.take_along_axis(a, left_to_entry[:, :, None], axis=1)
-        b_cur = np.take_along_axis(b, left_to_entry[:, :, None], axis=1)
+        a_cur = self._align(a, left_to_entry)
+        b_cur = self._align(b, left_to_entry)
         x_right = self._rec(g_node(a_cur, b_cur, x_left), offset + stride, 2 * stride)
         right_to_left = self.origin
-        x_left = np.take_along_axis(x_left, right_to_left[:, :, None], axis=1)
-        self.origin = np.take_along_axis(left_to_entry, right_to_left, axis=1)
+        x_left = self._align(x_left, right_to_left)
+        if left_to_entry is not self.identity:
+            self.origin = self._align(left_to_entry, right_to_left)
         out = np.empty(x_left.shape[:2] + (2 * x_left.shape[2],), dtype=np.uint8)
         out[:, :, 0::2] = x_left ^ x_right
         out[:, :, 1::2] = x_right
         return out
 
     def _leaf(self, lam, pos):
-        B, L = lam.shape
+        """Decide position ``pos`` on every path; returns the bits ``(B, L)``."""
+        L = self.L
         if self.frozen[pos]:
             self.pm = self.pm + np.logaddexp(0.0, -lam)
-            self.u[:, :, pos] = 0
-            self.origin = np.tile(np.arange(L), (B, 1))
+            self.origin = self.identity
+            bits = np.zeros(lam.shape, dtype=np.uint8)
         else:
             cand = np.concatenate(
                 [self.pm + np.logaddexp(0.0, -lam), self.pm + np.logaddexp(0.0, lam)], axis=1
@@ -259,13 +274,13 @@ class _ListDecoder:
             keep = np.argsort(cand, axis=1, kind="stable")[:, :L]
             src = keep % L
             bits = (keep >= L).astype(np.uint8)
-            self.pm = np.take_along_axis(cand, keep, axis=1)
-            self.u = np.take_along_axis(self.u, src[:, :, None], axis=1)
-            self.u[:, :, pos] = bits
+            self.pm = cand[self.rows, keep]
+            self.trail.append((self.column[pos], bits, src))
             self.origin = src
         if self.log_thr is not None:
             best = self.pm.min(axis=1, keepdims=True)
             self.pm = np.where(self.pm > best + self.log_thr, np.inf, self.pm)
+        return bits
 
 
 def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rule: str = "minsum"):
@@ -276,8 +291,7 @@ def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rul
     pruned path slots carry an infinite metric.
     """
     llr, _ = _check_frames(spec, frames)
-    u, pm, _ = _ListDecoder(spec, L, threshold, rule).decode(llr)
-    return u[:, :, spec.info_positions], pm
+    return _ListDecoder(spec, L, threshold, rule).decode(llr)
 
 
 def scl_decode(spec: CodeSpec, frame, L: int, threshold: float = 0.0, rule: str = "minsum"):
@@ -354,6 +368,15 @@ def crc24_check(msg):
 # CRC-aided list decoding
 
 
+def _crc_select(msgs, pm, crc: CrcConfig):
+    """Per frame, the list rank of the best-metric candidate that passes
+    the CRC (0 when none does) and whether it passes: ``(rank, crc_ok)``."""
+    passes = crc_check(msgs, crc) & np.isfinite(pm)
+    first_pass = np.argmax(passes, axis=1)
+    crc_ok = passes[np.arange(len(passes)), first_pass]
+    return np.where(crc_ok, first_pass, 0), crc_ok
+
+
 def ca_scl_decode_batch(
     spec: CodeSpec,
     frames,
@@ -369,12 +392,8 @@ def ca_scl_decode_batch(
     with ``crc_ok = False`` when none does.
     """
     msgs, pm = scl_decode_batch(spec, frames, L, threshold, rule)
-    passes = crc_check(msgs, crc) & np.isfinite(pm)
-    first_pass = np.argmax(passes, axis=1)
-    crc_ok = np.take_along_axis(passes, first_pass[:, None], axis=1)[:, 0]
-    rank = np.where(crc_ok, first_pass, 0)
-    chosen = np.take_along_axis(msgs, rank[:, None, None], axis=1)[:, 0, :]
-    return chosen, crc_ok, rank
+    rank, crc_ok = _crc_select(msgs, pm, crc)
+    return msgs[np.arange(len(rank)), rank], crc_ok, rank
 
 
 def ca_scl_decode(
@@ -394,11 +413,8 @@ def ca_scl_decode(
     if not single:
         raise ValueError("ca_scl_decode takes a single frame; use ca_scl_decode_batch")
     msgs, pm = scl_decode_batch(spec, llr, L, threshold, rule)
-    passes = crc_check(msgs, crc) & np.isfinite(pm[0])[None, :]
-    rank = int(np.argmax(passes[0])) if passes[0].any() else 0
+    rank, crc_ok = _crc_select(msgs, pm, crc)
+    k = int(rank[0])
     return DecodeResult(
-        message=msgs[0, rank],
-        path_metric=float(pm[0, rank]),
-        crc_ok=bool(passes[0, rank]),
-        list_rank=rank,
+        message=msgs[0, k], path_metric=float(pm[0, k]), crc_ok=bool(crc_ok[0]), list_rank=k
     )

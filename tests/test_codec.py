@@ -19,9 +19,17 @@ from nupolar.codec import (
     scl_decode,
     scl_decode_batch,
 )
-from nupolar.construction import CodeSpec, RateMatchPattern, build_mother_code, build_shortened_code
+from nupolar.construction import (
+    CodeSpec,
+    RateMatchPattern,
+    build_extended_code,
+    build_mother_code,
+    build_shortened_code,
+)
 from nupolar.numerics import KNOWN_ZERO_LLR
 from nupolar.oracles import dense_encode, ml_codeword_scores, ml_decode
+from nupolar.ratematch import dematch, tx_frame
+from scl_reference import reference_scl_decode_batch
 
 
 def awgn_llrs(codewords, sigma, rng):
@@ -217,12 +225,54 @@ class TestSclDecode:
         assert pms == sorted(pms)
         assert [r.list_rank for r in results] == list(range(len(results)))
 
+    def test_batch_agrees_with_single(self):
+        rng = np.random.default_rng(21)
+        spec = build_mother_code(64, 32)
+        llr = awgn_llrs(encode(spec, rng.integers(0, 2, (20, 32), dtype=np.uint8)), 0.9, rng)
+        msgs, pm = scl_decode_batch(spec, llr, L=8, threshold=1e-3)
+        for i in range(20):
+            single = scl_decode(spec, llr[i], L=8, threshold=1e-3)
+            assert len(single) == np.isfinite(pm[i]).sum()
+            for k, res in enumerate(single):
+                np.testing.assert_array_equal(res.message, msgs[i, k])
+                assert res.path_metric == pm[i, k]
+                assert res.list_rank == k
+
     def test_list_size_validation(self):
         spec = build_mother_code(8, 4)
         with pytest.raises(ValueError):
             scl_decode(spec, np.zeros(8), L=0)
         with pytest.raises(ValueError):
             scl_decode(spec, np.zeros(8), L=2, threshold=1.5)
+
+
+BIT_IDENTITY_CODES = {
+    "mother-64-32": lambda: build_mother_code(64, 32),
+    "shortened-512-280-128": lambda: build_shortened_code(512, 280, 128, "NAT_PD"),
+    "extended-64-80-40": lambda: build_extended_code(64, 16, 40),
+}
+
+
+class TestSclBitIdentity:
+    """The list decoder reproduces the eager reference decoder of
+    ``scl_reference`` bit for bit: same messages, same metrics, same order."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3, 1.0])
+    @pytest.mark.parametrize("rule", ["minsum", "exact"])
+    @pytest.mark.parametrize("code", sorted(BIT_IDENTITY_CODES))
+    def test_matches_reference(self, code, rule, threshold):
+        spec = BIT_IDENTITY_CODES[code]()
+        rng = np.random.default_rng(22)
+        msgs = rng.integers(0, 2, (256, spec.payload_len), dtype=np.uint8)
+        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.9, rng))
+        if spec.pattern.kind == "shorten":
+            assert (frames[:, spec.pattern.indices] == KNOWN_ZERO_LLR).all()
+        for L in (1, 2, 16):
+            for batch in (frames[:1], frames):
+                got_msgs, got_pm = scl_decode_batch(spec, batch, L, threshold, rule)
+                ref_msgs, ref_pm = reference_scl_decode_batch(spec, batch, L, threshold, rule)
+                assert np.array_equal(got_msgs, ref_msgs), f"messages, L={L}, B={len(batch)}"
+                assert np.array_equal(got_pm, ref_pm), f"metrics, L={L}, B={len(batch)}"
 
 
 class TestCrc:

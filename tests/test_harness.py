@@ -96,6 +96,15 @@ class TestRunSweep:
         texts = {run_sweep(cfg, workers=w).csv_text() for w in (1, 3, 4)}
         assert len(texts) == 1
 
+    def test_cascl_worker_count_does_not_change_results(self):
+        cfg = ExperimentConfig(N=64, K=40, decoder="CASCL", crc_len=24, list_size=4,
+                               ebno_sweep=(1.0,), max_frames=512, min_frame_errors=512, seed=11)
+        one, two = (run_sweep(cfg, workers=w) for w in (1, 2))
+        counters = [(p.frames, p.bit_errors, p.frame_errors) for p in (one.points[0], two.points[0])]
+        assert counters[0] == counters[1]
+        assert counters[0][0] == 512 and counters[0][2] > 0
+        assert one.csv_text() == two.csv_text()
+
     def test_report_echoes_config_and_version(self):
         rep = run_sweep(small_cfg(ebno_sweep=(3.0,), label="unit"))
         doc = rep.to_json_dict()
