@@ -16,7 +16,7 @@ chan = npl.ChannelConfig(ebno_db=ebno_db, rate=spec.payload_len / spec.tx_len, s
 
 frames = 400
 payload = rng.integers(0, 2, (frames, 64 - 24), dtype=np.uint8)
-msgs = npl.crc24_append(payload)
+msgs = npl.crc_append(payload)
 cw = npl.encode(spec, msgs)
 
 # one noisy frame at a time through the channel helpers

@@ -12,8 +12,6 @@ from .codec import (
     DecodeResult,
     ca_scl_decode,
     ca_scl_decode_batch,
-    crc24_append,
-    crc24_check,
     crc_append,
     crc_check,
     encode,

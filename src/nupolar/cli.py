@@ -11,14 +11,14 @@ sweep and writes a joint CSV with a leading ``label`` column.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import typing
 
-from .construction import ConstructionError
-from .harness import ExperimentConfig, build_spec, run_sweep
+from .construction import CONSTRUCTION_METHODS, PATTERN_METHODS, ConstructionError
+from .harness import DECODERS, ExperimentConfig, build_spec, run_sweep
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _parse_sweep(text: str) -> tuple[float, ...]:
@@ -31,15 +31,13 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
 def _coerce(key: str, raw: str):
     if key not in _FIELD_TYPES:
         raise ConstructionError(f"unknown configuration key {key!r}")
-    if key == "ebno_sweep":
+    kind = _FIELD_TYPES[key]
+    if kind == tuple[float, ...]:
         return _parse_sweep(raw)
-    if key in ("label", "method", "pattern_method", "decoder", "g_mode", "rule", "repeat"):
-        return raw
-    if key in ("rate_excludes_crc",):
+    if kind is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in ("design_snr_db", "scl_threshold", "bec_erasure"):
-        return float(raw)
-    return int(raw)
+    # An optional field (``int | None``) parses as its first member.
+    return (typing.get_args(kind) or (kind,))[0](raw)
 
 
 def load_config_file(path: str) -> dict:
@@ -60,9 +58,9 @@ def _add_override_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--N", type=int, help="mother code length (power of two)")
     parser.add_argument("--M", type=int, help="transmitted length")
     parser.add_argument("--K", type=int, help="information length (includes CRC bits)")
-    parser.add_argument("--method", choices=("GA_uniform", "NUPGA_shortened", "NUPGA_extended", "BEC_oracle"))
-    parser.add_argument("--pattern-method", dest="pattern_method", choices=("CW", "RQUP", "NAT_PD"))
-    parser.add_argument("--decoder", choices=("SC", "SCL", "CASCL"))
+    parser.add_argument("--method", choices=CONSTRUCTION_METHODS)
+    parser.add_argument("--pattern-method", dest="pattern_method", choices=PATTERN_METHODS)
+    parser.add_argument("--decoder", choices=DECODERS)
     parser.add_argument("--list-size", dest="list_size", type=int)
     parser.add_argument("--crc-len", dest="crc_len", type=int)
     parser.add_argument("--design-snr-db", dest="design_snr_db", type=float)
@@ -129,13 +127,11 @@ def cmd_compare(args) -> int:
         if not cfg.label:
             cfg.label = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         reports.append((cfg.label, run_sweep(cfg, workers=args.workers)))
-    lines = ["label,ebno_db,frames,bit_errors,frame_errors,ber,fer"]
+    lines = []
     for label, report in reports:
-        for p in report.points:
-            lines.append(
-                f"{label},{p.ebno_db:g},{p.frames},{p.bit_errors},{p.frame_errors},{p.ber:.12e},{p.fer:.12e}"
-            )
-    _write_text(args.out_csv, "\n".join(lines) + "\n")
+        header, *rows = report.csv_text().splitlines(keepends=True)
+        lines += [f"{label},{row}" for row in rows]
+    _write_text(args.out_csv, f"label,{header}" + "".join(lines))
     return 0
 
 

@@ -7,7 +7,11 @@ update rules absorb it without ever producing NaN.
 
 The decoders are batched: every entry point accepts a single frame
 ``(N,)`` or a batch ``(B, N)`` and decides each frame independently, which
-is what makes large Monte-Carlo runs affordable in pure numpy.
+is what makes large Monte-Carlo runs affordable in pure numpy.  One tree
+walk serves SC, SCL and CRC-aided SCL: the list decoder folds its ``L``
+path slots into the rows of each node array, and SC is its ``L = 1`` case,
+where an information leaf takes the hard decision ``lambda < 0`` and the
+arrays are plain ``(B, n)``.
 """
 
 from __future__ import annotations
@@ -118,11 +122,6 @@ def g_node(a, b, u_sum):
     return np.where(np.isnan(out), 0.0, out)
 
 
-def _bit_penalty(lam, bits):
-    # Exact LLR-domain path-metric increment ln(1 + exp(-(1-2u) lambda)).
-    return np.logaddexp(0.0, np.where(bits.astype(bool), lam, -lam))
-
-
 def _check_frames(spec: CodeSpec, frames) -> tuple[np.ndarray, bool]:
     llr = np.asarray(frames, dtype=np.float64)
     single = llr.ndim == 1
@@ -135,77 +134,38 @@ def _check_frames(spec: CodeSpec, frames) -> tuple[np.ndarray, bool]:
     return llr, single
 
 
-# ---------------------------------------------------------------------------
-# successive cancellation
-
-
-def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):
-    """SC-decode a batch of LLR frames.
-
-    Returns ``(messages, metrics)`` where ``messages`` is ``(B, K)`` and
-    ``metrics`` the accumulated path penalties ``(B,)``.
-    """
-    llr, _ = _check_frames(spec, frames)
-    f = {"minsum": f_minsum, "exact": f_exact}[rule]
-    frozen = spec.frozen_mask
-    B, N = llr.shape
-    u = np.zeros((B, N), dtype=np.uint8)
-    pm = np.zeros(B)
-
-    # Adjacent channel positions polarize together (the tree dual to the
-    # natural-order construction butterfly): the even/odd F combine yields
-    # observations of the encoded even-lattice source bits.
-    def rec(node_llr, offset, stride):
-        if node_llr.shape[1] == 1:
-            lam = node_llr[:, 0]
-            bits = np.zeros(B, dtype=np.uint8) if frozen[offset] else (lam < 0).astype(np.uint8)
-            np.add(pm, _bit_penalty(lam, bits), out=pm)
-            u[:, offset] = bits
-            return bits[:, None]
-        a = node_llr[:, 0::2]
-        b = node_llr[:, 1::2]
-        x_left = rec(f(a, b), offset, 2 * stride)
-        x_right = rec(g_node(a, b, x_left), offset + stride, 2 * stride)
-        out = np.empty_like(node_llr, dtype=np.uint8)
-        out[:, 0::2] = x_left ^ x_right
-        out[:, 1::2] = x_right
-        return out
-
-    rec(llr, 0, 1)
-    return u[:, spec.info_positions], pm
-
-
-def sc_decode(spec: CodeSpec, frame, rule: str = "minsum") -> DecodeResult:
-    """Successive-cancellation decoding of one LLR frame.
-
-    Frozen positions decode as 0; an LLR of exactly 0 resolves to bit 0.
-    ``rule`` selects the check-node update: ``"minsum"`` (default) or
-    ``"exact"``.
-    """
+def _single_frame(spec: CodeSpec, frame, name: str) -> np.ndarray:
     llr, single = _check_frames(spec, frame)
     if not single:
-        raise ValueError("sc_decode takes a single frame; use sc_decode_batch")
-    msgs, pm = sc_decode_batch(spec, llr, rule)
-    return DecodeResult(message=msgs[0], path_metric=float(pm[0]))
+        raise ValueError(f"{name} takes a single frame; use {name}_batch")
+    return llr
 
 
 # ---------------------------------------------------------------------------
-# successive cancellation list
+# successive cancellation list; SC is the single-path case
 
 
 class _ListDecoder:
-    """Path-managed SCL over a batch of frames.
+    """Path-managed SCL over a batch of B frames; SC is the case ``L = 1``.
 
     Keeps ``L`` path slots per frame; dead slots carry an infinite metric.
+    Node arrays fold the slots into the rows: row ``L*i + s`` is slot ``s``
+    of frame ``i``, so an array has ``B*L`` rows.  Above the first
+    information leaf all slots of a frame hold the same values, and the
+    arrays there keep one row per frame (``B`` rows) until a re-alignment
+    spreads them over the slots.
+
     Paths are copied lazily (Tal & Vardy): each information leaf records
-    its decided bits and ``src``, the slot each surviving path forked from,
+    its decided bits and ``src``, the row each surviving path forked from,
     and the messages are rebuilt once at the end by tracing these
     backpointers from the final metric order.  ``origin`` maps the current
-    path slots to the slot order at the entry of the innermost active tree
-    node, so ancestors can re-align the arrays they captured before their
-    children duplicated and re-ranked the paths.  Frozen leaves keep the
-    slot order; ``origin`` is then the shared ``identity`` array, and
-    re-alignment against it is skipped.
+    rows to the rows at the entry of the innermost active tree node, so
+    ancestors can re-align the arrays they captured before their children
+    duplicated and re-ranked the paths.  Frozen leaves keep the slot
+    order; ``origin`` is then the shared ``identity`` array, and
+    re-alignment against it is skipped.  With one path an information leaf
+    takes SC's hard decision, an LLR below 0 giving bit 1, and also keeps
+    the slot order, so SC never re-aligns.
     """
 
     def __init__(self, spec: CodeSpec, L: int, threshold: float, rule: str):
@@ -217,35 +177,43 @@ class _ListDecoder:
         # Message column of each information position (ascending order).
         self.column = np.cumsum(~self.frozen) - 1
         self.L = int(L)
-        self.log_thr = None if threshold == 0.0 else -float(np.log(threshold))
+        # A single path is never pruned.
+        self.log_thr = None if threshold == 0.0 or L == 1 else -float(np.log(threshold))
         self.f = {"minsum": f_minsum, "exact": f_exact}[rule]
 
     def decode(self, llr):
-        B, N = llr.shape
-        L = self.L
+        B, L = len(llr), self.L
         self.rows = np.arange(B)[:, None]
-        self.identity = np.broadcast_to(np.arange(L), (B, L))
+        self.identity = np.arange(B * L)
         self.origin = self.identity
         self.pm = np.full((B, L), np.inf)
         self.pm[:, 0] = 0.0
         self.trail = []
-        self._rec(np.broadcast_to(llr[:, None, :], (B, L, N)), 0, 1)
-        order = np.argsort(self.pm, axis=1, kind="stable")
-        msgs = np.empty((B, L, len(self.trail)), dtype=np.uint8)
-        slot = order
+        self._rec(llr, 0, 1)
+        order = (np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
+        msgs = np.empty((B * L, len(self.trail)), dtype=np.uint8)
+        row = order
         for column, bits, src in reversed(self.trail):
-            msgs[:, :, column] = bits[self.rows, slot]
-            slot = src[self.rows, slot]
-        return msgs, self.pm[self.rows, order]
+            msgs[:, column] = bits[row]
+            if src is not self.identity:
+                row = src[row]
+        return msgs.reshape(B, L, -1), self.pm.ravel()[order].reshape(B, L)
 
     def _align(self, x, to):
-        return x if to is self.identity else x[self.rows, to]
+        if to is self.identity:
+            return x
+        if len(x) < len(to):  # one row per frame: the same for every slot
+            return np.repeat(x, self.L, axis=0)
+        return x[to]
 
     def _rec(self, llr, offset, stride):
-        if llr.shape[2] == 1:
-            return self._leaf(llr[:, :, 0], offset)[:, :, None]
-        a = llr[..., 0::2]
-        b = llr[..., 1::2]
+        if llr.shape[1] == 1:
+            return self._leaf(llr[:, 0], offset)[:, None]
+        # Adjacent channel positions polarize together (the tree dual to the
+        # natural-order construction butterfly): the even/odd F combine yields
+        # observations of the encoded even-lattice source bits.
+        a = llr[:, 0::2]
+        b = llr[:, 1::2]
         x_left = self._rec(self.f(a, b), offset, 2 * stride)
         left_to_entry = self.origin
         a_cur = self._align(a, left_to_entry)
@@ -255,32 +223,59 @@ class _ListDecoder:
         x_left = self._align(x_left, right_to_left)
         if left_to_entry is not self.identity:
             self.origin = self._align(left_to_entry, right_to_left)
-        out = np.empty(x_left.shape[:2] + (2 * x_left.shape[2],), dtype=np.uint8)
-        out[:, :, 0::2] = x_left ^ x_right
-        out[:, :, 1::2] = x_right
+        out = np.empty((len(x_left), 2 * x_left.shape[1]), dtype=np.uint8)
+        out[:, 0::2] = x_left ^ x_right
+        out[:, 1::2] = x_right
         return out
 
     def _leaf(self, lam, pos):
-        """Decide position ``pos`` on every path; returns the bits ``(B, L)``."""
-        L = self.L
+        """Decide position ``pos`` on every row of ``lam``; returns the bits."""
+        B, L = self.pm.shape
         if self.frozen[pos]:
-            self.pm = self.pm + np.logaddexp(0.0, -lam)
-            self.origin = self.identity
             bits = np.zeros(lam.shape, dtype=np.uint8)
+            self.pm += np.logaddexp(0.0, -lam).reshape(B, -1)
+            self.origin = self.identity
+        elif L == 1:
+            # SC: an LLR of exactly 0 resolves to bit 0.
+            bits = (lam < 0).astype(np.uint8)
+            self.pm += np.logaddexp(0.0, -np.abs(lam)).reshape(B, 1)
+            self.trail.append((self.column[pos], bits, self.identity))
+            self.origin = self.identity
         else:
+            lam = lam.reshape(B, -1)
             cand = np.concatenate(
                 [self.pm + np.logaddexp(0.0, -lam), self.pm + np.logaddexp(0.0, lam)], axis=1
             )
             keep = np.argsort(cand, axis=1, kind="stable")[:, :L]
-            src = keep % L
-            bits = (keep >= L).astype(np.uint8)
+            bits = (keep >= L).astype(np.uint8).ravel()
             self.pm = cand[self.rows, keep]
-            self.trail.append((self.column[pos], bits, src))
-            self.origin = src
+            self.origin = (keep % L + L * self.rows).ravel()
+            self.trail.append((self.column[pos], bits, self.origin))
         if self.log_thr is not None:
             best = self.pm.min(axis=1, keepdims=True)
             self.pm = np.where(self.pm > best + self.log_thr, np.inf, self.pm)
         return bits
+
+
+def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):
+    """SC-decode a batch of LLR frames: the single-path list decode.
+
+    Returns ``(messages, metrics)`` where ``messages`` is ``(B, K)`` and
+    ``metrics`` the accumulated path penalties ``(B,)``.
+    """
+    msgs, pm = scl_decode_batch(spec, frames, 1, rule=rule)
+    return msgs[:, 0], pm[:, 0]
+
+
+def sc_decode(spec: CodeSpec, frame, rule: str = "minsum") -> DecodeResult:
+    """Successive-cancellation decoding of one LLR frame.
+
+    Frozen positions decode as 0; an LLR of exactly 0 resolves to bit 0.
+    ``rule`` selects the check-node update: ``"minsum"`` (default) or
+    ``"exact"``.
+    """
+    msgs, pm = sc_decode_batch(spec, _single_frame(spec, frame, "sc_decode"), rule)
+    return DecodeResult(message=msgs[0], path_metric=float(pm[0]))
 
 
 def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rule: str = "minsum"):
@@ -288,7 +283,7 @@ def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rul
 
     Returns ``(messages, metrics)`` with shapes ``(B, L, K)`` and
     ``(B, L)``, sorted best metric first within each frame; never-used or
-    pruned path slots carry an infinite metric.
+    pruned path slots carry an infinite metric.  ``L = 1`` is SC decoding.
     """
     llr, _ = _check_frames(spec, frames)
     return _ListDecoder(spec, L, threshold, rule).decode(llr)
@@ -303,9 +298,7 @@ def scl_decode(spec: CodeSpec, frame, L: int, threshold: float = 0.0, rule: str 
     (0 disables).  Returns the surviving candidates as a list of
     :class:`DecodeResult`, best metric first.
     """
-    llr, single = _check_frames(spec, frame)
-    if not single:
-        raise ValueError("scl_decode takes a single frame; use scl_decode_batch")
+    llr = _single_frame(spec, frame, "scl_decode")
     msgs, pm = scl_decode_batch(spec, llr, L, threshold, rule)
     finite = np.isfinite(pm[0])
     if not finite.any():
@@ -356,25 +349,19 @@ def crc_check(msg, crc: CrcConfig = CRC24):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def crc24_append(payload) -> np.ndarray:
-    return crc_append(payload, CRC24)
-
-
-def crc24_check(msg):
-    return crc_check(msg, CRC24)
-
-
 # ---------------------------------------------------------------------------
 # CRC-aided list decoding
 
 
 def _crc_select(msgs, pm, crc: CrcConfig):
-    """Per frame, the list rank of the best-metric candidate that passes
-    the CRC (0 when none does) and whether it passes: ``(rank, crc_ok)``."""
+    """Per frame, the best-metric candidate that passes the CRC, or the
+    best-metric one when none does: ``(messages, metrics, crc_ok, rank)``."""
     passes = crc_check(msgs, crc) & np.isfinite(pm)
     first_pass = np.argmax(passes, axis=1)
-    crc_ok = passes[np.arange(len(passes)), first_pass]
-    return np.where(crc_ok, first_pass, 0), crc_ok
+    frame = np.arange(len(passes))
+    crc_ok = passes[frame, first_pass]
+    rank = np.where(crc_ok, first_pass, 0)
+    return msgs[frame, rank], pm[frame, rank], crc_ok, rank
 
 
 def ca_scl_decode_batch(
@@ -391,9 +378,8 @@ def ca_scl_decode_batch(
     candidate that passes the CRC, or the overall best-metric candidate
     with ``crc_ok = False`` when none does.
     """
-    msgs, pm = scl_decode_batch(spec, frames, L, threshold, rule)
-    rank, crc_ok = _crc_select(msgs, pm, crc)
-    return msgs[np.arange(len(rank)), rank], crc_ok, rank
+    msgs, _, crc_ok, rank = _crc_select(*scl_decode_batch(spec, frames, L, threshold, rule), crc)
+    return msgs, crc_ok, rank
 
 
 def ca_scl_decode(
@@ -409,12 +395,8 @@ def ca_scl_decode(
     Falls back to the best-metric candidate with ``crc_ok = False`` when
     no list entry passes.  ``message`` still includes the CRC bits.
     """
-    llr, single = _check_frames(spec, frame)
-    if not single:
-        raise ValueError("ca_scl_decode takes a single frame; use ca_scl_decode_batch")
-    msgs, pm = scl_decode_batch(spec, llr, L, threshold, rule)
-    rank, crc_ok = _crc_select(msgs, pm, crc)
-    k = int(rank[0])
+    llr = _single_frame(spec, frame, "ca_scl_decode")
+    msgs, pm, crc_ok, rank = _crc_select(*scl_decode_batch(spec, llr, L, threshold, rule), crc)
     return DecodeResult(
-        message=msgs[0, k], path_metric=float(pm[0, k]), crc_ok=bool(crc_ok[0]), list_rank=k
+        message=msgs[0], path_metric=float(pm[0]), crc_ok=bool(crc_ok[0]), list_rank=int(rank[0])
     )

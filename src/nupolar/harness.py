@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_rng, llr_demod
-from .codec import CrcConfig, ca_scl_decode_batch, crc_append, encode, sc_decode_batch, scl_decode_batch
+from .codec import CRC24, _crc_select, crc_append, encode, scl_decode_batch
 from .construction import (
     CONSTRUCTION_METHODS,
     CodeSpec,
@@ -74,12 +74,14 @@ class ExperimentConfig:
             raise ConstructionError(f"unknown construction method {self.method!r}")
         if self.decoder not in DECODERS:
             raise ConstructionError(f"unknown decoder {self.decoder!r}")
-        if self.crc_len not in (0, 24):
-            raise ConstructionError("crc_len must be 0 or 24")
+        if self.crc_len not in (0, CRC24.width):
+            raise ConstructionError(f"crc_len must be 0 or {CRC24.width}")
         if self.decoder == "CASCL" and self.crc_len == 0:
-            raise ConstructionError("CASCL decoding needs crc_len = 24")
+            raise ConstructionError(f"CASCL decoding needs crc_len = {CRC24.width}")
         if self.crc_len and self.K <= self.crc_len:
             raise ConstructionError("K must exceed the CRC length")
+        if not 0.0 <= self.scl_threshold <= 1.0:
+            raise ConstructionError("scl_threshold must lie in [0, 1]")
         if self.min_frame_errors < 1:
             raise ConstructionError("min_frame_errors must be at least 1")
         if self.max_frames < 1:
@@ -182,17 +184,12 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int
         rng = frame_rng(cfg.seed, start + j)
         payloads[j] = rng.integers(0, 2, pay_bits, dtype=np.uint8)
         noise[j] = rng.normal(0.0, chan.sigma, M)
-    msgs = crc_append(payloads, CrcConfig()) if cfg.crc_len else payloads
+    msgs = crc_append(payloads, CRC24) if cfg.crc_len else payloads
     tx = tx_frame(spec, encode(spec, msgs))
     frames = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
-    if cfg.decoder == "SC":
-        decoded, _ = sc_decode_batch(spec, frames, cfg.rule)
-    elif cfg.decoder == "SCL":
-        decoded = scl_decode_batch(spec, frames, cfg.list_size, cfg.scl_threshold, cfg.rule)[0][:, 0, :]
-    else:
-        decoded, _, _ = ca_scl_decode_batch(
-            spec, frames, cfg.list_size, CrcConfig(), cfg.scl_threshold, cfg.rule
-        )
+    L = 1 if cfg.decoder == "SC" else cfg.list_size
+    lists, pm = scl_decode_batch(spec, frames, L, cfg.scl_threshold, cfg.rule)
+    decoded = _crc_select(lists, pm, CRC24)[0] if cfg.decoder == "CASCL" else lists[:, 0]
     errs = decoded[:, :pay_bits] != payloads
     return count, int(errs.sum()), int(errs.any(axis=1).sum())
 

@@ -46,7 +46,13 @@ def _all_messages(K: int) -> np.ndarray:
 
 
 def ml_decode(spec: CodeSpec, frame) -> np.ndarray:
-    """Exhaustive maximum-likelihood decoding of one LLR frame.
+    """Exhaustive maximum-likelihood decoding of one LLR frame."""
+    msgs, _, scores = ml_codeword_scores(spec, frame)
+    return msgs[int(np.argmax(scores))]
+
+
+def ml_codeword_scores(spec: CodeSpec, frame):
+    """All candidate codewords with their exact log-likelihood scores.
 
     Scores every one of the 2^K codewords by its exact log-likelihood
     under the BPSK/AWGN model, which is the correlation of (1 - 2x) with
@@ -59,18 +65,6 @@ def ml_decode(spec: CodeSpec, frame) -> np.ndarray:
     llr = np.asarray(frame, dtype=np.float64)
     if llr.shape != (spec.mother_len,):
         raise ValueError(f"frame length must be N = {spec.mother_len}")
-    msgs = _all_messages(spec.payload_len)
-    codewords = dense_encode(spec, msgs)
-    usable = np.isfinite(llr)
-    scores = (1.0 - 2.0 * codewords[:, usable]) @ llr[usable]
-    return msgs[int(np.argmax(scores))]
-
-
-def ml_codeword_scores(spec: CodeSpec, frame):
-    """All candidate codewords with their exact log-likelihood scores."""
-    if spec.payload_len > ML_MAX_K:
-        raise ValueError(f"exhaustive decoding capped at K = {ML_MAX_K}")
-    llr = np.asarray(frame, dtype=np.float64)
     msgs = _all_messages(spec.payload_len)
     codewords = dense_encode(spec, msgs)
     usable = np.isfinite(llr)

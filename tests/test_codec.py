@@ -6,8 +6,6 @@ from nupolar.codec import (
     CrcConfig,
     ca_scl_decode,
     ca_scl_decode_batch,
-    crc24_append,
-    crc24_check,
     crc_append,
     crc_check,
     encode,
@@ -273,22 +271,26 @@ class TestSclBitIdentity:
                 ref_msgs, ref_pm = reference_scl_decode_batch(spec, batch, L, threshold, rule)
                 assert np.array_equal(got_msgs, ref_msgs), f"messages, L={L}, B={len(batch)}"
                 assert np.array_equal(got_pm, ref_pm), f"metrics, L={L}, B={len(batch)}"
+                if L == 1:
+                    sc_msgs, sc_pm = sc_decode_batch(spec, batch, rule)
+                    assert np.array_equal(sc_msgs, ref_msgs[:, 0]), f"SC messages, B={len(batch)}"
+                    assert np.array_equal(sc_pm, ref_pm[:, 0]), f"SC metrics, B={len(batch)}"
 
 
 class TestCrc:
     def test_zero_payload_zero_checksum(self):
-        out = crc24_append(np.zeros(26, np.uint8))
+        out = crc_append(np.zeros(26, np.uint8))
         assert out.shape == (50,)
         assert not out[26:].any()
 
     def test_single_flip_always_changes_checksum(self):
         rng = np.random.default_rng(12)
         payload = rng.integers(0, 2, 26, dtype=np.uint8)
-        base = crc24_append(payload)[26:]
+        base = crc_append(payload)[26:]
         for pos in range(26):
             flipped = payload.copy()
             flipped[pos] ^= 1
-            assert not np.array_equal(crc24_append(flipped)[26:], base), pos
+            assert not np.array_equal(crc_append(flipped)[26:], base), pos
 
     def test_matches_long_division_oracle(self):
         # Independent oracle: explicit GF(2) polynomial long division of
@@ -300,15 +302,15 @@ class TestCrc:
         for i in range(26):
             if work[i]:
                 work[i : i + 25] ^= gen
-        np.testing.assert_array_equal(crc24_append(payload)[26:], work[26:])
+        np.testing.assert_array_equal(crc_append(payload)[26:], work[26:])
 
     def test_check_round_trip(self):
         rng = np.random.default_rng(14)
-        msg = crc24_append(rng.integers(0, 2, 40, dtype=np.uint8))
-        assert crc24_check(msg)
+        msg = crc_append(rng.integers(0, 2, 40, dtype=np.uint8))
+        assert crc_check(msg)
         msg2 = msg.copy()
         msg2[5] ^= 1
-        assert not crc24_check(msg2)
+        assert not crc_check(msg2)
 
     def test_reflected_mode_round_trip(self):
         cfg = CrcConfig(poly=0x864CFB, width=24, init=0x5A5A5A, msb_first=False)
@@ -328,7 +330,7 @@ class TestCaScl:
         rng = np.random.default_rng(17)
         spec = build_mother_code(64, 32)
         payload = rng.integers(0, 2, 8, dtype=np.uint8)
-        msg = crc24_append(payload)
+        msg = crc_append(payload)
         llr = 25.0 * (1.0 - 2.0 * encode(spec, msg))
         res = ca_scl_decode(spec, llr, L=4)
         assert res.crc_ok is True
@@ -348,7 +350,7 @@ class TestCaScl:
         rng = np.random.default_rng(19)
         spec = build_mother_code(64, 32)
         payloads = rng.integers(0, 2, (20, 8), dtype=np.uint8)
-        llr = awgn_llrs(encode(spec, crc24_append(payloads)), 0.9, rng)
+        llr = awgn_llrs(encode(spec, crc_append(payloads)), 0.9, rng)
         msgs, ok, rank = ca_scl_decode_batch(spec, llr, L=8)
         for i in range(20):
             single = ca_scl_decode(spec, llr[i], L=8)

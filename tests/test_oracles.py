@@ -65,6 +65,12 @@ class TestMlDecode:
         with pytest.raises(ValueError):
             ml_decode(spec, np.zeros(1024))
 
+    def test_frame_length(self):
+        spec = build_mother_code(8, 3)
+        for oracle in (ml_decode, ml_codeword_scores):
+            with pytest.raises(ValueError, match="frame length"):
+                oracle(spec, np.zeros(7))
+
 
 class TestExactBec:
     def test_uniform_pair(self):
