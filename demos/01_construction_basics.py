@@ -21,8 +21,11 @@ minus, plus = npl.ga_pair_uniform(4.0)
 print(f"pair update of m=4: worse {minus:.4f}, better {plus:.4f}")
 
 # The generalized update takes two independent means, so it can evolve a
-# *non-uniform* profile.  A dead channel (mean 0) passes through unchanged:
-print("nupga_pair(4, 0) =", npl.nupga_pair(4.0, 0.0))
+# *non-uniform* profile:
+print("nupga_pair(4, 2) =", npl.nupga_pair(4.0, 2.0))
+# A stage-0 mean of 0 marks a dead (shortened) position; the butterfly
+# passes a pair with a dead member through unchanged:
+print("evolve_reliabilities([4, 0]) =", npl.evolve_reliabilities([4.0, 0.0]))
 
 # Evolving a whole vector ---------------------------------------------------
 

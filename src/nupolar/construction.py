@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import bec_pair, nupga_pair, phi, phi_inv
+from .numerics import bec_pair, nupga_pair
 
 CONSTRUCTION_METHODS = ("GA_uniform", "NUPGA_shortened", "NUPGA_extended", "BEC_oracle")
 PATTERN_METHODS = ("CW", "RQUP", "NAT_PD")
@@ -194,50 +194,50 @@ class CodeSpec:
         )
 
 
-def _pair_unguarded(a, b, g_mode: str):
-    # Literal update with no zero guard (test hook for the monotone-penalty
-    # property): phi(0) = 1 drives the check output to 0 and the sum output
-    # to the surviving mean.
-    pa = np.asarray(phi(a))
-    pb = np.asarray(phi(b))
-    arg = 1.0 - (1.0 - pa) * (1.0 - pb)
-    pos = arg > 0
-    minus = np.where(pos, np.asarray(phi_inv(np.where(pos, arg, 1.0))), np.minimum(a, b))
-    plus = a + b if g_mode == "sum" else a * b
-    return minus, plus
+def _butterfly(v, pair, keep_stages: bool, hold=None):
+    # The polarization butterfly, in place on v.  Stage s pairs positions
+    # that differ in bit s (distance 2^s, smallest first); pair(a, b)
+    # returns new (minus, plus) arrays, which land on the lower and the upper
+    # index.  A pair with a member in the boolean mask `hold` keeps its
+    # values, so the held set is the same at every stage.
+    stages = [v.copy()]
+    d = 1
+    while d < v.size:
+        pairs = v.reshape(-1, 2, d)
+        minus, plus = pair(pairs[:, 0, :], pairs[:, 1, :])
+        if hold is not None:
+            keep = hold.reshape(-1, 2, d).any(axis=1)
+            minus = np.where(keep, pairs[:, 0, :], minus)
+            plus = np.where(keep, pairs[:, 1, :], plus)
+        pairs[:, 0, :] = minus
+        pairs[:, 1, :] = plus
+        if keep_stages:
+            stages.append(v.copy())
+        d *= 2
+    return stages if keep_stages else v
 
 
-def evolve_reliabilities(stage0, g_mode: str = "sum", zero_guard: bool = True, keep_stages: bool = False):
+def evolve_reliabilities(stage0, g_mode: str = "sum", keep_stages: bool = False):
     """Run the polarization butterfly over a stage-0 reliability vector.
 
     Stage ``s`` pairs positions that differ in bit ``s`` (distance 2^s,
     smallest first); the check-node output lands on the lower index of each
-    pair and the variable-node output on the upper.  With ``zero_guard``
-    (the default) a pair containing a dead channel passes through unchanged.
+    pair and the variable-node output on the upper.  The stage-0 zeros are
+    the dead (shortened) positions: a pair with a dead member passes
+    through unchanged, so they stay dead and at 0.  Every other pair gets
+    the plain two-mean update :func:`~nupolar.numerics.nupga_pair`, even
+    where a live mean has evolved to 0.  On a pattern closed upward this is
+    GA of the channel the decoder sees, with shortened bits known.
     Returns the fully evolved vector, or the list of all ``log2(N) + 1``
     stage vectors when ``keep_stages`` is set.
     """
     v = np.array(stage0, dtype=np.float64)
     if v.ndim != 1:
         raise ConstructionError("reliability vector must be one-dimensional")
-    N = _check_power_of_two(v.size)
+    _check_power_of_two(v.size)
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise ConstructionError("reliabilities must be finite and non-negative")
-    stages = [v.copy()]
-    d = 1
-    while d < N:
-        pairs = v.reshape(-1, 2, d)
-        a = pairs[:, 0, :].copy()
-        b = pairs[:, 1, :].copy()
-        if zero_guard:
-            minus, plus = nupga_pair(a, b, g_mode)
-        else:
-            minus, plus = _pair_unguarded(a, b, g_mode)
-        pairs[:, 0, :] = minus
-        pairs[:, 1, :] = plus
-        stages.append(v.copy())
-        d *= 2
-    return stages if keep_stages else v
+    return _butterfly(v, lambda a, b: nupga_pair(a, b, g_mode), keep_stages, hold=v == 0.0)
 
 
 def evolve_bec(stage0, keep_stages: bool = False):
@@ -245,19 +245,10 @@ def evolve_bec(stage0, keep_stages: bool = False):
     v = np.array(stage0, dtype=np.float64)
     if v.ndim != 1:
         raise ConstructionError("erasure vector must be one-dimensional")
-    N = _check_power_of_two(v.size)
-    if np.any(v < 0) or np.any(v > 1):
+    _check_power_of_two(v.size)
+    if not np.all((v >= 0) & (v <= 1)):
         raise ConstructionError("erasure probabilities must lie in [0, 1]")
-    stages = [v.copy()]
-    d = 1
-    while d < N:
-        pairs = v.reshape(-1, 2, d)
-        minus, plus = bec_pair(pairs[:, 0, :].copy(), pairs[:, 1, :].copy())
-        pairs[:, 0, :] = minus
-        pairs[:, 1, :] = plus
-        stages.append(v.copy())
-        d *= 2
-    return stages if keep_stages else v
+    return _butterfly(v, bec_pair, keep_stages)
 
 
 def select_information_set(rel, K: int) -> np.ndarray:
@@ -425,9 +416,8 @@ def build_extended_code(
     if isinstance(repeat, str) and repeat == "tail":
         positions = np.arange(N - delta_M, N)
     elif isinstance(repeat, str) and repeat == "weak_info":
-        mother = build_mother_code(N, K, design_snr_db, g_mode)
         rel = evolve_reliabilities(np.full(N, base), g_mode)
-        info = mother.info_positions
+        info = np.flatnonzero(~select_information_set(rel, K))
         if delta_M > info.size:
             raise ConstructionError("weak_info extension needs delta_M <= K")
         positions = np.sort(info[np.argsort(rel[info], kind="stable")[:delta_M]])

@@ -7,9 +7,12 @@ single-mean pair update (both tree inputs share one mean), the generalized
 two-mean pair update used for non-uniform reliability profiles, and the
 exact binary-erasure-channel pair update used as a test oracle.
 
-Conventions: LLR means are non-negative and a mean of 0 marks a dead
-(penalized) channel.  BEC channels are described by their erasure
-probability in [0, 1]; smaller is better.
+Conventions: LLR means are non-negative; a mean of 0 is a live channel
+that carries no information (an erasure).  Which positions are dead
+(shortened, and so skipped by the butterfly) is not read from the values
+here; construction takes it from the rate-matching pattern.  BEC channels
+are described by their erasure probability in [0, 1]; smaller is better.
+Range checks are written so that NaN fails them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ KNOWN_ZERO_LLR = np.inf
 
 def _as_float_array(x, name: str):
     out = np.asarray(x, dtype=np.float64)
-    if np.any(out < 0):
+    if not np.all(out >= 0):
         raise ValueError(f"{name} must be non-negative")
     return out
 
@@ -43,7 +46,7 @@ def phi(x):
     at most 1 so that ``phi(0) == 1`` exactly (the small-x branch slightly
     exceeds 1 near the origin, which would break inversion).  Decreasing in
     x apart from a sub-1e-3 step where the two branches meet.  Accepts
-    scalars or arrays; negative input raises ``ValueError``.
+    scalars or arrays; negative or NaN input raises ``ValueError``.
     """
     x = _as_float_array(x, "x")
     safe = np.where(x > 0, x, 1.0)
@@ -67,7 +70,7 @@ def phi_inv(y):
     targets inside the small overlap of the two branches).
     """
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0) or np.any(y > 1):
+    if not np.all((y > 0) & (y <= 1)):
         raise ValueError("phi_inv is defined on (0, 1] only")
     lo = np.zeros_like(y)
     hi = np.full_like(y, _PHI_INV_HI)
@@ -113,26 +116,22 @@ def ga_pair_uniform(m):
 def nupga_pair(a, b, g_mode: str = "sum"):
     """Generalized pair update for two independent LLR means.
 
-    The zero guard comes first: if either input is 0, both values pass
-    through unchanged ``(a, b)``.  Otherwise
     ``minus = phi_inv(1 - (1 - phi(a)) (1 - phi(b)))`` and ``plus`` is
     ``a + b`` for ``g_mode="sum"`` (the default, which reduces exactly to
     ``ga_pair_uniform`` at a == b) or ``a * b`` for ``g_mode="product"``.
+    A mean of 0 gets no special case: it gives ``minus = 0``, and in
+    product mode ``plus = 0`` whatever the partner, infinity included.
     """
     if g_mode not in ("sum", "product"):
         raise ValueError(f"unknown g_mode {g_mode!r}")
     a = _as_float_array(a, "LLR mean")
     b = _as_float_array(b, "LLR mean")
     scalar = a.ndim == 0 and b.ndim == 0
-    a, b = np.broadcast_arrays(a, b)
-    live = (a > 0.0) & (b > 0.0)
-    pa = np.asarray(phi(np.where(live, a, 1.0)))
-    pb = np.asarray(phi(np.where(live, b, 1.0)))
-    minus = np.where(live, _f_node(pa, pb, a, b), a)
+    minus = _f_node(np.asarray(phi(a)), np.asarray(phi(b)), a, b)
     # Product mode grows doubly exponentially along the tree and is allowed
     # to saturate at infinity; the ordering it induces is what matters.
     with np.errstate(over="ignore", invalid="ignore"):
-        plus = np.where(live, a + b if g_mode == "sum" else a * b, b)
+        plus = a + b if g_mode == "sum" else np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
     if scalar:
         return float(minus), float(plus)
     return minus, plus
@@ -147,7 +146,7 @@ def bec_pair(z1, z2):
     """
     z1 = np.asarray(z1, dtype=np.float64)
     z2 = np.asarray(z2, dtype=np.float64)
-    if np.any(z1 < 0) or np.any(z1 > 1) or np.any(z2 < 0) or np.any(z2 > 1):
+    if not (np.all((z1 >= 0) & (z1 <= 1)) and np.all((z2 >= 0) & (z2 <= 1))):
         raise ValueError("erasure probabilities must lie in [0, 1]")
     scalar = z1.ndim == 0 and z2.ndim == 0
     prod = z1 * z2

@@ -163,11 +163,11 @@ def test_criterion_08_low_rate_cascl_gain():
     (a) the NAT_PD pattern is closed upward (i shortened implies i | 2^b
         shortened), so a shortened position is only ever paired with a
         shortened partner or as the upper input of a live one;
-    (b) on it the zero-guarded evolution equals GA of the channel the
+    (b) on it the pass-through evolution equals GA of the channel the
         decoder sees, with shortened bits known (f(a, inf) = a,
         g(a, inf) = inf), at every live position;
-    (c) the only other reading of "zero and re-evolve", the unguarded
-        update that treats shortened bits as erasures, does move the
+    (c) the only other reading of "zero and re-evolve", GA with no known
+        bits, which treats shortened bits as erasures, does move the
         information set, and measures worse: at 1.0 dB (seed 208, 1024
         frames per design) its FER must exceed the known-bit design's by
         more than the 95% interval of the difference.
@@ -183,8 +183,8 @@ def test_criterion_08_low_rate_cascl_gain():
     stage0 = np.where(shortened, 0.0, npl.design_snr_to_llr_mean(0.0))
     ref, known = known_bit_ga_channels(stage0, shortened)
     assert np.array_equal(known, shortened)
-    guarded = npl.evolve_reliabilities(stage0)
-    np.testing.assert_array_equal(guarded[~known], ref[~known])
+    evolved = npl.evolve_reliabilities(stage0)
+    np.testing.assert_array_equal(evolved[~known], ref[~known])
 
     for g_mode in ("sum", "product"):
         nupga = npl.build_shortened_code(N, M, K, "NAT_PD", g_mode=g_mode)
@@ -194,7 +194,7 @@ def test_criterion_08_low_rate_cascl_gain():
         )
 
     known_bit = npl.build_shortened_code(N, M, K, "NAT_PD")
-    rel = npl.evolve_reliabilities(stage0, zero_guard=False)
+    rel, _ = known_bit_ga_channels(stage0, np.zeros(N, dtype=bool))
     rel[shortened] = 0.0
     frozen = npl.select_information_set(rel, K)
     frozen[shortened] = True

@@ -60,6 +60,8 @@ class TestEvolve:
             evolve_reliabilities([1.0, -2.0])
         with pytest.raises(ConstructionError):
             evolve_reliabilities([1.0, np.inf])
+        with pytest.raises(ConstructionError):
+            evolve_reliabilities([1.0, np.nan])
 
     def test_keep_stages(self):
         stages = evolve_reliabilities(np.full(8, 4.0), keep_stages=True)
@@ -67,20 +69,38 @@ class TestEvolve:
         np.testing.assert_array_equal(stages[0], np.full(8, 4.0))
 
     def test_monotone_penalty_without_guard(self):
-        # With the literal (unguarded) update, zeroing one stage-0 entry can
-        # only lower final reliabilities, in sum mode.
+        # Read as an erasure (GA with no known bits, no pass-through),
+        # zeroing one stage-0 entry can only lower final reliabilities, in
+        # sum mode.
         rng = np.random.default_rng(3)
+        none_known = np.zeros(16, dtype=bool)
         for _ in range(20):
             base = rng.uniform(0.5, 8.0, 16)
             j = int(rng.integers(0, 16))
             hit = base.copy()
             hit[j] = 0.0
-            ref = evolve_reliabilities(base, zero_guard=False)
-            out = evolve_reliabilities(hit, zero_guard=False)
+            ref, _ = known_bit_ga_channels(base, none_known)
+            out, _ = known_bit_ga_channels(hit, none_known)
             assert np.all(out <= ref + 1e-9)
 
+    def test_dead_pair_passes_through(self):
+        for g_mode in ("sum", "product"):
+            for stage0 in ([4.0, 0.0], [0.0, 4.0], [0.0, 0.0]):
+                assert evolve_reliabilities(stage0, g_mode).tolist() == stage0
+
+    def test_live_zero_mean_is_not_dead(self):
+        # Stage one drives position 2 to a live mean of exactly 0 (phi is
+        # clamped at 1 below about 0.03).  Only stage-0 zeros are dead, so at
+        # stage two the pair (2.28, 0) gets the plain update, as in GA with
+        # no known bits, instead of passing through.
+        stage0 = [4.0, 4.0, 0.01, 0.01]
+        for g_mode in ("sum", "product"):
+            ref, _ = known_bit_ga_channels(stage0, np.zeros(4, dtype=bool), g_mode)
+            np.testing.assert_array_equal(evolve_reliabilities(stage0, g_mode), ref)
+        assert evolve_reliabilities(stage0)[2] > 2.0
+
     def test_guard_leaves_untouched_subtrees_alone(self):
-        # With the pass-through guard, positions outside the aligned block
+        # A dead pair passes through, so positions outside the aligned block
         # containing the zeroed entry are unchanged stage by stage.
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -96,12 +116,12 @@ class TestEvolve:
 
 
 class TestKnownBitReference:
-    """The zero-guarded update is GA of the channel the decoder sees.
+    """The pass-through evolution is GA of the channel the decoder sees.
 
     The decoder feeds shortened positions at ``KNOWN_ZERO_LLR``; the
     reference carries them as an explicit known mask, where f(a, inf) = a
-    and g(a, inf) = inf.  Evolving the pattern-zeroed stage-0 vector with
-    the guard must give the same mean at every live position, and 0 at
+    and g(a, inf) = inf.  Evolving the pattern-zeroed stage-0 vector must
+    give the same mean at every live position, in both g-modes, and 0 at
     every shortened one (the shortened set is invariant under the
     butterfly when it is closed upward).
     """
@@ -114,6 +134,8 @@ class TestKnownBitReference:
         (512, 320, "RQUP", 0.0),
         (1024, 700, "RQUP", -2.0),
         (4096, 3000, "NAT_PD", 0.0),
+        (1024, 513, "CW", -2.0),
+        (512, 257, "NAT_PD", -2.0),
     ]
 
     @staticmethod
@@ -127,24 +149,12 @@ class TestKnownBitReference:
         np.testing.assert_array_equal(known, shortened)
         return evolve_reliabilities(stage0, g_mode), ref, ~known
 
+    @pytest.mark.parametrize("g_mode", ["sum", "product"])
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
-    def test_sum_mode_matches_at_every_live_position(self, case):
-        got, ref, live = self._compare(*case, "sum")
+    def test_matches_at_every_live_position(self, case, g_mode):
+        got, ref, live = self._compare(*case, g_mode)
         np.testing.assert_array_equal(got[live], ref[live])
         assert not got[~live].any()
-
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
-    def test_product_mode_matches_wherever_the_reference_is_positive(self, case):
-        # In product mode a live channel whose mean the clamped phi drives to
-        # exactly 0 reads as dead to the guard, which passes its partner
-        # through where the product rule gives 0 * b = 0.  Those positions
-        # have reference mean 0 and guarded means below 0.07 in these cases;
-        # everywhere else the two agree exactly.
-        got, ref, live = self._compare(*case, "product")
-        usable = live & (ref > 0)
-        np.testing.assert_array_equal(got[usable], ref[usable])
-        assert not got[~live].any()
-        assert np.count_nonzero(usable) >= np.count_nonzero(live) // 2
 
 
 class TestSelect:
@@ -228,7 +238,7 @@ class TestShorteningPattern:
         # every method, N = 4..1024 and a grid of M (every M up to N = 64).
         # On such a set a shortened position is only ever paired with a
         # shortened partner or as the upper input of a live one, which is
-        # what makes the zero guard exact (see TestKnownBitReference).
+        # what makes the pass-through exact (see TestKnownBitReference).
         for n in range(2, 11):
             N = 1 << n
             grid = range(N // 2 + 1, N) if N <= 64 else np.linspace(N // 2 + 1, N - 1, 7).astype(int)
@@ -346,6 +356,13 @@ class TestBecConstruct:
         target = np.sum(1.0 - eps)
         for stage in stages:
             assert abs(np.sum(1.0 - stage) - target) < 1e-9
+
+    def test_rejects_bad_inputs(self):
+        for eps in ([0.5, 0.5, 0.5], [0.5, 1.2], [0.5, -0.1], [np.nan, 0.5]):
+            with pytest.raises(ConstructionError):
+                evolve_bec(eps)
+        with pytest.raises(ConstructionError):
+            bec_construct([np.nan, 0.5, 0.5, 0.5], 2)
 
 
 class TestCodeSpec:

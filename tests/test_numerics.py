@@ -35,8 +35,9 @@ class TestPhi:
         assert np.all(np.diff(phi(xs)) < 0)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            phi(-0.1)
+        for bad in (-0.1, np.nan):
+            with pytest.raises(ValueError):
+                phi(bad)
 
     def test_vectorized(self):
         xs = np.array([0.0, 4.0, 16.0])
@@ -48,7 +49,7 @@ class TestPhiInv:
         assert phi_inv(1.0) == 0.0
 
     def test_domain(self):
-        for bad in (0.0, -0.5, 1.0001):
+        for bad in (0.0, -0.5, 1.0001, np.nan):
             with pytest.raises(ValueError):
                 phi_inv(bad)
 
@@ -91,10 +92,15 @@ class TestGaPairUniform:
 
 
 class TestNupgaPair:
-    def test_zero_guard(self):
-        assert nupga_pair(4.0, 0.0) == (4.0, 0.0)
+    def test_zero_mean_gets_the_plain_update(self):
+        # A mean of 0 is an erasure, not a dead channel: the check output is
+        # 0 and the variable output is the partner's mean (sum) or 0
+        # (product, even against a known bit at infinity).
+        assert nupga_pair(4.0, 0.0) == (0.0, 4.0)
         assert nupga_pair(0.0, 4.0) == (0.0, 4.0)
         assert nupga_pair(0.0, 0.0) == (0.0, 0.0)
+        assert nupga_pair(4.0, 0.0, "product") == (0.0, 0.0)
+        assert nupga_pair(0.0, np.inf, "product") == (0.0, 0.0)
 
     def test_equal_inputs_match_uniform_exactly(self):
         ms = np.exp(np.linspace(np.log(1e-2), np.log(150.0), 500))
@@ -136,8 +142,9 @@ class TestBecPair:
         assert bec_pair(0.3, 0.0) == (0.3, 0.0)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            bec_pair(1.2, 0.5)
+        for z1, z2 in ((1.2, 0.5), (np.nan, 0.5), (0.5, np.nan)):
+            with pytest.raises(ValueError):
+                bec_pair(z1, z2)
 
     def test_capacity_conservation_and_ordering(self):
         rng = np.random.default_rng(9)
