@@ -303,37 +303,30 @@ def shortening_pattern(method: str, N: int, M: int) -> RateMatchPattern:
     weight-1 column reduction of the generator matrix; when several columns
     reach weight 1, the one with the smallest original column weight goes
     first (lowest index second), staying true to the column-weight
-    criterion the method is named for.
+    criterion the method is named for (Wang & Liu, IEEE Comm. Lett.
+    18(12), 2014).  That order is the order of original column weight, so
+    the pattern is read off the index bits without building the matrix.
     """
     N = _check_power_of_two(N)
     if not N // 2 < M < N:
         raise ConstructionError(f"shortened length must satisfy N/2 < M < N, got M={M}, N={N}")
     r = N - M
+    n = N.bit_length() - 1
     if method == "NAT_PD":
         idx = np.arange(M, N)
     elif method == "RQUP":
-        n = int(np.log2(N))
         rev = bit_reverse(np.arange(N), n)
         idx = np.flatnonzero(rev >= M)
     elif method == "CW":
-        gen = np.array([[1]], dtype=bool)
-        while gen.shape[0] < N:
-            gen = np.kron(np.array([[1, 0], [1, 1]], dtype=bool), gen)
-        original_weight = gen.sum(axis=0)
-        row_active = np.ones(N, dtype=bool)
-        col_active = np.ones(N, dtype=bool)
-        removed = []
-        for _ in range(r):
-            weights = gen[row_active].sum(axis=0)
-            ones = np.flatnonzero(col_active & (weights == 1))
-            if ones.size == 0:
-                raise ConstructionError("generator reduction found no weight-1 column")
-            col = int(ones[np.argmin(original_weight[ones])])
-            row = int(np.flatnonzero(row_active & gen[:, col])[0])
-            removed.append(col)
-            row_active[row] = False
-            col_active[col] = False
-        idx = np.sort(np.asarray(removed, dtype=np.int64))
+        # G[i, j] = 1 exactly when j & i == j, so column j has weight
+        # 2^(n - popcount j).  The removed set stays closed upward: a
+        # weight-1 column is a remaining one whose strict supersets are all
+        # gone, it leaves with its own row, and the lightest remaining
+        # column is always one of them.  So the reduction removes columns
+        # by original weight, lowest index first.
+        pos = np.arange(N)
+        weight = 1 << (n - sum((pos >> b) & 1 for b in range(n)))
+        idx = np.sort(np.argsort(weight, kind="stable")[:r])
     else:
         raise ConstructionError(f"unknown shortening method {method!r}")
     return RateMatchPattern("shorten", idx)

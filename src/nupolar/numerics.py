@@ -38,6 +38,20 @@ def _as_float_array(x, name: str):
     return out
 
 
+def _phi(x):
+    # Unchecked phi on a float64 array: the forward transfer and every step
+    # of the phi_inv bisection run this same arithmetic.  Means that
+    # saturate near the float maximum overflow 7 * x to infinity on the
+    # large branch, which still gives the right value of 0.
+    safe = np.where(x > 0, x, 1.0)
+    small = np.exp(-0.4527 * safe**0.86 + 0.0218)
+    with np.errstate(over="ignore"):
+        large = np.sqrt(np.pi / safe) * (1.0 - 10.0 / (7.0 * safe)) * np.exp(-safe / 4.0)
+    out = np.where(x <= 10.0, small, large)
+    out = np.minimum(out, 1.0)
+    return np.where(x == 0.0, 1.0, out)
+
+
 def phi(x):
     """GA transfer function for an LLR of mean ``x``.
 
@@ -48,13 +62,7 @@ def phi(x):
     x apart from a sub-1e-3 step where the two branches meet.  Accepts
     scalars or arrays; negative or NaN input raises ``ValueError``.
     """
-    x = _as_float_array(x, "x")
-    safe = np.where(x > 0, x, 1.0)
-    small = np.exp(-0.4527 * safe**0.86 + 0.0218)
-    large = np.sqrt(np.pi / safe) * (1.0 - 10.0 / (7.0 * safe)) * np.exp(-safe / 4.0)
-    out = np.where(x <= 10.0, small, large)
-    out = np.minimum(out, 1.0)
-    out = np.where(x == 0.0, 1.0, out)
+    out = _phi(_as_float_array(x, "x"))
     if out.ndim == 0:
         return float(out)
     return out
@@ -67,58 +75,45 @@ def phi_inv(y):
     budget drives the bracket to machine precision in x, which keeps the
     residual ``|phi(phi_inv(y)) - y|`` below 1e-9 for every representable
     target (the bracket always straddles a genuine crossing, including
-    targets inside the small overlap of the two branches).
+    targets inside the small overlap of the two branches).  Each distinct
+    target is solved once and the result scattered back to every entry
+    that holds it; the bisection is elementwise, so the output is the same
+    as solving every entry on its own.
     """
     y = np.asarray(y, dtype=np.float64)
     if not np.all((y > 0) & (y <= 1)):
         raise ValueError("phi_inv is defined on (0, 1] only")
-    lo = np.zeros_like(y)
-    hi = np.full_like(y, _PHI_INV_HI)
+    targets, back = np.unique(y.ravel(), return_inverse=True)
+    lo = np.zeros_like(targets)
+    hi = np.full_like(targets, _PHI_INV_HI)
     for _ in range(_PHI_INV_ITERS):
         mid = 0.5 * (lo + hi)
-        too_high = np.asarray(phi(mid)) > y  # phi decreasing: root right of mid
+        too_high = _phi(mid) > targets  # phi decreasing: root right of mid
         lo = np.where(too_high, mid, lo)
         hi = np.where(too_high, hi, mid)
-    out = 0.5 * (lo + hi)
-    out = np.where(y == 1.0, 0.0, out)
+    out = np.where(targets == 1.0, 0.0, 0.5 * (lo + hi))[back].reshape(y.shape)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _f_node(pa, pb, a, b):
-    # Shared expression for the check-node mean so that the uniform and the
-    # two-mean updates agree bit for bit when their inputs coincide.  When
-    # both phi values underflow the argument collapses to 0; the output then
-    # tends to min(a, b) from below, so use that limit.
-    arg = 1.0 - (1.0 - pa) * (1.0 - pb)
-    dead = arg <= 0.0
-    minus = np.asarray(phi_inv(np.where(dead, 1.0, arg)))
-    return np.where(dead, np.minimum(a, b), minus)
 
 
 def ga_pair_uniform(m):
     """Classic GA pair update for two tree inputs sharing one mean ``m``.
 
     Returns ``(minus, plus)`` with ``minus = phi_inv(1 - (1 - phi(m))^2)``
-    and ``plus = 2 m``.  Satisfies ``minus <= m <= plus`` for every m >= 0;
-    a dead channel (m == 0) stays dead on both outputs.
+    and ``plus = 2 m``: the two-mean update :func:`nupga_pair` at a == b.
+    Satisfies ``minus <= m <= plus`` for every m >= 0; a dead channel
+    (m == 0) stays dead on both outputs.
     """
-    m = _as_float_array(m, "LLR mean")
-    p = np.asarray(phi(m))
-    minus = np.where(m == 0.0, 0.0, _f_node(p, p, m, m))
-    plus = m + m
-    if m.ndim == 0:
-        return float(minus), float(plus)
-    return minus, plus
+    return nupga_pair(m, m, "sum")
 
 
 def nupga_pair(a, b, g_mode: str = "sum"):
     """Generalized pair update for two independent LLR means.
 
     ``minus = phi_inv(1 - (1 - phi(a)) (1 - phi(b)))`` and ``plus`` is
-    ``a + b`` for ``g_mode="sum"`` (the default, which reduces exactly to
-    ``ga_pair_uniform`` at a == b) or ``a * b`` for ``g_mode="product"``.
+    ``a + b`` for ``g_mode="sum"`` (the default; :func:`ga_pair_uniform` is
+    this at a == b) or ``a * b`` for ``g_mode="product"``.
     A mean of 0 gets no special case: it gives ``minus = 0``, and in
     product mode ``plus = 0`` whatever the partner, infinity included.
     """
@@ -127,7 +122,11 @@ def nupga_pair(a, b, g_mode: str = "sum"):
     a = _as_float_array(a, "LLR mean")
     b = _as_float_array(b, "LLR mean")
     scalar = a.ndim == 0 and b.ndim == 0
-    minus = _f_node(np.asarray(phi(a)), np.asarray(phi(b)), a, b)
+    # When both phi values underflow the check-node argument collapses to
+    # 0; the output then tends to min(a, b) from below, so use that limit.
+    arg = 1.0 - (1.0 - _phi(a)) * (1.0 - _phi(b))
+    underflow = arg <= 0.0
+    minus = np.where(underflow, np.minimum(a, b), phi_inv(np.where(underflow, 1.0, arg)))
     # Product mode grows doubly exponentially along the tree and is allowed
     # to saturate at infinity; the ordering it induces is what matters.
     with np.errstate(over="ignore", invalid="ignore"):

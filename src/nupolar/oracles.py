@@ -1,13 +1,14 @@
 """Independent brute-force references used by the test suite.
 
-Nothing here shares code with the modules it checks: encoding goes through
-an explicit Kronecker-power matrix, maximum-likelihood decoding enumerates
-every message, and the erasure and known-bit GA recursions work on
-interleaved halves rather than the in-place butterfly.  The known-bit GA
-recursion shares only the transfer function ``phi`` / ``phi_inv`` (checked
-on its own by the acceptance suite) and carries the known positions as an
-explicit mask instead of encoding them as a mean of 0.  Enumeration sizes
-are deliberately capped so the oracles stay fast.
+Nothing here shares code with the modules it checks: encoding and the CW
+shortening pattern go through an explicit Kronecker-power matrix,
+maximum-likelihood decoding enumerates every message, and the erasure and
+known-bit GA recursions work on interleaved halves rather than the
+in-place butterfly.  The known-bit GA recursion shares only the transfer
+function ``phi`` / ``phi_inv`` (checked on its own by the acceptance suite)
+and carries the known positions as an explicit mask instead of encoding
+them as a mean of 0.  Enumeration sizes are deliberately capped so the
+oracles stay fast.
 """
 
 from __future__ import annotations
@@ -29,6 +30,31 @@ def kronecker_generator(N: int) -> np.ndarray:
     while gen.shape[0] < N:
         gen = np.kron(np.array([[1, 0], [1, 1]], dtype=np.uint8), gen)
     return gen
+
+
+def dense_cw_pattern(N: int, M: int) -> np.ndarray:
+    """CW shortening positions by column reduction of the dense generator.
+
+    Repeats N - M times: among the columns of weight 1 over the remaining
+    rows, remove the one with the smallest original weight (lowest index
+    on a tie), together with its one remaining row.  Recomputes every
+    column weight from the matrix at each step.  Returns the removed
+    columns in ascending order.
+    """
+    gen = kronecker_generator(N)
+    original_weight = gen.sum(axis=0)
+    row_active = np.ones(N, dtype=bool)
+    col_active = np.ones(N, dtype=bool)
+    removed = []
+    for _ in range(N - M):
+        weights = gen[row_active].sum(axis=0)
+        ones = np.flatnonzero(col_active & (weights == 1))
+        col = int(ones[np.argmin(original_weight[ones])])
+        row = int(np.flatnonzero(row_active & (gen[:, col] == 1))[0])
+        removed.append(col)
+        row_active[row] = False
+        col_active[col] = False
+    return np.sort(np.asarray(removed, dtype=np.int64))
 
 
 def dense_encode(spec: CodeSpec, msg) -> np.ndarray:

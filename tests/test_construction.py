@@ -1,8 +1,11 @@
 import json
+import warnings
 
+import ga_reference
 import numpy as np
 import pytest
 
+from nupolar import numerics
 from nupolar.construction import (
     PATTERN_METHODS,
     CodeSpec,
@@ -21,7 +24,7 @@ from nupolar.construction import (
     shortening_pattern,
 )
 from nupolar.numerics import ga_pair_uniform
-from nupolar.oracles import exact_bec_channels, known_bit_ga_channels
+from nupolar.oracles import dense_cw_pattern, exact_bec_channels, known_bit_ga_channels
 
 
 def info_mask(spec):
@@ -113,6 +116,33 @@ class TestEvolve:
             for s in range(1, len(ref)):
                 block = np.arange(16) >> s == j >> s
                 np.testing.assert_array_equal(out[s][~block], ref[s][~block])
+
+
+class TestEvolveBitIdentity:
+    """Evolving with the frozen reference bisection gives the same floats.
+
+    The reference solves every pair target on its own; ``phi_inv`` solves
+    each distinct target once, which must change no evolved mean.
+    """
+
+    @staticmethod
+    def _stage0(N, kind, design_snr_db):
+        base = design_snr_to_llr_mean(design_snr_db)
+        stage0 = np.full(N, base)
+        if kind in PATTERN_METHODS:
+            stage0[shortening_pattern(kind, N, 5 * N // 8).indices] = 0.0
+        elif kind == "tail":
+            stage0[N // 2 + 1 :] += base
+        return stage0
+
+    @pytest.mark.parametrize("g_mode", ["sum", "product"])
+    @pytest.mark.parametrize("kind", ["mother", "NAT_PD", "RQUP", "CW", "tail"])
+    @pytest.mark.parametrize("N, design_snr_db", [(64, 3.0), (512, -2.0), (1024, 0.0)])
+    def test_matches_reference_bisection(self, monkeypatch, N, design_snr_db, kind, g_mode):
+        stage0 = self._stage0(N, kind, design_snr_db)
+        got = evolve_reliabilities(stage0, g_mode)
+        monkeypatch.setattr(numerics, "phi_inv", ga_reference.phi_inv)
+        assert np.array_equal(got, evolve_reliabilities(stage0, g_mode))
 
 
 class TestKnownBitReference:
@@ -232,6 +262,18 @@ class TestShorteningPattern:
         rq = shortening_pattern("RQUP", 16, 11).indices.tolist()
         assert got != rq
 
+    def test_cw_matches_dense_reduction_at_every_m(self):
+        for n in range(2, 8):
+            N = 1 << n
+            for M in range(N // 2 + 1, N):
+                np.testing.assert_array_equal(
+                    shortening_pattern("CW", N, M).indices, dense_cw_pattern(N, M), err_msg=f"{N}/{M}"
+                )
+
+    @pytest.mark.parametrize("N, M", [(512, 320), (1024, 576), (1024, 700), (1024, 960)])
+    def test_cw_matches_dense_reduction(self, N, M):
+        np.testing.assert_array_equal(shortening_pattern("CW", N, M).indices, dense_cw_pattern(N, M))
+
     def test_patterns_are_superset_closed(self):
         # Shortening validity: any position in the pattern must have all of
         # its bit-supersets (i | 2^b) in the pattern as well.  Checked for
@@ -323,6 +365,14 @@ class TestBuildExtended:
         info = mother.info_positions
         weakest = np.sort(info[np.argsort(rel[info], kind="stable")[:8]])
         np.testing.assert_array_equal(spec.pattern.indices, weakest)
+
+    def test_saturating_product_mode_is_silent(self):
+        # Product-mode means here saturate near the float maximum, where
+        # phi's large branch overflows 7 x on the way to its value of 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = build_extended_code(4096, 2047, 2048, -2.0, "product")
+        assert spec.payload_len == 2048
 
     def test_range_checks(self):
         with pytest.raises(ConstructionError):

@@ -1,3 +1,4 @@
+import ga_reference
 import numpy as np
 import pytest
 
@@ -75,6 +76,49 @@ class TestPhiInv:
         assert abs(phi(x) - 1e-300) <= 1e-9
 
 
+def bisection_targets():
+    """phi_inv inputs of every shape the construction produces, and more."""
+    rng = np.random.default_rng(11)
+    uniform = rng.uniform(0.0, 1.0, 3000)
+    uniform[uniform == 0.0] = 1.0
+    log_spaced = np.logspace(-323, 0, 2000)
+    near_one = 1.0 - np.arange(0, 400) * np.finfo(float).eps / 2
+    seam = ga_reference.phi(np.linspace(9.0, 11.0, 500))
+    repeated = rng.permutation(np.repeat(rng.uniform(0.01, 1.0, 200), 7))
+    return {
+        "uniform": uniform,
+        "log_spaced": log_spaced,
+        "near_one": near_one,
+        "seam": seam,
+        "repeated": repeated,
+        "two_d": repeated[:1200].reshape(40, 30),
+    }
+
+
+class TestBitIdentity:
+    """phi and phi_inv equal the frozen reference in ``ga_reference`` bit for bit."""
+
+    @pytest.mark.parametrize("name", list(bisection_targets()))
+    def test_phi_inv(self, name):
+        y = bisection_targets()[name]
+        got = phi_inv(y)
+        assert got.shape == y.shape
+        assert np.array_equal(got, ga_reference.phi_inv(y))
+
+    def test_phi_inv_scalars(self):
+        for y in (1.0, 0.5, 0.4071, 1e-300, 5e-324, 1.0 - 2.0**-53):
+            got = phi_inv(y)
+            assert type(got) is float
+            assert got == ga_reference.phi_inv(y)
+
+    def test_phi(self):
+        x = np.concatenate([[0.0, 1e-300, 10.0, 1e300, np.inf], np.logspace(-6, 6, 5001)])
+        with np.errstate(over="ignore"):  # the reference's 7 x overflows at 1e300
+            want = ga_reference.phi(x)
+        assert np.array_equal(phi(x), want)
+        assert phi(4.0) == ga_reference.phi(4.0)
+
+
 class TestGaPairUniform:
     def test_dead_channel(self):
         assert ga_pair_uniform(0.0) == (0.0, 0.0)
@@ -83,6 +127,16 @@ class TestGaPairUniform:
         minus, plus = ga_pair_uniform(4.0)
         assert plus == 8.0
         assert minus == pytest.approx(2.2821, abs=2e-4)
+
+    def test_matches_reference(self):
+        ms = np.concatenate([[0.0], np.logspace(-6, 6, 20001), [1e300]])
+        with np.errstate(over="ignore"):
+            want = ga_reference.ga_pair_uniform(ms)
+        got = ga_pair_uniform(ms)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        for m in (0.0, 1e-6, 4.0, 50.0):
+            assert ga_pair_uniform(m) == ga_reference.ga_pair_uniform(m)
 
     def test_ordering(self):
         ms = np.exp(np.linspace(np.log(1e-3), np.log(200.0), 200))

@@ -5,6 +5,7 @@ from nupolar.codec import encode
 from nupolar.construction import build_mother_code, build_shortened_code, evolve_reliabilities
 from nupolar.numerics import ga_pair_uniform, phi, phi_inv
 from nupolar.oracles import (
+    dense_cw_pattern,
     dense_encode,
     exact_bec_channels,
     known_bit_ga_channels,
@@ -31,6 +32,8 @@ class TestDenseEncode:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             kronecker_generator(2048)
+        with pytest.raises(ValueError):
+            dense_cw_pattern(2048, 1500)
 
 
 class TestMlDecode:
