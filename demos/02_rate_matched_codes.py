@@ -29,7 +29,7 @@ print("NUPGA info positions:", nupga.info_positions.tolist())
 msgs = np.random.default_rng(0).integers(0, 2, (200, K), dtype=np.uint8)
 cws = npl.encode(nupga, msgs)
 print("shortened positions all zero:", not cws[:, nupga.pattern.indices].any())
-tx = npl.shorten_tx(nupga, cws)
+tx = npl.tx_frame(nupga, cws)
 print("transmitted shape:", tx.shape)
 
 # Extension ------------------------------------------------------------------

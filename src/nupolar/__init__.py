@@ -41,14 +41,6 @@ from .construction import (
 )
 from .harness import ExperimentConfig, PointReport, SimReport, build_spec, run_point, run_sweep
 from .numerics import KNOWN_ZERO_LLR, bec_pair, ga_pair_uniform, nupga_pair, phi, phi_inv
-from .ratematch import (
-    InvalidSpecError,
-    dematch,
-    dematch_extended,
-    dematch_shortened,
-    extend_tx,
-    shorten_tx,
-    tx_frame,
-)
+from .ratematch import InvalidSpecError, dematch, tx_frame
 
 from ._version import __version__  # noqa: F401

@@ -3,10 +3,11 @@
 A code is built by evolving a stage-0 reliability vector (one LLR mean per
 codeword position) through the polarization butterfly and unfreezing the K
 most reliable source positions.  Uniform vectors give the classic mother
-code; zeroing the entries matched to shortened positions and re-evolving
-gives the re-polarized (NUPGA) shortened code; adding the reliability of a
-repeated observation gives the extended code.  Baseline shortened codes
-(CW / RQUP / NAT_PD selection without re-polarization) are also provided.
+code.  In general each entry is the design-point mean times the number of
+times the position is observed: 0 if shortened, 1 if sent, 2 if repeated.
+Evolving that non-uniform vector gives the re-polarized (NUPGA) shortened
+and extended codes.  Baseline shortened codes (CW / RQUP / NAT_PD selection
+without re-polarization) are also provided.
 
 All indices in the Python API are 0-based.  The JSON serialization of
 :class:`CodeSpec` uses 1-based positions.
@@ -72,6 +73,20 @@ class RateMatchPattern:
     def __len__(self) -> int:
         return int(self.indices.size)
 
+    def tx_positions(self, N: int) -> np.ndarray:
+        """Mother position of each transmitted symbol, in transmit order.
+
+        The kept positions come first in ascending order, then the repeated
+        positions.  ``np.bincount(tx, minlength=N)`` counts how often each
+        position is observed: 0 if shortened, 1 if sent, 2 if repeated.
+        """
+        if self.indices.size and self.indices[-1] >= N:
+            raise ConstructionError("pattern positions exceed the mother length")
+        sent = np.ones(N, dtype=bool)
+        sent[self.indices] = self.kind != "shorten"
+        repeated = self.indices if self.kind == "extend" else self.indices[:0]
+        return np.concatenate([np.flatnonzero(sent), repeated])
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RateMatchPattern)
@@ -80,14 +95,14 @@ class RateMatchPattern:
         )
 
 
-def normalize_pattern(pattern, N: int, M: int, kind: str = "shorten") -> RateMatchPattern:
-    """Coerce a user-supplied pattern into a validated :class:`RateMatchPattern`.
+def normalize_pattern(pattern, N: int, M: int) -> RateMatchPattern:
+    """Coerce a user-supplied shortening pattern into a :class:`RateMatchPattern`.
 
     Accepted forms: a :class:`RateMatchPattern`, a method name from
     ``PATTERN_METHODS``, a length-N binary keep-mask (1 = transmitted,
-    0 = removed), or a list of removed 0-based positions.
+    0 = removed), or a list of removed 0-based positions.  The range of the
+    positions is checked where the pattern is used.
     """
-    expected = abs(N - M)
     if isinstance(pattern, RateMatchPattern):
         out = pattern
     elif isinstance(pattern, str):
@@ -95,15 +110,12 @@ def normalize_pattern(pattern, N: int, M: int, kind: str = "shorten") -> RateMat
     else:
         arr = np.asarray(pattern)
         if arr.size == N and np.all((arr == 0) | (arr == 1)):
-            out = RateMatchPattern(kind, np.flatnonzero(arr == 0))
-        else:
-            out = RateMatchPattern(kind, arr)
-    if out.kind != kind:
-        raise ConstructionError(f"pattern kind {out.kind!r} does not match {kind!r}")
-    if len(out) != expected:
-        raise ConstructionError(f"pattern has {len(out)} positions, |N - M| = {expected}")
-    if out.indices.size and out.indices[-1] >= N:
-        raise ConstructionError("pattern positions exceed the mother length")
+            arr = np.flatnonzero(arr == 0)
+        out = RateMatchPattern("shorten", arr)
+    if out.kind != "shorten":
+        raise ConstructionError(f"pattern kind {out.kind!r} is not 'shorten'")
+    if len(out) != N - M:
+        raise ConstructionError(f"pattern has {len(out)} positions, N - M = {N - M}")
     return out
 
 
@@ -112,7 +124,10 @@ class CodeSpec:
     """Complete description of one code instance.
 
     ``frozen_mask[i]`` is True when source position ``i`` carries a frozen
-    zero.  ``tx_len`` is the transmitted length after rate matching.  The
+    zero.  ``tx_len`` is the transmitted length after rate matching.
+    ``tx_positions`` is derived from the pattern: the mother position of
+    each transmitted symbol, in transmit order (see
+    :meth:`RateMatchPattern.tx_positions`), so ``tx_len`` is its size.  The
     arrays are marked read-only so a spec can be shared across workers.
     """
 
@@ -124,6 +139,7 @@ class CodeSpec:
     design_snr_db: float = 0.0
     construction_method: str = "GA_uniform"
     g_mode: str = "sum"
+    tx_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         N = _check_power_of_two(self.mother_len)
@@ -140,19 +156,19 @@ class CodeSpec:
             raise ConstructionError(f"unknown construction method {self.construction_method!r}")
         if self.g_mode not in ("sum", "product"):
             raise ConstructionError(f"unknown g_mode {self.g_mode!r}")
+        tx = self.pattern.tx_positions(N)
+        if M != tx.size:
+            raise ConstructionError(f"tx length {M} must equal the {tx.size} transmitted positions")
         if self.pattern.kind == "shorten":
-            if not N // 2 < M < N or M != N - len(self.pattern):
-                raise ConstructionError("shortened length must satisfy N/2 < M = N - |pattern| < N")
+            if not N // 2 < M < N:
+                raise ConstructionError("shortened length must satisfy N/2 < M < N")
             if not np.all(mask[self.pattern.indices]):
                 raise ConstructionError("every shortened position must map to a frozen input")
-        elif self.pattern.kind == "extend":
-            if M != N + len(self.pattern):
-                raise ConstructionError("extended length must satisfy M = N + |pattern|")
-        elif M != N:
-            raise ConstructionError("tx length must equal mother length without a pattern")
         mask.setflags(write=False)
+        tx.setflags(write=False)
         self.mother_len, self.payload_len, self.tx_len = N, K, M
         self.frozen_mask = mask
+        self.tx_positions = tx
         self.design_snr_db = float(self.design_snr_db)
 
     @property
@@ -275,23 +291,35 @@ def design_snr_to_llr_mean(design_snr_db: float) -> float:
     return 4.0 * 10.0 ** (design_snr_db / 10.0)
 
 
-def build_mother_code(N: int, K: int, design_snr_db: float = 0.0, g_mode: str = "sum") -> CodeSpec:
-    """Length-N power-of-two code with K information bits (uniform GA)."""
-    N = _check_power_of_two(N)
-    if not 0 < K <= N:
-        raise ConstructionError(f"payload length {K} outside (0, {N}]")
-    stage0 = np.full(N, design_snr_to_llr_mean(design_snr_db))
-    rel = evolve_reliabilities(stage0, g_mode)
+def _build_code(N, K, pattern, design_snr_db, g_mode, method) -> CodeSpec:
+    # The tail every builder shares.  The re-polarized methods evolve the
+    # design-point mean times each position's observation count; GA_uniform
+    # evolves the uniform vector and skips the pattern afterwards.
+    tx = pattern.tx_positions(N)
+    if not 0 < K <= min(N, tx.size):
+        raise ConstructionError(f"payload length {K} outside (0, {min(N, tx.size)}]")
+    base = design_snr_to_llr_mean(design_snr_db)
+    if method == "GA_uniform":
+        rel = evolve_reliabilities(np.full(N, base), g_mode)
+        rel[pattern.indices] = 0.0
+    else:
+        rel = evolve_reliabilities(base * np.bincount(tx, minlength=N), g_mode)
     return CodeSpec(
         mother_len=N,
         payload_len=K,
-        tx_len=N,
+        tx_len=tx.size,
         frozen_mask=select_information_set(rel, K),
-        pattern=RateMatchPattern(),
+        pattern=pattern,
         design_snr_db=design_snr_db,
-        construction_method="GA_uniform",
+        construction_method=method,
         g_mode=g_mode,
     )
+
+
+def build_mother_code(N: int, K: int, design_snr_db: float = 0.0, g_mode: str = "sum") -> CodeSpec:
+    """Length-N power-of-two code with K information bits (uniform GA)."""
+    N = _check_power_of_two(N)
+    return _build_code(N, K, RateMatchPattern(), design_snr_db, g_mode, "GA_uniform")
 
 
 def shortening_pattern(method: str, N: int, M: int) -> RateMatchPattern:
@@ -353,30 +381,8 @@ def build_shortened_code(
     N = _check_power_of_two(N)
     if M == N:
         return build_mother_code(N, K, design_snr_db, g_mode)
-    pattern = normalize_pattern(pattern, N, M, "shorten")
-    if not 0 < K <= M:
-        raise ConstructionError(f"payload length {K} outside (0, {M}]")
-    stage0 = np.full(N, design_snr_to_llr_mean(design_snr_db))
-    if repolarize:
-        stage0[pattern.indices] = 0.0
-        rel = evolve_reliabilities(stage0, g_mode)
-    else:
-        rel = evolve_reliabilities(stage0, g_mode)
-        rel[pattern.indices] = 0.0
-    frozen = select_information_set(rel, K)
-    frozen[pattern.indices] = True
-    if int(np.count_nonzero(~frozen)) != K:
-        raise ConstructionError("information set collided with the shortening pattern")
-    return CodeSpec(
-        mother_len=N,
-        payload_len=K,
-        tx_len=M,
-        frozen_mask=frozen,
-        pattern=pattern,
-        design_snr_db=design_snr_db,
-        construction_method="NUPGA_shortened" if repolarize else "GA_uniform",
-        g_mode=g_mode,
-    )
+    method = "NUPGA_shortened" if repolarize else "GA_uniform"
+    return _build_code(N, K, normalize_pattern(pattern, N, M), design_snr_db, g_mode, method)
 
 
 def build_extended_code(
@@ -405,11 +411,10 @@ def build_extended_code(
         raise ConstructionError(f"extension length must satisfy 0 < delta_M < N/2, got {delta_M}")
     if not 0 < K <= N:
         raise ConstructionError(f"payload length {K} outside (0, {N}]")
-    base = design_snr_to_llr_mean(design_snr_db)
     if isinstance(repeat, str) and repeat == "tail":
         positions = np.arange(N - delta_M, N)
     elif isinstance(repeat, str) and repeat == "weak_info":
-        rel = evolve_reliabilities(np.full(N, base), g_mode)
+        rel = evolve_reliabilities(np.full(N, design_snr_to_llr_mean(design_snr_db)), g_mode)
         info = np.flatnonzero(~select_information_set(rel, K))
         if delta_M > info.size:
             raise ConstructionError("weak_info extension needs delta_M <= K")
@@ -417,25 +422,11 @@ def build_extended_code(
     elif isinstance(repeat, str):
         raise ConstructionError(f"unknown repeat rule {repeat!r}")
     else:
-        positions = np.sort(np.asarray(repeat, dtype=np.int64))
+        positions = np.asarray(repeat, dtype=np.int64)
         if positions.size != delta_M:
             raise ConstructionError("explicit repeat positions must have length delta_M")
     pattern = RateMatchPattern("extend", positions)
-    if pattern.indices.size and pattern.indices[-1] >= N:
-        raise ConstructionError("repeat positions exceed the mother length")
-    stage0 = np.full(N, base)
-    stage0[pattern.indices] += base
-    rel = evolve_reliabilities(stage0, g_mode)
-    return CodeSpec(
-        mother_len=N,
-        payload_len=K,
-        tx_len=N + delta_M,
-        frozen_mask=select_information_set(rel, K),
-        pattern=pattern,
-        design_snr_db=design_snr_db,
-        construction_method="NUPGA_extended",
-        g_mode=g_mode,
-    )
+    return _build_code(N, K, pattern, design_snr_db, g_mode, "NUPGA_extended")
 
 
 def bec_construct(erasures, K: int) -> np.ndarray:

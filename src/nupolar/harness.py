@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ConstructionError(f"CASCL decoding needs crc_len = {CRC24.width}")
         if self.crc_len and self.K <= self.crc_len:
             raise ConstructionError("K must exceed the CRC length")
+        if self.list_size < 1:
+            raise ConstructionError("list_size must be at least 1")
         if not 0.0 <= self.scl_threshold <= 1.0:
             raise ConstructionError("scl_threshold must lie in [0, 1]")
         if self.min_frame_errors < 1:

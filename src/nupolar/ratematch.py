@@ -1,10 +1,12 @@
 """Rate matching between mother codewords (length N) and transmitted frames.
 
-Shortening drops codeword positions whose bits are structurally zero; the
-receiver re-inserts them with the saturated known-zero LLR.  Extension
-appends repeated copies of selected codeword positions; the receiver adds
-the extra observations onto the original LLRs.  All transforms accept a
-single frame or a batch with a leading dimension.
+One map serves both directions: ``spec.tx_positions`` holds the mother
+position of each transmitted symbol, in transmit order (the kept positions
+ascending, then the repeated ones).  A shortened position is never sent:
+its bit is structurally zero, and the receiver re-inserts it with the
+saturated known-zero LLR.  A repeated position is sent twice, and the
+receiver adds the two observations.  Both transforms accept a single frame
+or a batch with a leading dimension.
 """
 
 from __future__ import annotations
@@ -19,79 +21,31 @@ class InvalidSpecError(ValueError):
     """The frame contradicts the code spec (a construction bug signal)."""
 
 
-def _require_kind(spec: CodeSpec, kind: str):
-    if spec.pattern.kind != kind:
-        raise ValueError(f"spec pattern kind is {spec.pattern.kind!r}, expected {kind!r}")
+def tx_frame(spec: CodeSpec, codeword) -> np.ndarray:
+    """Rate-match a mother codeword to the transmitted length M.
 
-
-def shorten_tx(spec: CodeSpec, codeword) -> np.ndarray:
-    """Drop the shortened positions from a mother codeword.
-
-    The removed bits must all be zero; a nonzero bit means the frozen set
+    The shortened bits must all be zero; a nonzero bit means the frozen set
     does not cover the pattern and the spec is invalid.
     """
     cw = np.asarray(codeword, dtype=np.uint8)
     if cw.shape[-1] != spec.mother_len:
         raise ValueError(f"codeword length must be N = {spec.mother_len}")
-    if spec.pattern.kind == "none":
-        return cw.copy()
-    _require_kind(spec, "shorten")
-    if np.any(cw[..., spec.pattern.indices]):
+    if spec.pattern.kind == "shorten" and np.any(cw[..., spec.pattern.indices]):
         raise InvalidSpecError("shortened codeword positions carry nonzero bits")
-    keep = np.ones(spec.mother_len, dtype=bool)
-    keep[spec.pattern.indices] = False
-    return cw[..., keep]
-
-
-def dematch_shortened(spec: CodeSpec, rx_llr) -> np.ndarray:
-    """Re-insert shortened positions with the saturated known-zero LLR."""
-    rx = np.asarray(rx_llr, dtype=np.float64)
-    if rx.shape[-1] != spec.tx_len:
-        raise ValueError(f"received length must be M = {spec.tx_len}")
-    if spec.pattern.kind == "none":
-        return rx.copy()
-    _require_kind(spec, "shorten")
-    keep = np.ones(spec.mother_len, dtype=bool)
-    keep[spec.pattern.indices] = False
-    out = np.full(rx.shape[:-1] + (spec.mother_len,), KNOWN_ZERO_LLR)
-    out[..., keep] = rx
-    return out
-
-
-def extend_tx(spec: CodeSpec, codeword) -> np.ndarray:
-    """Append copies of the repeated positions, in pattern order."""
-    cw = np.asarray(codeword, dtype=np.uint8)
-    if cw.shape[-1] != spec.mother_len:
-        raise ValueError(f"codeword length must be N = {spec.mother_len}")
-    if spec.pattern.kind == "none":
-        return cw.copy()
-    _require_kind(spec, "extend")
-    return np.concatenate([cw, cw[..., spec.pattern.indices]], axis=-1)
-
-
-def dematch_extended(spec: CodeSpec, rx_llr) -> np.ndarray:
-    """Fold the repeated observations back by LLR addition."""
-    rx = np.asarray(rx_llr, dtype=np.float64)
-    if rx.shape[-1] != spec.tx_len:
-        raise ValueError(f"received length must be M = {spec.tx_len}")
-    if spec.pattern.kind == "none":
-        return rx.copy()
-    _require_kind(spec, "extend")
-    N = spec.mother_len
-    out = rx[..., :N].copy()
-    out[..., spec.pattern.indices] += rx[..., N:]
-    return out
-
-
-def tx_frame(spec: CodeSpec, codeword) -> np.ndarray:
-    """Rate-match a mother codeword to the transmitted length M."""
-    if spec.pattern.kind == "extend":
-        return extend_tx(spec, codeword)
-    return shorten_tx(spec, codeword)
+    return cw[..., spec.tx_positions]
 
 
 def dematch(spec: CodeSpec, rx_llr) -> np.ndarray:
-    """Inverse of :func:`tx_frame` on LLRs."""
-    if spec.pattern.kind == "extend":
-        return dematch_extended(spec, rx_llr)
-    return dematch_shortened(spec, rx_llr)
+    """Inverse of :func:`tx_frame` on LLRs.
+
+    Positions never sent get the known-zero LLR; the observations of a
+    repeated position are added.
+    """
+    rx = np.asarray(rx_llr, dtype=np.float64)
+    if rx.shape[-1] != spec.tx_len:
+        raise ValueError(f"received length must be M = {spec.tx_len}")
+    N, pos = spec.mother_len, spec.tx_positions
+    out = np.full(rx.shape[:-1] + (N,), KNOWN_ZERO_LLR)
+    out[..., pos[:N]] = rx[..., :N]
+    out[..., pos[N:]] += rx[..., N:]
+    return out

@@ -122,7 +122,7 @@ def test_criterion_06_shortening_validity():
         msgs = rng.integers(0, 2, (1000, 160), dtype=np.uint8)
         cws = npl.encode(spec, msgs)
         assert not cws[:, spec.pattern.indices].any(), method
-        assert npl.shorten_tx(spec, cws).shape == (1000, 320)
+        assert npl.tx_frame(spec, cws).shape == (1000, 320)
     report(6, "NAT_PD/RQUP/CW shortened positions all-zero over 1000 random messages each")
 
 

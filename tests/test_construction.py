@@ -358,6 +358,16 @@ class TestBuildExtended:
         assert np.all(ext_rel >= mother_rel - 1e-9)
         assert np.all(ext_rel[spec.pattern.indices] >= mother_rel[spec.pattern.indices])
 
+    def test_repeated_positions_count_twice(self):
+        # The builder's stage-0 mean is doubled exactly at the repeated
+        # positions; at these parameters that moves the mask off the mother's.
+        spec = build_extended_code(256, 24, 128)
+        stage0 = np.full(256, 4.0)
+        stage0[spec.pattern.indices] = 8.0
+        expected = select_information_set(evolve_reliabilities(stage0), 128)
+        np.testing.assert_array_equal(spec.frozen_mask, expected)
+        assert not np.array_equal(spec.frozen_mask, build_mother_code(256, 128).frozen_mask)
+
     def test_weak_info_targets_least_reliable_information(self):
         spec = build_extended_code(64, 8, 32, repeat="weak_info")
         mother = build_mother_code(64, 32)
@@ -432,6 +442,20 @@ class TestCodeSpec:
             CodeSpec(8, 2, 6, np.array([1, 1, 1, 1, 1, 0, 0, 1], dtype=bool),
                      RateMatchPattern("shorten", [5, 6]))
 
+    def test_out_of_range_pattern_positions(self):
+        # One range check serves every path into a spec: the JSON reader for
+        # both kinds, and the builders before they evolve anything.
+        for kind, tx_len in (("shorten", 7), ("extend", 9)):
+            doc = json.loads(build_mother_code(8, 3).to_json())
+            doc["tx_len"] = tx_len
+            doc["pattern"] = {"kind": kind, "indices": [9]}
+            with pytest.raises(ConstructionError, match="exceed the mother length"):
+                CodeSpec.from_json(json.dumps(doc))
+        with pytest.raises(ConstructionError, match="exceed the mother length"):
+            build_shortened_code(8, 7, 3, [8])
+        with pytest.raises(ConstructionError, match="exceed the mother length"):
+            build_extended_code(8, 1, 3, repeat=[8])
+
     def test_frozen_mask_read_only(self):
         spec = build_mother_code(8, 4)
         with pytest.raises(ValueError):
@@ -440,4 +464,4 @@ class TestCodeSpec:
     def test_normalize_pattern_rejects_wrong_kind(self):
         pat = RateMatchPattern("extend", [7])
         with pytest.raises(ConstructionError):
-            normalize_pattern(pat, 8, 7, "shorten")
+            normalize_pattern(pat, 8, 7)

@@ -35,6 +35,8 @@ class TestConfig:
             ExperimentConfig(N=64, K=32, min_frame_errors=0)
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, decoder="BP")
+        with pytest.raises(ConstructionError):
+            ExperimentConfig(N=64, K=32, decoder="SCL", list_size=0)
 
 
 class TestBuildSpec:

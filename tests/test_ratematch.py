@@ -10,15 +10,7 @@ from nupolar.construction import (
     build_shortened_code,
 )
 from nupolar.numerics import KNOWN_ZERO_LLR
-from nupolar.ratematch import (
-    InvalidSpecError,
-    dematch,
-    dematch_extended,
-    dematch_shortened,
-    extend_tx,
-    shorten_tx,
-    tx_frame,
-)
+from nupolar.ratematch import InvalidSpecError, dematch, tx_frame
 
 
 def all_messages(K):
@@ -28,24 +20,24 @@ def all_messages(K):
 class TestShorten:
     def test_positional_removal(self):
         spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
-        out = shorten_tx(spec, np.array([1, 0, 1, 0], np.uint8))
+        out = tx_frame(spec, np.array([1, 0, 1, 0], np.uint8))
         assert out.tolist() == [1, 0, 1]
 
     def test_empty_pattern_is_identity(self):
         spec = build_mother_code(8, 4)
         cw = np.arange(8, dtype=np.uint8) % 2
-        np.testing.assert_array_equal(shorten_tx(spec, cw), cw)
+        np.testing.assert_array_equal(tx_frame(spec, cw), cw)
 
     def test_nonzero_shortened_bit_flags_invalid_spec(self):
         spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
         with pytest.raises(InvalidSpecError):
-            shorten_tx(spec, np.array([1, 0, 1, 1], np.uint8))
+            tx_frame(spec, np.array([1, 0, 1, 1], np.uint8))
 
     def test_exhaustive_small_code(self):
         spec = build_shortened_code(8, 6, 4, "NAT_PD")
         cws = encode(spec, all_messages(4))
         assert not cws[:, spec.pattern.indices].any()
-        assert shorten_tx(spec, cws).shape == (16, 6)
+        assert tx_frame(spec, cws).shape == (16, 6)
 
     def test_randomized_large_code(self):
         rng = np.random.default_rng(0)
@@ -58,14 +50,14 @@ class TestShorten:
 class TestDematchShortened:
     def test_saturation_positions(self):
         spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
-        out = dematch_shortened(spec, np.array([1.5, -2.0, 0.25]))
+        out = dematch(spec, np.array([1.5, -2.0, 0.25]))
         assert out.tolist() == [1.5, -2.0, 0.25, KNOWN_ZERO_LLR]
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         spec = build_shortened_code(32, 24, 12, "RQUP")
         cw = encode(spec, rng.integers(0, 2, 12, dtype=np.uint8))
-        llr = dematch_shortened(spec, 7.0 * (1.0 - 2.0 * shorten_tx(spec, cw)))
+        llr = dematch(spec, 7.0 * (1.0 - 2.0 * tx_frame(spec, cw)))
         keep = np.isfinite(llr)
         np.testing.assert_array_equal(np.flatnonzero(~keep), spec.pattern.indices)
         np.testing.assert_array_equal(llr[keep], 7.0 * (1.0 - 2.0 * cw[keep]))
@@ -74,54 +66,54 @@ class TestDematchShortened:
         rng = np.random.default_rng(2)
         spec = build_shortened_code(64, 48, 24, "NAT_PD")
         msgs = rng.integers(0, 2, (20, 24), dtype=np.uint8)
-        tx = shorten_tx(spec, encode(spec, msgs))
-        out, _ = sc_decode_batch(spec, dematch_shortened(spec, 12.0 * (1.0 - 2.0 * tx)))
+        tx = tx_frame(spec, encode(spec, msgs))
+        out, _ = sc_decode_batch(spec, dematch(spec, 12.0 * (1.0 - 2.0 * tx)))
         np.testing.assert_array_equal(out, msgs)
 
     def test_length_check(self):
         spec = build_shortened_code(8, 6, 3, "NAT_PD")
         with pytest.raises(ValueError):
-            dematch_shortened(spec, np.zeros(8))
+            dematch(spec, np.zeros(8))
 
 
 class TestExtend:
     def test_appends_pattern_positions(self):
         spec = CodeSpec(4, 4, 5, np.zeros(4, bool), RateMatchPattern("extend", [3]))
-        out = extend_tx(spec, np.array([1, 0, 1, 0], np.uint8))
+        out = tx_frame(spec, np.array([1, 0, 1, 0], np.uint8))
         assert out.tolist() == [1, 0, 1, 0, 0]
 
     def test_appended_bits_copy_sources(self):
         rng = np.random.default_rng(3)
         spec = build_extended_code(64, 16, 32)
         cw = encode(spec, rng.integers(0, 2, (10, 32), dtype=np.uint8))
-        tx = extend_tx(spec, cw)
+        tx = tx_frame(spec, cw)
         np.testing.assert_array_equal(tx[:, 64:], cw[:, spec.pattern.indices])
 
     def test_dematch_adds_llrs(self):
         spec = CodeSpec(4, 4, 5, np.zeros(4, bool), RateMatchPattern("extend", [3]))
-        out = dematch_extended(spec, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        out = dematch(spec, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         assert out.tolist() == [1.0, 2.0, 3.0, 9.0]
 
     def test_zero_extras_leave_frame_unchanged(self):
         spec = build_extended_code(32, 8, 16)
         rx = np.concatenate([np.linspace(-3, 3, 32), np.zeros(8)])
-        np.testing.assert_array_equal(dematch_extended(spec, rx), rx[:32])
+        np.testing.assert_array_equal(dematch(spec, rx), rx[:32])
 
     def test_dematch_is_linear(self):
         rng = np.random.default_rng(4)
         spec = build_extended_code(32, 8, 16)
         x = rng.normal(0, 2, 40)
         y = rng.normal(0, 2, 40)
-        lhs = dematch_extended(spec, 2.0 * x + y)
-        rhs = 2.0 * dematch_extended(spec, x) + dematch_extended(spec, y)
+        lhs = dematch(spec, 2.0 * x + y)
+        rhs = 2.0 * dematch(spec, x) + dematch(spec, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_noiseless_end_to_end(self):
         rng = np.random.default_rng(5)
         spec = build_extended_code(64, 16, 32)
         msgs = rng.integers(0, 2, (20, 32), dtype=np.uint8)
-        tx = extend_tx(spec, encode(spec, msgs))
-        out, _ = sc_decode_batch(spec, dematch_extended(spec, 9.0 * (1.0 - 2.0 * tx)))
+        tx = tx_frame(spec, encode(spec, msgs))
+        out, _ = sc_decode_batch(spec, dematch(spec, 9.0 * (1.0 - 2.0 * tx)))
         np.testing.assert_array_equal(out, msgs)
 
     def test_repetition_gain_at_fixed_symbol_energy(self):
@@ -146,13 +138,18 @@ class TestExtend:
 class TestDispatch:
     def test_tx_frame_and_dematch_follow_pattern_kind(self):
         rng = np.random.default_rng(6)
-        for spec in (
-            build_mother_code(16, 8),
-            build_shortened_code(16, 12, 6, "NAT_PD"),
-            build_extended_code(16, 4, 8),
+        # NAT_PD shortens, and the tail rule repeats, positions 12..15, which
+        # are then observed 0 and 2 times; every other position once.
+        for spec, tail_count in (
+            (build_mother_code(16, 8), 1),
+            (build_shortened_code(16, 12, 6, "NAT_PD"), 0),
+            (build_extended_code(16, 4, 8), 2),
         ):
             msg = rng.integers(0, 2, spec.payload_len, dtype=np.uint8)
             tx = tx_frame(spec, encode(spec, msg))
             assert tx.shape == (spec.tx_len,)
             frame = dematch(spec, 10.0 * (1.0 - 2.0 * tx))
             assert frame.shape == (spec.mother_len,)
+            assert spec.tx_positions.size == spec.tx_len
+            counts = np.bincount(spec.tx_positions, minlength=spec.mother_len)
+            assert counts.tolist() == [1] * 12 + [tail_count] * 4
