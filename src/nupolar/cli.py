@@ -15,10 +15,11 @@ import json
 import sys
 import typing
 
-from .construction import CONSTRUCTION_METHODS, PATTERN_METHODS, ConstructionError
-from .harness import DECODERS, ExperimentConfig, build_spec, run_sweep
+from .construction import ConstructionError
+from .harness import CHOICES, ExperimentConfig, build_spec, run_sweep
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
 def _parse_sweep(text: str) -> tuple[float, ...]:
@@ -35,7 +36,10 @@ def _coerce(key: str, raw: str):
     if kind == tuple[float, ...]:
         return _parse_sweep(raw)
     if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in _BOOLS:
+            raise ConstructionError(f"{key} must be one of {', '.join(_BOOLS)}, got {raw!r}")
+        return _BOOLS[word]
     # An optional field (``int | None``) parses as its first member.
     return (typing.get_args(kind) or (kind,))[0](raw)
 
@@ -58,9 +62,8 @@ def _add_override_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--N", type=int, help="mother code length (power of two)")
     parser.add_argument("--M", type=int, help="transmitted length")
     parser.add_argument("--K", type=int, help="information length (includes CRC bits)")
-    parser.add_argument("--method", choices=CONSTRUCTION_METHODS)
-    parser.add_argument("--pattern-method", dest="pattern_method", choices=PATTERN_METHODS)
-    parser.add_argument("--decoder", choices=DECODERS)
+    for name, allowed in CHOICES.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, choices=allowed)
     parser.add_argument("--list-size", dest="list_size", type=int)
     parser.add_argument("--crc-len", dest="crc_len", type=int)
     parser.add_argument("--design-snr-db", dest="design_snr_db", type=float)
@@ -68,8 +71,6 @@ def _add_override_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--max-frames", dest="max_frames", type=int)
     parser.add_argument("--min-frame-errors", dest="min_frame_errors", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--g-mode", dest="g_mode", choices=("sum", "product"))
-    parser.add_argument("--rule", choices=("minsum", "exact"))
     parser.add_argument("--scl-threshold", dest="scl_threshold", type=float)
     parser.add_argument("--repeat", help="extension placement: tail, weak_info")
     parser.add_argument("--label")

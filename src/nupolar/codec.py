@@ -111,6 +111,10 @@ def f_exact(a, b):
     return sign * (np.minimum(aa, ab) + corr)
 
 
+# Check-node update of each decoding ``rule``.
+RULES = {"minsum": f_minsum, "exact": f_exact}
+
+
 def g_node(a, b, u_sum):
     """Variable-node update b + (-1)^u_sum * a.
 
@@ -173,13 +177,15 @@ class _ListDecoder:
             raise ValueError("list size must be at least 1")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("pruning threshold must lie in [0, 1]")
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
         self.frozen = spec.frozen_mask
         # Message column of each information position (ascending order).
         self.column = np.cumsum(~self.frozen) - 1
         self.L = int(L)
         # A single path is never pruned.
         self.log_thr = None if threshold == 0.0 or L == 1 else -float(np.log(threshold))
-        self.f = {"minsum": f_minsum, "exact": f_exact}[rule]
+        self.f = RULES[rule]
 
     def decode(self, llr):
         B, L = len(llr), self.L

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import bec_pair, nupga_pair
+from .numerics import G_MODES, bec_pair, nupga_pair
 
 CONSTRUCTION_METHODS = ("GA_uniform", "NUPGA_shortened", "NUPGA_extended", "BEC_oracle")
 PATTERN_METHODS = ("CW", "RQUP", "NAT_PD")
@@ -154,7 +154,7 @@ class CodeSpec:
             raise ConstructionError("frozen mask must leave exactly K information positions")
         if self.construction_method not in CONSTRUCTION_METHODS:
             raise ConstructionError(f"unknown construction method {self.construction_method!r}")
-        if self.g_mode not in ("sum", "product"):
+        if self.g_mode not in G_MODES:
             raise ConstructionError(f"unknown g_mode {self.g_mode!r}")
         tx = self.pattern.tx_positions(N)
         if M != tx.size:

@@ -2,16 +2,17 @@
 
 A run sweeps Eb/N0 points for one code/decoder configuration.  Each frame
 draws its payload and noise from a counter-based stream keyed by
-``(seed, frame index)`` (payload bits first, then noise samples), so the
-counters are bit-for-bit reproducible no matter how frames are sharded
-across the worker pool.  Frames are processed in fixed-size batches and
-the stopping rule is evaluated only at batch boundaries, which keeps the
-stopping decision independent of the worker count as well.
+``(seed, frame index)`` (payload bits first, then noise samples), and
+frames run in fixed-size batches: workers take whole batches, and their
+counters are committed in batch order with the stopping rule checked after
+each one.  So the counters are bit-for-bit the same for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import io
 import os
 import time
@@ -22,9 +23,10 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_rng, llr_demod
-from .codec import CRC24, _crc_select, crc_append, encode, scl_decode_batch
+from .codec import CRC24, RULES, _crc_select, crc_append, encode, scl_decode_batch
 from .construction import (
     CONSTRUCTION_METHODS,
+    PATTERN_METHODS,
     CodeSpec,
     ConstructionError,
     bec_construct,
@@ -33,12 +35,17 @@ from .construction import (
     build_shortened_code,
     RateMatchPattern,
 )
+from .numerics import G_MODES
 from .ratematch import dematch, tx_frame
 
 BATCH_FRAMES = 256
 WORKERS_ENV = "NUPOLAR_WORKERS"
 
 DECODERS = ("SC", "SCL", "CASCL")
+
+# The allowed values of each enumerated ExperimentConfig field.
+CHOICES = {"method": CONSTRUCTION_METHODS, "pattern_method": PATTERN_METHODS,
+           "decoder": DECODERS, "g_mode": G_MODES, "rule": RULES}
 
 
 @dataclass
@@ -70,10 +77,9 @@ class ExperimentConfig:
         if self.M is None:
             self.M = int(self.N)
         self.ebno_sweep = tuple(float(x) for x in self.ebno_sweep)
-        if self.method not in CONSTRUCTION_METHODS:
-            raise ConstructionError(f"unknown construction method {self.method!r}")
-        if self.decoder not in DECODERS:
-            raise ConstructionError(f"unknown decoder {self.decoder!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConstructionError(f"unknown {name} {getattr(self, name)!r}")
         if self.crc_len not in (0, CRC24.width):
             raise ConstructionError(f"crc_len must be 0 or {CRC24.width}")
         if self.decoder == "CASCL" and self.crc_len == 0:
@@ -175,8 +181,10 @@ def build_spec(cfg: ExperimentConfig) -> CodeSpec:
     )
 
 
-def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int, count: int):
-    """Simulate frames [start, start+count); returns integer error counters."""
+def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int):
+    """Simulate the batch of frames from ``start`` (up to ``BATCH_FRAMES``, ending
+    by ``max_frames``); returns integer error counters."""
+    count = min(BATCH_FRAMES, cfg.max_frames - start)
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     pay_bits = cfg.payload_bits
     M = cfg.M
@@ -196,64 +204,37 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int
     return count, int(errs.sum()), int(errs.any(axis=1).sum())
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return max(1, workers)
-
-
-class _Pool:
-    """Tiny wrapper so a worker pool is optional and fork-safe."""
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self.pool = get_context("fork").Pool(workers) if workers > 1 else None
-
-    def run_batch(self, spec, cfg, ebno_db, start, count):
-        if self.pool is None:
-            return [_sim_chunk(spec, cfg, ebno_db, start, count)]
-        bounds = np.linspace(start, start + count, self.workers + 1).astype(int)
-        jobs = [
-            (spec, cfg, ebno_db, int(lo), int(hi - lo))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        return self.pool.starmap(_sim_chunk, jobs)
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.close()
-            self.pool.join()
-
-
 def run_point(
     cfg: ExperimentConfig,
     ebno_db: float,
     workers: int | None = None,
     spec: CodeSpec | None = None,
-    _pool: "_Pool | None" = None,
 ) -> PointReport:
     """Accumulate BER/FER counters for one Eb/N0 point.
 
-    Frames run until ``min_frame_errors`` frame errors have been counted
-    or ``max_frames`` frames have been simulated, whichever comes first;
-    both checks happen at fixed batch boundaries.
+    Frames run in batches of ``BATCH_FRAMES`` until ``min_frame_errors``
+    frame errors have been counted or ``max_frames`` frames have been
+    simulated, whichever comes first.  With ``workers`` > 1 (default: the
+    ``NUPOLAR_WORKERS`` environment variable, else 1) each worker of a
+    fork pool owned by this call takes whole batches; the counters are
+    committed in batch order, and batches past the stopping point are
+    dropped when the pool is terminated.
     """
     if spec is None:
         spec = build_spec(cfg)
-    pool = _pool if _pool is not None else _Pool(_worker_count(workers))
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    batch = functools.partial(_sim_chunk, spec, cfg, ebno_db)
+    starts = range(0, cfg.max_frames, BATCH_FRAMES)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
-    try:
-        while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
-            count = min(BATCH_FRAMES, cfg.max_frames - frames)
-            for n, be, fe in pool.run_batch(spec, cfg, ebno_db, frames, count):
-                frames += n
-                bit_errors += be
-                frame_errors += fe
-    finally:
-        if _pool is None:
-            pool.close()
+    with get_context("fork").Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for n, be, fe in pool.imap(batch, starts) if pool else map(batch, starts):
+            frames += n
+            bit_errors += be
+            frame_errors += fe
+            if frame_errors >= cfg.min_frame_errors:
+                break
     wall = time.perf_counter() - t0
     return PointReport(
         ebno_db=float(ebno_db),
@@ -269,11 +250,5 @@ def run_point(
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> SimReport:
     """Map :func:`run_point` over the configured Eb/N0 sweep."""
     spec = build_spec(cfg)
-    pool = _Pool(_worker_count(workers))
-    report = SimReport(config=cfg.as_dict(), library_version=_version)
-    try:
-        for ebno in cfg.ebno_sweep:
-            report.points.append(run_point(cfg, ebno, spec=spec, _pool=pool))
-    finally:
-        pool.close()
-    return report
+    points = [run_point(cfg, ebno, workers, spec) for ebno in cfg.ebno_sweep]
+    return SimReport(config=cfg.as_dict(), library_version=_version, points=points)

@@ -30,6 +30,9 @@ _PHI_INV_ITERS = 90
 # it cannot silently look like a plausible LLR.
 KNOWN_ZERO_LLR = np.inf
 
+# Variable-node mean update of :func:`nupga_pair`: ``a + b`` or ``a * b``.
+G_MODES = ("sum", "product")
+
 
 def _as_float_array(x, name: str):
     out = np.asarray(x, dtype=np.float64)
@@ -117,7 +120,7 @@ def nupga_pair(a, b, g_mode: str = "sum"):
     A mean of 0 gets no special case: it gives ``minus = 0``, and in
     product mode ``plus = 0`` whatever the partner, infinity included.
     """
-    if g_mode not in ("sum", "product"):
+    if g_mode not in G_MODES:
         raise ValueError(f"unknown g_mode {g_mode!r}")
     a = _as_float_array(a, "LLR mean")
     b = _as_float_array(b, "LLR mean")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nupolar.cli import main
+from nupolar.cli import load_config_file, main
 from nupolar.construction import CodeSpec
 
 
@@ -82,6 +82,21 @@ class TestSimulate:
         out = tmp_path / "r.csv"
         rc = run_cli(["simulate", "--config", str(cfgfile), "--seed", "2", "--out-csv", str(out)])
         assert rc == 0
+
+    @pytest.mark.parametrize("line", ["rate_excludes_crc = ture", "rule = bogus", "g_mode = bogus"])
+    def test_bad_config_file_value_exits_2(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"N = 64\nK = 32\nebno_sweep = 1.0\nmax_frames = 256\n{line}\n")
+        rc = run_cli(["simulate", "--config", str(cfgfile), "--out-csv", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_config_file_booleans(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        for word, value in [("1", True), ("Yes", True), ("on", True), ("true", True),
+                            ("0", False), ("No", False), ("off", False), ("false", False)]:
+            cfgfile.write_text(f"rate_excludes_crc = {word}\n")
+            assert load_config_file(str(cfgfile)) == {"rate_excludes_crc": value}
 
     def test_bad_config_exits_2(self, capsys):
         rc = run_cli(["simulate", "--N", "63", "--K", "32", "--ebno", "1.0"])

@@ -243,6 +243,13 @@ class TestSclDecode:
         with pytest.raises(ValueError):
             scl_decode(spec, np.zeros(8), L=2, threshold=1.5)
 
+    def test_rule_validation(self):
+        spec = build_mother_code(8, 4)
+        with pytest.raises(ValueError, match="unknown rule"):
+            sc_decode(spec, np.zeros(8), rule="x")
+        with pytest.raises(ValueError, match="unknown rule"):
+            scl_decode(spec, np.zeros(8), L=2, rule="x")
+
 
 BIT_IDENTITY_CODES = {
     "mother-64-32": lambda: build_mother_code(64, 32),

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,12 @@ class TestConfig:
             ExperimentConfig(N=64, K=32, decoder="BP")
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, decoder="SCL", list_size=0)
+        with pytest.raises(ConstructionError):
+            ExperimentConfig(N=64, K=32, rule="bogus")
+        with pytest.raises(ConstructionError):
+            ExperimentConfig(N=64, K=32, g_mode="bogus")
+        with pytest.raises(ConstructionError):
+            ExperimentConfig(N=64, K=32, pattern_method="bogus")
 
 
 class TestBuildSpec:
@@ -76,6 +84,10 @@ class TestRunPoint:
         assert p.frame_errors >= 25
         assert p.frames < 100_000
 
+    def test_pool_is_gone_after_return(self):
+        run_point(small_cfg(max_frames=100_000, min_frame_errors=300), 0.0, workers=2)
+        assert multiprocessing.active_children() == []
+
     def test_fer_at_least_ber(self):
         p = run_point(small_cfg(), 1.0)
         assert p.fer >= p.ber
@@ -97,6 +109,13 @@ class TestRunSweep:
         cfg = small_cfg(ebno_sweep=(1.5,), max_frames=512, min_frame_errors=512)
         texts = {run_sweep(cfg, workers=w).csv_text() for w in (1, 3, 4)}
         assert len(texts) == 1
+        # Stops on the error target long before max_frames, so the batches
+        # that workers ran past the stopping point must be dropped.
+        cfg = small_cfg(ebno_sweep=(0.0,), max_frames=100_000, min_frame_errors=300)
+        reports = [run_sweep(cfg, workers=w) for w in (1, 2, 3)]
+        assert len({rep.csv_text() for rep in reports}) == 1
+        p = reports[0].points[0]
+        assert p.frame_errors >= 300 and p.frames < 100_000
 
     def test_cascl_worker_count_does_not_change_results(self):
         cfg = ExperimentConfig(N=64, K=40, decoder="CASCL", crc_len=24, list_size=4,
