@@ -7,6 +7,7 @@ how frames are sharded across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.ebno_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebno_db} dB")
         if not 0 < self.rate <= 1:
             raise ValueError(f"code rate must lie in (0, 1], got {self.rate}")
 

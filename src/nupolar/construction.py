@@ -24,6 +24,7 @@ from .numerics import G_MODES, bec_pair, nupga_pair
 
 CONSTRUCTION_METHODS = ("GA_uniform", "NUPGA_shortened", "NUPGA_extended", "BEC_oracle")
 PATTERN_METHODS = ("CW", "RQUP", "NAT_PD")
+REPEAT_RULES = ("tail", "weak_info")
 
 
 class ConstructionError(ValueError):
@@ -35,6 +36,15 @@ def _check_power_of_two(n: int) -> int:
     if n < 2 or n & (n - 1):
         raise ConstructionError(f"mother length must be a power of two >= 2, got {n}")
     return n
+
+
+def _whole(values, what: str) -> np.ndarray:
+    """``values`` as int64, rejecting (not truncating) anything fractional."""
+    arr = np.asarray(values)
+    ints = arr.astype(np.int64)
+    if not np.array_equal(ints, arr):
+        raise ConstructionError(f"{what} must be whole numbers")
+    return ints
 
 
 def bit_reverse(indices, n_bits: int):
@@ -61,8 +71,7 @@ class RateMatchPattern:
     def __post_init__(self):
         if self.kind not in ("none", "shorten", "extend"):
             raise ConstructionError(f"unknown pattern kind {self.kind!r}")
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
-        idx = np.sort(idx)
+        idx = np.sort(_whole(self.indices, "pattern indices").ravel())
         if idx.size and (np.any(np.diff(idx) == 0) or idx[0] < 0):
             raise ConstructionError("pattern indices must be distinct and non-negative")
         if self.kind == "none" and idx.size:
@@ -142,12 +151,12 @@ class CodeSpec:
     tx_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        N = _check_power_of_two(self.mother_len)
-        mask = np.array(self.frozen_mask, dtype=bool)
-        if mask.shape != (N,):
-            raise ConstructionError("frozen mask length must equal the mother length")
-        K = int(self.payload_len)
-        M = int(self.tx_len)
+        N, K, M = _whole([self.mother_len, self.payload_len, self.tx_len], "code lengths").tolist()
+        N = _check_power_of_two(N)
+        mask = np.asarray(self.frozen_mask)
+        if mask.shape != (N,) or not np.all((mask == 0) | (mask == 1)):
+            raise ConstructionError("frozen mask must hold N entries, each 0 or 1")
+        mask = mask.astype(bool)
         if not 0 <= K <= M:
             raise ConstructionError(f"payload length {K} outside [0, {M}]")
         if int(np.count_nonzero(~mask)) != K:
@@ -195,14 +204,12 @@ class CodeSpec:
     @classmethod
     def from_json(cls, text: str) -> "CodeSpec":
         doc = json.loads(text)
-        pattern = RateMatchPattern(
-            doc["pattern"]["kind"], np.asarray(doc["pattern"]["indices"], dtype=np.int64) - 1
-        )
+        pattern = RateMatchPattern(doc["pattern"]["kind"], np.asarray(doc["pattern"]["indices"]) - 1)
         return cls(
             mother_len=doc["mother_len"],
             payload_len=doc["payload_len"],
             tx_len=doc["tx_len"],
-            frozen_mask=np.asarray(doc["frozen_mask"], dtype=bool),
+            frozen_mask=doc["frozen_mask"],
             pattern=pattern,
             design_snr_db=doc["design_snr_db"],
             construction_method=doc["construction_method"],

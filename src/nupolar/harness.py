@@ -27,6 +27,7 @@ from .codec import CRC24, RULES, _crc_select, crc_append, encode, scl_decode_bat
 from .construction import (
     CONSTRUCTION_METHODS,
     PATTERN_METHODS,
+    REPEAT_RULES,
     CodeSpec,
     ConstructionError,
     bec_construct,
@@ -45,7 +46,7 @@ DECODERS = ("SC", "SCL", "CASCL")
 
 # The allowed values of each enumerated ExperimentConfig field.
 CHOICES = {"method": CONSTRUCTION_METHODS, "pattern_method": PATTERN_METHODS,
-           "decoder": DECODERS, "g_mode": G_MODES, "rule": RULES}
+           "decoder": DECODERS, "g_mode": G_MODES, "rule": RULES, "repeat": REPEAT_RULES}
 
 
 @dataclass
@@ -77,6 +78,8 @@ class ExperimentConfig:
         if self.M is None:
             self.M = int(self.N)
         self.ebno_sweep = tuple(float(x) for x in self.ebno_sweep)
+        if not np.all(np.isfinite(self.ebno_sweep)):
+            raise ConstructionError(f"ebno_sweep entries must be finite, got {self.ebno_sweep}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConstructionError(f"unknown {name} {getattr(self, name)!r}")

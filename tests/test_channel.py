@@ -22,6 +22,11 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(ebno_db=0.0, rate=0.0)
 
+    @pytest.mark.parametrize("ebno_db", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_ebno_rejected(self, ebno_db):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelConfig(ebno_db=ebno_db, rate=0.5)
+
 
 class TestAwgn:
     def test_determinism_per_seed_and_frame(self):

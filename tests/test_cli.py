@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,17 @@ import pytest
 
 from nupolar.cli import load_config_file, main
 from nupolar.construction import CodeSpec
+from nupolar.harness import CHOICES, ExperimentConfig
+
+# One valid, non-default text value per ExperimentConfig field (the base
+# configuration is N = 64, K = 32).
+FIELD_TEXT = {
+    "N": "128", "K": "16", "M": "48", "method": "BEC_oracle", "pattern_method": "CW",
+    "decoder": "SCL", "list_size": "4", "crc_len": "24", "design_snr_db": "-1.5",
+    "ebno_sweep": "1.5, 2 3", "max_frames": "512", "min_frame_errors": "7", "seed": "9",
+    "g_mode": "product", "rule": "exact", "scl_threshold": "0.25", "repeat": "weak_info",
+    "bec_erasure": "0.25", "rate_excludes_crc": "on", "label": "nupga",
+}
 
 
 def run_cli(args):
@@ -83,13 +95,47 @@ class TestSimulate:
         rc = run_cli(["simulate", "--config", str(cfgfile), "--seed", "2", "--out-csv", str(out)])
         assert rc == 0
 
-    @pytest.mark.parametrize("line", ["rate_excludes_crc = ture", "rule = bogus", "g_mode = bogus"])
+    @pytest.mark.parametrize("line", ["rate_excludes_crc = ture", "rule = bogus", "g_mode = bogus",
+                                      "repeat = bogus"])
     def test_bad_config_file_value_exits_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"N = 64\nK = 32\nebno_sweep = 1.0\nmax_frames = 256\n{line}\n")
         rc = run_cli(["simulate", "--config", str(cfgfile), "--out-csv", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--ebno", "inf"), ("--ebno", "1,nan"), ("--N", "abc"),
+                                             ("--rate-excludes-crc", "ture")])
+    def test_bad_flag_value_exits_2(self, tmp_path, capsys, flag, value):
+        rc = run_cli(["simulate", "--N", "64", "--K", "32", "--max-frames", "256", flag, value,
+                      "--out-csv", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(CHOICES))
+    def test_choice_flags_reject_unknown_values(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--N", "64", "--K", "32", "--" + name.replace("_", "-"), "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_flag_and_file_value_give_same_config(self, tmp_path, name):
+        # Only the ebno_sweep case runs frames: one per point.
+        base = {"N": "64", "K": "32", "max_frames": "1"}
+        base.pop(name, None)
+        cfgfile = tmp_path / "exp.cfg"
+        configs = []
+        for extra_line, flags in [("", ["--" + name.replace("_", "-"), FIELD_TEXT[name]]),
+                                  (f"{name} = {FIELD_TEXT[name]}\n", [])]:
+            cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + extra_line)
+            out = tmp_path / "r.json"
+            rc = run_cli(["simulate", "--config", str(cfgfile), *flags,
+                          "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(out)])
+            assert rc == 0
+            configs.append(json.loads(out.read_text())["config"])
+        assert configs[0] == configs[1]
+        assert configs[0][name] != ExperimentConfig(N=64, K=32, max_frames=1).as_dict()[name]
 
     def test_config_file_booleans(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

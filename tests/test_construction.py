@@ -434,6 +434,7 @@ class TestCodeSpec:
         assert np.array_equal(back.frozen_mask, spec.frozen_mask)
         assert back.pattern == spec.pattern
         assert back.tx_len == spec.tx_len
+        assert back.to_json() == spec.to_json()
 
     def test_validation(self):
         with pytest.raises(ConstructionError):
@@ -455,6 +456,17 @@ class TestCodeSpec:
             build_shortened_code(8, 7, 3, [8])
         with pytest.raises(ConstructionError, match="exceed the mother length"):
             build_extended_code(8, 1, 3, repeat=[8])
+
+    @pytest.mark.parametrize("key, value", [
+        ("indices", [7.9]), ("frozen_mask", [2, 1, 1, 0, 1, 0, 1, 0]), ("mother_len", 8.7),
+    ], ids=["position", "mask_entry", "mother_len"])
+    def test_json_values_are_not_truncated(self, key, value):
+        # Each would otherwise load as a valid spec: the 1-based position 7,
+        # a frozen first entry, and N = 8.
+        doc = json.loads(build_extended_code(8, 1, 3).to_json())
+        (doc["pattern"] if key == "indices" else doc)[key] = value
+        with pytest.raises(ConstructionError):
+            CodeSpec.from_json(json.dumps(doc))
 
     def test_frozen_mask_read_only(self):
         spec = build_mother_code(8, 4)

@@ -45,6 +45,10 @@ class TestConfig:
             ExperimentConfig(N=64, K=32, g_mode="bogus")
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, pattern_method="bogus")
+        with pytest.raises(ConstructionError):
+            ExperimentConfig(N=64, K=32, repeat="bogus")
+        with pytest.raises(ConstructionError):
+            ExperimentConfig(N=64, K=32, ebno_sweep=(1.0, float("inf")))
 
 
 class TestBuildSpec:

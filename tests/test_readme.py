@@ -1,21 +1,33 @@
-"""The README's quick tour runs against the current API."""
+"""The README's quick tour runs against the current API, and its command
+lines parse."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from nupolar.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def quick_tour() -> str:
+def code_block(heading: str, lang: str) -> str:
     text = README.read_text()
-    section = text[text.index("## Quick tour"):]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    section = text[text.index(heading):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_quick_tour_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(quick_tour(), str(README), "exec"), {})
+        exec(compile(code_block("## Quick tour", "python"), str(README), "exec"), {})
     assert out.getvalue() == "True\n"
+
+
+def test_command_lines_parse():
+    block = code_block("## Command line", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nupolar ")]
+    assert [argv[0] for argv in commands] == ["construct", "simulate", "compare"]
+    for argv in commands:
+        build_parser().parse_args(argv)
