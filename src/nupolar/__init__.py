@@ -29,6 +29,7 @@ from .construction import (
     RateMatchPattern,
     bec_construct,
     bit_reverse,
+    build_bec_code,
     build_extended_code,
     build_mother_code,
     build_shortened_code,

@@ -27,10 +27,16 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.ebno_db):
-            raise ValueError(f"Eb/N0 must be finite, got {self.ebno_db} dB")
         if not 0 < self.rate <= 1:
             raise ValueError(f"code rate must lie in (0, 1], got {self.rate}")
+        # 2 / sigma^2 is positive and finite exactly when sigma is; it also
+        # fails where 10^(dB/10) is still finite (1e308 at 3080 dB).
+        try:
+            usable = 0 < self.llr_scale < math.inf
+        except ArithmeticError:
+            usable = False
+        if not usable:
+            raise ValueError(f"Eb/N0 must be finite with a finite, nonzero noise, got {self.ebno_db} dB")
 
     @property
     def ebno_linear(self) -> float:

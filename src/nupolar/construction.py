@@ -7,7 +7,9 @@ code.  In general each entry is the design-point mean times the number of
 times the position is observed: 0 if shortened, 1 if sent, 2 if repeated.
 Evolving that non-uniform vector gives the re-polarized (NUPGA) shortened
 and extended codes.  Baseline shortened codes (CW / RQUP / NAT_PD selection
-without re-polarization) are also provided.
+without re-polarization) and the exact BEC code are also provided.  All
+builders share one tail, and the butterfly skips every pair with a
+shortened member.
 
 All indices in the Python API are 0-based.  The JSON serialization of
 :class:`CodeSpec` uses 1-based positions.
@@ -184,6 +186,9 @@ class CodeSpec:
     def info_positions(self) -> np.ndarray:
         return np.flatnonzero(~self.frozen_mask)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CodeSpec) and self.to_json() == other.to_json()
+
     def to_json(self, indent: int | None = None) -> str:
         """Serialize to JSON with 1-based pattern/mask positions."""
         doc = {
@@ -217,23 +222,19 @@ class CodeSpec:
         )
 
 
-def _butterfly(v, pair, keep_stages: bool, hold=None):
+def _butterfly(v, pair, keep_stages: bool, hold):
     # The polarization butterfly, in place on v.  Stage s pairs positions
     # that differ in bit s (distance 2^s, smallest first); pair(a, b)
     # returns new (minus, plus) arrays, which land on the lower and the upper
-    # index.  A pair with a member in the boolean mask `hold` keeps its
-    # values, so the held set is the same at every stage.
+    # index.  A pair with a member in the boolean mask `hold` is not
+    # evaluated and keeps its values, so the held set is the same at every
+    # stage.
     stages = [v.copy()]
     d = 1
     while d < v.size:
-        pairs = v.reshape(-1, 2, d)
-        minus, plus = pair(pairs[:, 0, :], pairs[:, 1, :])
-        if hold is not None:
-            keep = hold.reshape(-1, 2, d).any(axis=1)
-            minus = np.where(keep, pairs[:, 0, :], minus)
-            plus = np.where(keep, pairs[:, 1, :], plus)
-        pairs[:, 0, :] = minus
-        pairs[:, 1, :] = plus
+        lo, hi = v.reshape(-1, 2, d).swapaxes(0, 1)
+        live = ~hold.reshape(-1, 2, d).any(axis=1)
+        lo[live], hi[live] = pair(lo[live], hi[live])
         if keep_stages:
             stages.append(v.copy())
         d *= 2
@@ -271,7 +272,7 @@ def evolve_bec(stage0, keep_stages: bool = False):
     _check_power_of_two(v.size)
     if not np.all((v >= 0) & (v <= 1)):
         raise ConstructionError("erasure probabilities must lie in [0, 1]")
-    return _butterfly(v, bec_pair, keep_stages)
+    return _butterfly(v, bec_pair, keep_stages, hold=np.zeros(v.size, dtype=bool))
 
 
 def select_information_set(rel, K: int) -> np.ndarray:
@@ -298,24 +299,29 @@ def design_snr_to_llr_mean(design_snr_db: float) -> float:
     return 4.0 * 10.0 ** (design_snr_db / 10.0)
 
 
-def _build_code(N, K, pattern, design_snr_db, g_mode, method) -> CodeSpec:
-    # The tail every builder shares.  The re-polarized methods evolve the
-    # design-point mean times each position's observation count; GA_uniform
-    # evolves the uniform vector and skips the pattern afterwards.
+def _build_code(N, K, pattern, design_snr_db, g_mode, method, erasure=None) -> CodeSpec:
+    # The tail every builder shares.  BEC_oracle evolves the uniform erasure
+    # probability exactly.  The re-polarized methods evolve the design-point
+    # mean times each position's observation count; GA_uniform evolves the
+    # uniform vector and skips the pattern afterwards.
     tx = pattern.tx_positions(N)
     if not 0 < K <= min(N, tx.size):
         raise ConstructionError(f"payload length {K} outside (0, {min(N, tx.size)}]")
-    base = design_snr_to_llr_mean(design_snr_db)
-    if method == "GA_uniform":
-        rel = evolve_reliabilities(np.full(N, base), g_mode)
-        rel[pattern.indices] = 0.0
+    if method == "BEC_oracle":
+        frozen = bec_construct(np.full(N, erasure), K)
     else:
-        rel = evolve_reliabilities(base * np.bincount(tx, minlength=N), g_mode)
+        base = design_snr_to_llr_mean(design_snr_db)
+        if method == "GA_uniform":
+            rel = evolve_reliabilities(np.full(N, base), g_mode)
+            rel[pattern.indices] = 0.0
+        else:
+            rel = evolve_reliabilities(base * np.bincount(tx, minlength=N), g_mode)
+        frozen = select_information_set(rel, K)
     return CodeSpec(
         mother_len=N,
         payload_len=K,
         tx_len=tx.size,
-        frozen_mask=select_information_set(rel, K),
+        frozen_mask=frozen,
         pattern=pattern,
         design_snr_db=design_snr_db,
         construction_method=method,
@@ -434,6 +440,18 @@ def build_extended_code(
             raise ConstructionError("explicit repeat positions must have length delta_M")
     pattern = RateMatchPattern("extend", positions)
     return _build_code(N, K, pattern, design_snr_db, g_mode, "NUPGA_extended")
+
+
+def build_bec_code(N: int, K: int, erasure=None, design_snr_db: float = 0.0, g_mode: str = "sum") -> CodeSpec:
+    """Length-N code with K information bits from exact BEC evolution (see :func:`bec_construct`).
+
+    The erasure probability defaults to the Bhattacharyya parameter
+    ``exp(-S)`` of the design point ``S = 10^(design_snr_db / 10)``.
+    """
+    N = _check_power_of_two(N)
+    if erasure is None:
+        erasure = float(np.exp(-(10.0 ** (design_snr_db / 10.0))))
+    return _build_code(N, K, RateMatchPattern(), design_snr_db, g_mode, "BEC_oracle", erasure)
 
 
 def bec_construct(erasures, K: int) -> np.ndarray:

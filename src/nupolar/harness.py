@@ -30,11 +30,9 @@ from .construction import (
     REPEAT_RULES,
     CodeSpec,
     ConstructionError,
-    bec_construct,
+    build_bec_code,
     build_extended_code,
-    build_mother_code,
     build_shortened_code,
-    RateMatchPattern,
 )
 from .numerics import G_MODES
 from .ratematch import dematch, tx_frame
@@ -150,38 +148,17 @@ class SimReport:
 def build_spec(cfg: ExperimentConfig) -> CodeSpec:
     """Construct the CodeSpec described by an experiment configuration."""
     N, M, K = cfg.N, cfg.M, cfg.K
-    if cfg.method == "GA_uniform":
-        if M == N:
-            return build_mother_code(N, K, cfg.design_snr_db, cfg.g_mode)
-        if M < N:
-            return build_shortened_code(
-                N, M, K, cfg.pattern_method, cfg.design_snr_db, cfg.g_mode, repolarize=False
-            )
-        raise ConstructionError("GA_uniform supports M <= N only")
-    if cfg.method == "NUPGA_shortened":
-        return build_shortened_code(N, M, K, cfg.pattern_method, cfg.design_snr_db, cfg.g_mode)
-    if cfg.method == "NUPGA_extended":
-        if M <= N:
-            raise ConstructionError("extension needs M > N")
+    if cfg.method == "BEC_oracle":
+        if M != N:
+            raise ConstructionError("BEC_oracle construction supports M = N only")
+        return build_bec_code(N, K, cfg.bec_erasure, cfg.design_snr_db, cfg.g_mode)
+    extend = cfg.method == "NUPGA_extended"
+    if (M > N) != extend:
+        raise ConstructionError("extension needs M > N" if extend else f"{cfg.method} supports M <= N only")
+    if extend:
         return build_extended_code(N, M - N, K, cfg.design_snr_db, cfg.g_mode, cfg.repeat)
-    # BEC oracle construction: uniform erasure channel matched to the design
-    # point through the Bhattacharyya parameter exp(-S) unless given.
-    if M != N:
-        raise ConstructionError("BEC_oracle construction supports M = N only")
-    eps = cfg.bec_erasure
-    if eps is None:
-        eps = float(np.exp(-(10.0 ** (cfg.design_snr_db / 10.0))))
-    mask = bec_construct(np.full(N, eps), K)
-    return CodeSpec(
-        mother_len=N,
-        payload_len=K,
-        tx_len=N,
-        frozen_mask=mask,
-        pattern=RateMatchPattern(),
-        design_snr_db=cfg.design_snr_db,
-        construction_method="BEC_oracle",
-        g_mode=cfg.g_mode,
-    )
+    return build_shortened_code(N, M, K, cfg.pattern_method, cfg.design_snr_db, cfg.g_mode,
+                                repolarize=cfg.method == "NUPGA_shortened")
 
 
 def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int):

@@ -27,6 +27,15 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="finite"):
             ChannelConfig(ebno_db=ebno_db, rate=0.5)
 
+    @pytest.mark.parametrize("ebno_db", [4000.0, -4000.0, 3080.0, -3200.0])
+    def test_extreme_ebno_rejected(self, ebno_db):
+        # 4000 dB overflows 10^(dB/10) and -4000 dB underflows it to 0; at
+        # 3080 and -3200 dB it is finite, but the noise variance underflows
+        # to 0 or overflows.  +-3000 dB still give a usable noise scale.
+        with pytest.raises(ValueError, match="finite"):
+            ChannelConfig(ebno_db=ebno_db, rate=0.5)
+        ChannelConfig(ebno_db=np.sign(ebno_db) * 3000.0, rate=0.5)
+
 
 class TestAwgn:
     def test_determinism_per_seed_and_frame(self):

@@ -104,7 +104,8 @@ class TestSimulate:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--ebno", "inf"), ("--ebno", "1,nan"), ("--N", "abc"),
+    @pytest.mark.parametrize("flag, value", [("--ebno", "inf"), ("--ebno", "1,nan"), ("--ebno", "4000"),
+                                             ("--ebno", "-4000"), ("--N", "abc"),
                                              ("--rate-excludes-crc", "ture")])
     def test_bad_flag_value_exits_2(self, tmp_path, capsys, flag, value):
         rc = run_cli(["simulate", "--N", "64", "--K", "32", "--max-frames", "256", flag, value,

@@ -11,8 +11,10 @@ from nupolar.construction import (
     CodeSpec,
     ConstructionError,
     RateMatchPattern,
+    _butterfly,
     bec_construct,
     bit_reverse,
+    build_bec_code,
     build_extended_code,
     build_mother_code,
     build_shortened_code,
@@ -90,6 +92,31 @@ class TestEvolve:
         for g_mode in ("sum", "product"):
             for stage0 in ([4.0, 0.0], [0.0, 4.0], [0.0, 0.0]):
                 assert evolve_reliabilities(stage0, g_mode).tolist() == stage0
+
+    def test_butterfly_evaluates_only_live_pairs(self):
+        stage0 = design_snr_to_llr_mean(0.0) * np.bincount(
+            shortening_pattern("NAT_PD", 64, 40).tx_positions(64), minlength=64)
+        hold = stage0 == 0.0
+        seen = []
+
+        def pair(a, b):
+            seen.append((a.copy(), b.copy()))
+            return a + b, a * b + 1.0
+
+        stages = _butterfly(stage0.copy(), pair, True, hold)
+        assert len(seen) == 6
+        for s, (a, b) in enumerate(seen):
+            d = 1 << s
+            live = ~hold.reshape(-1, 2, d).any(axis=1)
+            before = stages[s].reshape(-1, 2, d)
+            after = stages[s + 1].reshape(-1, 2, d)
+            assert 0 < live.sum() < live.size
+            np.testing.assert_array_equal(a, before[:, 0][live])
+            np.testing.assert_array_equal(b, before[:, 1][live])
+            np.testing.assert_array_equal(after[:, 0][live], a + b)
+            np.testing.assert_array_equal(after[:, 1][live], a * b + 1.0)
+            for half in (0, 1):
+                np.testing.assert_array_equal(after[:, half][~live], before[:, half][~live])
 
     def test_live_zero_mean_is_not_dead(self):
         # Stage one drives position 2 to a live mean of exactly 0 (phi is
@@ -417,6 +444,18 @@ class TestBecConstruct:
         for stage in stages:
             assert abs(np.sum(1.0 - stage) - target) < 1e-9
 
+    def test_build_bec_code(self):
+        # The default erasure matches the design point through exp(-S).
+        spec = build_bec_code(64, 24, design_snr_db=2.0, g_mode="product")
+        expect = bec_construct(np.full(64, np.exp(-(10.0 ** 0.2))), 24)
+        np.testing.assert_array_equal(spec.frozen_mask, expect)
+        assert (spec.construction_method, spec.g_mode, spec.tx_len) == ("BEC_oracle", "product", 64)
+        given = build_bec_code(64, 24, erasure=0.25)
+        np.testing.assert_array_equal(given.frozen_mask, bec_construct(np.full(64, 0.25), 24))
+        for K in (0, 65):
+            with pytest.raises(ConstructionError):
+                build_bec_code(64, K)
+
     def test_rejects_bad_inputs(self):
         for eps in ([0.5, 0.5, 0.5], [0.5, 1.2], [0.5, -0.1], [np.nan, 0.5]):
             with pytest.raises(ConstructionError):
@@ -467,6 +506,15 @@ class TestCodeSpec:
         (doc["pattern"] if key == "indices" else doc)[key] = value
         with pytest.raises(ConstructionError):
             CodeSpec.from_json(json.dumps(doc))
+
+    def test_equality(self):
+        spec = build_mother_code(8, 4)
+        assert spec == build_mother_code(8, 4)
+        assert spec == CodeSpec.from_json(spec.to_json())
+        assert spec != build_mother_code(8, 4, g_mode="product")
+        other_mask = CodeSpec(8, 4, 8, [1, 1, 1, 1, 0, 0, 0, 0], RateMatchPattern())
+        assert spec != other_mask
+        assert spec != spec.to_json()
 
     def test_frozen_mask_read_only(self):
         spec = build_mother_code(8, 4)

@@ -3,7 +3,13 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from nupolar.construction import ConstructionError
+from nupolar.construction import (
+    CONSTRUCTION_METHODS,
+    ConstructionError,
+    build_bec_code,
+    build_extended_code,
+    build_shortened_code,
+)
 from nupolar.harness import ExperimentConfig, build_spec, run_point, run_sweep
 
 
@@ -69,6 +75,32 @@ class TestBuildSpec:
             build_spec(ExperimentConfig(N=64, K=32, M=80, method="GA_uniform"))
         with pytest.raises(ConstructionError):
             build_spec(ExperimentConfig(N=64, K=32, M=48, method="NUPGA_extended"))
+
+    # The builder each method reaches, called directly, for M in {3N/4, N};
+    # NUPGA_extended only for M = N + N/8.  Every other pair must raise.
+    DIRECT = {
+        ("GA_uniform", 48): lambda: build_shortened_code(64, 48, 24, "CW", -1.0, "product", repolarize=False),
+        ("GA_uniform", 64): lambda: build_shortened_code(64, 64, 24, "CW", -1.0, "product", repolarize=False),
+        ("NUPGA_shortened", 48): lambda: build_shortened_code(64, 48, 24, "CW", -1.0, "product"),
+        ("NUPGA_shortened", 64): lambda: build_shortened_code(64, 64, 24, "CW", -1.0, "product"),
+        ("NUPGA_extended", 72): lambda: build_extended_code(64, 8, 24, -1.0, "product", "weak_info"),
+        ("BEC_oracle", 64): lambda: build_bec_code(64, 24, 0.1, -1.0, "product"),
+    }
+
+    @pytest.mark.parametrize("M", [48, 64, 72])
+    @pytest.mark.parametrize("method", CONSTRUCTION_METHODS)
+    def test_equals_direct_builder(self, method, M):
+        cfg = ExperimentConfig(N=64, K=24, M=M, method=method, pattern_method="CW",
+                               design_snr_db=-1.0, g_mode="product", repeat="weak_info", bec_erasure=0.1)
+        if (method, M) in self.DIRECT:
+            assert build_spec(cfg) == self.DIRECT[method, M]()
+        else:
+            with pytest.raises(ConstructionError):
+                build_spec(cfg)
+
+    def test_bec_oracle_rejects_empty_payload(self):
+        with pytest.raises(ConstructionError):
+            build_spec(ExperimentConfig(N=64, K=0, method="BEC_oracle"))
 
 
 class TestRunPoint:
