@@ -85,9 +85,10 @@ def cmd_construct(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _merged_config(args, args.config)
+    spec = build_spec(cfg)
     if args.emit_spec:
-        _write_text(args.emit_spec, build_spec(cfg).to_json(indent=2) + "\n")
-    report = run_sweep(cfg, workers=args.workers)
+        _write_text(args.emit_spec, spec.to_json(indent=2) + "\n")
+    report = run_sweep(cfg, workers=args.workers, spec=spec)
     _write_text(args.out_csv, report.csv_text())
     if args.out_json:
         _write_text(args.out_json, json.dumps(report.to_json_dict(), indent=2) + "\n")

@@ -76,8 +76,6 @@ class ExperimentConfig:
         if self.M is None:
             self.M = int(self.N)
         self.ebno_sweep = tuple(float(x) for x in self.ebno_sweep)
-        if not np.all(np.isfinite(self.ebno_sweep)):
-            raise ConstructionError(f"ebno_sweep entries must be finite, got {self.ebno_sweep}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConstructionError(f"unknown {name} {getattr(self, name)!r}")
@@ -95,6 +93,14 @@ class ExperimentConfig:
             raise ConstructionError("min_frame_errors must be at least 1")
         if self.max_frames < 1:
             raise ConstructionError("max_frames must be at least 1")
+        if self.M < 1:
+            raise ConstructionError("M must be at least 1")
+        # Every sweep point must have a usable channel before the first runs.
+        for ebno in self.ebno_sweep:
+            try:
+                ChannelConfig(ebno, self.rate)
+            except ValueError as exc:
+                raise ConstructionError(str(exc)) from exc
 
     @property
     def payload_bits(self) -> int:
@@ -227,8 +233,10 @@ def run_point(
     )
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> SimReport:
-    """Map :func:`run_point` over the configured Eb/N0 sweep."""
-    spec = build_spec(cfg)
+def run_sweep(cfg: ExperimentConfig, workers: int | None = None, spec: CodeSpec | None = None) -> SimReport:
+    """Map :func:`run_point` over the configured Eb/N0 sweep (on ``spec``, else
+    the code ``build_spec(cfg)`` describes)."""
+    if spec is None:
+        spec = build_spec(cfg)
     points = [run_point(cfg, ebno, workers, spec) for ebno in cfg.ebno_sweep]
     return SimReport(config=cfg.as_dict(), library_version=_version, points=points)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from nupolar import cli, harness
 from nupolar.cli import load_config_file, main
 from nupolar.construction import CodeSpec
 from nupolar.harness import CHOICES, ExperimentConfig
@@ -68,6 +69,27 @@ class TestSimulate:
         doc = json.loads(js.read_text())
         assert doc["config"]["N"] == 64
         CodeSpec.from_json(spec.read_text())
+
+    def test_emit_spec_builds_the_spec_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_spec
+        monkeypatch.setattr(cli, "build_spec", lambda cfg: calls.append(cfg) or build(cfg))
+        monkeypatch.setattr(harness, "build_spec", cli.build_spec)
+        rc = run_cli(["simulate", "--N", "64", "--K", "32", "--ebno", "2.0", "--max-frames", "256",
+                      "--out-csv", str(tmp_path / "r.csv"), "--emit-spec", str(tmp_path / "s.json")])
+        assert rc == 0
+        assert len(calls) == 1
+
+    def test_extreme_sweep_entry_fails_before_any_point(self, tmp_path, monkeypatch, capsys):
+        points = []
+        monkeypatch.setattr(harness, "run_point", lambda *a, **k: points.append(a))
+        csv = tmp_path / "r.csv"
+        rc = run_cli(["simulate", "--N", "64", "--K", "32", "--ebno", "1,4000", "--max-frames", "2048",
+                      "--min-frame-errors", "100000", "--out-csv", str(csv)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert points == []
+        assert not csv.exists()
 
     def test_deterministic_rerun(self, tmp_path):
         args = ["simulate", "--N", "64", "--K", "32", "--ebno", "1.0,2.0",

@@ -56,6 +56,22 @@ class TestConfig:
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, ebno_sweep=(1.0, float("inf")))
 
+    def test_m_must_be_positive(self):
+        with pytest.raises(ConstructionError, match="M must be"):
+            ExperimentConfig(N=64, K=32, M=0, ebno_sweep=(1.0,))
+
+    @pytest.mark.parametrize("sweep", [(1.0, 4000.0), (1.0, -4000.0), (3080.0,), (1.0, float("nan"))])
+    def test_every_sweep_entry_needs_a_usable_channel(self, sweep):
+        # Checked through ChannelConfig when the config is made, so an
+        # extreme entry fails before any point runs.
+        with pytest.raises(ConstructionError, match="Eb/N0"):
+            ExperimentConfig(N=64, K=32, ebno_sweep=sweep)
+        assert ExperimentConfig(N=64, K=32, ebno_sweep=(-30.0, 60.0)).ebno_sweep == (-30.0, 60.0)
+
+    def test_sweep_needs_a_valid_rate(self):
+        with pytest.raises(ConstructionError, match="code rate"):
+            ExperimentConfig(N=64, K=40, M=32, ebno_sweep=(1.0,))
+
 
 class TestBuildSpec:
     def test_method_dispatch(self):

@@ -2,6 +2,7 @@ import ga_reference
 import numpy as np
 import pytest
 
+from nupolar import numerics
 from nupolar.numerics import bec_pair, ga_pair_uniform, nupga_pair, phi, phi_inv
 
 
@@ -92,7 +93,37 @@ def bisection_targets():
         "seam": seam,
         "repeated": repeated,
         "two_d": repeated[:1200].reshape(40, 30),
+        **fast_path_targets(),
     }
+
+
+def neighbours(y, n=2):
+    """``y`` and its ``n`` nearest floats on each side, kept inside (0, 1]."""
+    out = [y]
+    up = down = y
+    for _ in range(n):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, 0.0)
+        out += [up, down]
+    out = np.concatenate(out)
+    return out[(out > 0.0) & (out <= 1.0)]
+
+
+def fast_path_targets():
+    """Targets aimed at the seeded jump of phi_inv: the junction band, where
+    phi crosses twice; the ends of the range; and roots on the bisection grid."""
+    rng = np.random.default_rng(12)
+    ends = ga_reference.phi(np.array([10.0, np.nextafter(10.0, np.inf)]))
+    band = np.concatenate([neighbours(ends, 3), np.linspace(ends[0], ends[1], 400),
+                           ga_reference.phi(10.0 + np.linspace(-1e-9, 1e-9, 201))])
+    tiny = np.finfo(float).smallest_normal
+    edges = neighbours(np.array([1.0, 5e-324, 1e-320, 1e-310, tiny, 2.0**-53, 1e-16]), 3)
+    # phi at exact bisection points 3000 j / 2^k (j odd), where the root sits
+    # on the cell boundary that the jump's floor picks.
+    k = rng.integers(1, 45, 1500)
+    j = 2 * (rng.integers(0, 2**62, 1500, dtype=np.int64) % (1 << (k - 1))) + 1
+    x = np.ldexp(3000.0 * j, -k)
+    y = ga_reference.phi(x[(x > 0.03) & (x < 2900)])
+    return {"junction_band": band, "range_edges": edges, "grid_roots": neighbours(y[(y > 0) & (y < 1)], 1)}
 
 
 class TestBitIdentity:
@@ -110,6 +141,30 @@ class TestBitIdentity:
             got = phi_inv(y)
             assert type(got) is float
             assert got == ga_reference.phi_inv(y)
+
+    @pytest.mark.parametrize("name", ["log_spaced", "junction_band"])
+    def test_fast_path_calls_phi_at_most_24_times(self, monkeypatch, name):
+        # Seeded and jumped to depth ~40, each target needs about 13 more
+        # bisection steps; the full bisection took 90 calls.  The band's
+        # targets, whose two crossings are both checked, count alike.
+        band = fast_path_targets()["junction_band"]
+        y = band
+        if name == "log_spaced":
+            y = np.logspace(-300, 0, 512)
+            y = y[(y < band.min()) | (y > band.max())]
+        calls = []
+        monkeypatch.setattr(numerics, "_phi", lambda x: calls.append(x.size) or ga_reference.phi(x))
+        got = phi_inv(y)
+        assert len(calls) <= 24
+        assert np.array_equal(got, ga_reference.phi_inv(y))
+
+    def test_wrong_large_branch_seed_only_costs_time(self, monkeypatch):
+        # A seed hundreds of cells off fails the check, and its target
+        # (the large crossing of a band target too) goes back to [0, 3000].
+        root = numerics._large_branch_root
+        monkeypatch.setattr(numerics, "_large_branch_root", lambda ln_y: root(ln_y) * (1 + 1e-9))
+        y = np.concatenate([fast_path_targets()["junction_band"], np.logspace(-300, 0, 200)])
+        assert np.array_equal(phi_inv(y), ga_reference.phi_inv(y))
 
     def test_phi(self):
         x = np.concatenate([[0.0, 1e-300, 10.0, 1e300, np.inf], np.logspace(-6, 6, 5001)])
