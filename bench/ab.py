@@ -14,7 +14,8 @@ alike.  For each workload of ``perfbench/workloads.py`` one op is:
 Each pair times the two sides back to back, the order flipping every pair.
 The report gives per workload the median of the per-pair time ratios
 (head / base) and its quartiles, and checks that both sides give equal
-frozen masks, rate-matching patterns and error counters.
+frozen masks and rate-matching patterns (every workload) and error
+counters (the simulation workloads).
 
 Compare the parent commit with the working tree (``git archive`` output
 unpacked anywhere outside the repository):
@@ -28,9 +29,8 @@ script works (no report unless ``--out`` is given):
 
     python3 bench/ab.py --smoke
 
-Exit status 1 when the two sides' outputs differ, unless ``--allow-diff``
-is given for a change that declares different output; the differences are
-listed in the report either way.
+Exit status 1 when the two sides' outputs differ; the differences are
+listed in the report.
 """
 
 import argparse
@@ -81,7 +81,8 @@ def make_op(lib, workload):
     cfg = cfg_of(workloads.op_config(workload, SEED, 0))
     spec = lib.build_spec(cfg)
     starts = range(0, cfg.max_frames, lib.harness.BATCH_FRAMES)
-    return lambda i: lib.harness._sim_chunk(spec, cfg, cfg.ebno_sweep[0], starts[i % len(starts)])
+    digest = spec_digest(spec)
+    return lambda i: (digest, *lib.harness._sim_chunk(spec, cfg, cfg.ebno_sweep[0], starts[i % len(starts)]))
 
 
 def timed(op, i: int):
@@ -145,10 +146,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base-label", default="", help="what the base tree is, for the report (e.g. a commit)")
     parser.add_argument("--head-label", default="", help="what the head tree is, for the report")
     parser.add_argument("--pairs", type=int, default=30, help="timed pairs per workload (default 30)")
-    parser.add_argument("--workload", action="append", choices=list(workloads.WORKLOADS),
-                        help="workload to run (repeatable; default all)")
     parser.add_argument("--out", type=Path, help="write the JSON report here")
-    parser.add_argument("--allow-diff", action="store_true", help="list output differences without failing")
     parser.add_argument("--smoke", action="store_true",
                         help=f"this checkout against itself, {SMOKE_PAIRS} pairs per workload")
     args = parser.parse_args(argv)
@@ -165,12 +163,12 @@ def main(argv=None) -> int:
         "ratio": "head time / base time per pair; below 1 means the head is faster",
         "workloads": {},
     }
-    for name in args.workload or workloads.WORKLOADS:
-        report["workloads"][name] = compare(workloads.WORKLOADS[name], base, head, args.pairs)
+    for name, workload in workloads.WORKLOADS.items():
+        report["workloads"][name] = compare(workload, base, head, args.pairs)
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     differ = [name for name, r in report["workloads"].items() if not r["equal"]]
-    if differ and not args.allow_diff:
+    if differ:
         print(f"ab: outputs differ on {', '.join(differ)}", file=sys.stderr)
         return 1
     return 0

@@ -102,26 +102,19 @@ def _large_branch_root(ln_y):
 
 
 def _phi_inv_start(y):
-    """Bisection state ``(lo, hi, steps left)`` for each target in (0, 1].
+    """Bisection bracket ``(lo, hi)`` for each target in (0, 1].
 
-    A target whose jump passes the check starts at depth ``k`` with
-    ``90 - k`` steps left; any other target starts at [0, 3000] with all
-    90, and ``y == 1`` gets the empty bracket [0, 0] and no steps.
+    A target whose jump passes the check starts at its depth-``k`` cell;
+    any other target, the junction band's included, starts at [0, 3000],
+    and ``y == 1`` gets the empty bracket [0, 0], whose midpoint 0 is its
+    answer.
     """
-    n = y.size
     ln_y = np.log(y)
     # Root estimates: the closed-form inverse of the small-x branch, or the
-    # large-branch root where that lands past the junction.  A target in
-    # the junction band has a crossing on each branch and gets both: the
-    # small one in place (``small``), the large one appended (``big``).
-    band = (y >= _PHI_AT_10) & (y <= _PHI_PAST_10)
-    small = np.flatnonzero(band)
-    big = np.arange(n, n + small.size)
+    # large-branch root where that lands past the junction.
     x = ((0.0218 - ln_y) / 0.4527) ** (1 / 0.86)
-    large = (x > 10.0) & ~band
+    large = x > 10.0
     x[large] = _large_branch_root(ln_y[large])
-    x = np.concatenate([x, _large_branch_root(ln_y[small])])
-    targets = np.concatenate([y, y[small]])
     # Jump to the depth where the width 3000 * 2^-k first falls to at most
     # 2^-JUMP of the estimate.  The cell j * w with j < 2^(JUMP+1) holds
     # exact floats, as does every bracket the bisection holds on the way.
@@ -132,32 +125,15 @@ def _phi_inv_start(y):
     # step at the junction, so outside the band the one cell that straddles
     # the target is the one the bisection reaches: every skipped step would
     # have gone toward it.  The estimate's cell and its two neighbours are
-    # checked in one call.  A band candidate is checked with the other
-    # branch moved out of the way: below the target past 10 for the small
-    # crossing, above it up to 10 for the large one.
-    grid = (j + np.arange(-1, 3)[:, None]) * width
-    above = _phi(grid) > targets
-    below_10 = grid <= 10.0
-    above[:, small] &= below_10[:, small]
-    above[:, big] |= below_10[:, big]
+    # checked in one call.  A band target crosses phi twice, and which
+    # crossing the bisection takes depends on its path, so it restarts.
+    above = _phi((j + np.arange(-1, 3)[:, None]) * width) > y
     straddles = above[:-1] & ~above[1:]
-    ok = straddles.any(axis=0)
+    ok = straddles.any(axis=0) & ~((y >= _PHI_AT_10) & (y <= _PHI_PAST_10))
     j += straddles.argmax(axis=0) - 1
-    # For a band target the bisections toward its two crossings take the
-    # same steps up to the midpoint of the deepest cell that holds both;
-    # there the real one goes with the small crossing if that midpoint is
-    # below 10, else with the large one, and never tests the other branch
-    # again.  Both crossings lie in [9.9, 10.1], so their cells share a depth.
-    split = np.frexp((j[small] ^ j[big]).astype(np.float64))[1] - 1
-    take = np.where((j[big] >> split << split) * width[big] > 10.0, big, small)
-    ok[small] &= ok[big]
-    j[small] = j[take]
-    j, depth, width, ok = j[:n], depth[:n], width[:n], ok[:n]
-    one = y == 1.0
     lo = np.where(ok, j * width, 0.0)
-    hi = np.where(ok, (j + 1) * width, np.where(one, 0.0, _PHI_INV_HI))
-    steps = np.where(ok, _PHI_INV_ITERS - depth, np.where(one, 0, _PHI_INV_ITERS))
-    return lo, hi, steps
+    hi = np.where(ok, (j + 1) * width, np.where(y == 1.0, 0.0, _PHI_INV_HI))
+    return lo, hi
 
 
 def phi_inv(y):
@@ -176,12 +152,16 @@ def phi_inv(y):
     where its bracket is about 2^-40 of the estimate wide, taking the grid
     cell that holds the estimate.  One call *verifies* that the cell or a
     neighbour straddles the target, which proves every skipped step would
-    have gone the same way; a target that fails starts over at [0, 3000].
-    In the band where the two branches overlap phi crosses the target
-    twice; both crossings are seeded and verified, and the bisection's
-    path picks one.  The same midpoint loop then *finishes* the remaining
-    90 - k steps, and stops early once no bracket moves: a bracket of two
-    adjacent floats is a fixed point.
+    have gone the same way; a target that fails starts over at [0, 3000],
+    as does a target in the band where the two branches overlap, which
+    phi crosses twice.  The same midpoint loop then *finishes*, and stops
+    once no bracket moves.  Running every bracket until then, rather than
+    for its own 90 - k steps, gives the same answer: once a bracket holds
+    two adjacent floats its midpoint rounds to one of them, so a further
+    step can only collapse the bracket onto that float, and every bracket
+    gets there within its budget (roots lie above 0.029, whose spacing a
+    bracket from [0, 3000] reaches in 70 steps and a jumped one, at depth
+    k <= 57, in about 13 more).
     Each distinct target is solved once and the result scattered back to
     every entry that holds it; the bisection is elementwise, so the output
     is the same as solving every entry on its own.
@@ -190,13 +170,12 @@ def phi_inv(y):
     if not np.all((y > 0) & (y <= 1)):
         raise ValueError("phi_inv is defined on (0, 1] only")
     targets, back = np.unique(y.ravel(), return_inverse=True)
-    lo, hi, steps = _phi_inv_start(targets)
-    for step in range(steps.max(initial=0)):
+    lo, hi = _phi_inv_start(targets)
+    for _ in range(_PHI_INV_ITERS):
         mid = 0.5 * (lo + hi)
-        live = step < steps
         too_high = _phi(mid) > targets  # phi decreasing: root right of mid
-        new_lo = np.where(live & too_high, mid, lo)
-        new_hi = np.where(live & ~too_high, mid, hi)
+        new_lo = np.where(too_high, mid, lo)
+        new_hi = np.where(too_high, hi, mid)
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break
         lo, hi = new_lo, new_hi
