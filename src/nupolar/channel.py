@@ -2,7 +2,11 @@
 
 Every frame draws from its own Philox stream keyed by ``(seed, frame
 index)``, so Monte-Carlo results do not depend on execution order or on
-how frames are sharded across workers.
+how frames are sharded across workers.  :func:`frame_rng` defines that
+stream.  :func:`frame_draws` makes a whole batch's draws from it: since a
+Philox stream is fully set by its key and counter, one generator re-keyed
+to each frame in turn gives every frame's stream without building a new
+generator per frame.
 """
 
 from __future__ import annotations
@@ -53,8 +57,35 @@ class ChannelConfig:
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    """Counter-based generator for one frame, independent of all others."""
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, frame_index]))
+    """Counter-based generator for one frame, independent of all others.
+
+    Its Philox key is the two 64-bit words ``(seed mod 2^64, frame_index)``;
+    the key is built as a ``uint64`` array, since a plain list holding a word
+    of 2^63 or more converts to float64 and loses the low bits.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, frame_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, sigma: float):
+    """Payload bits and noise of frames ``start .. start + count - 1``.
+
+    Frame ``j`` draws ``integers(0, 2, n_bits, dtype=uint8)`` and then
+    ``normal(0, sigma, n_noise)`` from ``frame_rng(seed, j)``; returns the
+    bits ``(count, n_bits)`` and the noise ``(count, n_noise)``.
+    """
+    bits = np.empty((count, n_bits), dtype=np.uint8)
+    noise = np.empty((count, n_noise))
+    rng = frame_rng(seed, start)
+    bitgen = rng.bit_generator
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    for j in range(count):
+        key[1] = start + j
+        bitgen.state = fresh
+        bits[j] = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        noise[j] = rng.normal(0.0, sigma, n_noise)
+    return bits, noise
 
 
 def bpsk_modulate(bits) -> np.ndarray:
@@ -63,7 +94,11 @@ def bpsk_modulate(bits) -> np.ndarray:
 
 
 def awgn(symbols, cfg: ChannelConfig, frame_index: int = 0) -> np.ndarray:
-    """Add white Gaussian noise from the per-frame stream."""
+    """Add white Gaussian noise: the first draw of ``frame_rng(seed, frame_index)``.
+
+    This is not the noise of the harness's frame ``frame_index``, which
+    draws its payload bits from that stream first (see :func:`frame_draws`).
+    """
     symbols = np.asarray(symbols, dtype=np.float64)
     rng = frame_rng(cfg.seed, frame_index)
     return symbols + rng.normal(0.0, cfg.sigma, size=symbols.shape)

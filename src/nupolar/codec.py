@@ -80,7 +80,7 @@ def encode(spec: CodeSpec, msg) -> np.ndarray:
     x[..., spec.info_positions] = msg
     d = 1
     while d < N:
-        pairs = x.reshape(msg.shape[:-1] + (-1, 2, d))
+        pairs = x.reshape(msg.shape[:-1] + (N // (2 * d), 2, d))
         pairs[..., 0, :] ^= pairs[..., 1, :]
         d *= 2
     return x
@@ -203,7 +203,7 @@ class _ListDecoder:
             msgs[:, column] = bits[row]
             if src is not self.identity:
                 row = src[row]
-        return msgs.reshape(B, L, -1), self.pm.ravel()[order].reshape(B, L)
+        return msgs.reshape(B, L, len(self.trail)), self.pm.ravel()[order].reshape(B, L)
 
     def _align(self, x, to):
         if to is self.identity:
@@ -237,20 +237,22 @@ class _ListDecoder:
     def _leaf(self, lam, pos):
         """Decide position ``pos`` on every row of ``lam``; returns the bits."""
         B, L = self.pm.shape
+        # Per frame: one LLR above the first information leaf, else one per
+        # slot (sized explicitly, so that an empty batch reshapes too).
+        per_frame = lam.reshape(B, L if len(lam) > B else 1)
         if self.frozen[pos]:
             bits = np.zeros(lam.shape, dtype=np.uint8)
-            self.pm += np.logaddexp(0.0, -lam).reshape(B, -1)
+            self.pm += np.logaddexp(0.0, -per_frame)
             self.origin = self.identity
         elif L == 1:
             # SC: an LLR of exactly 0 resolves to bit 0.
             bits = (lam < 0).astype(np.uint8)
-            self.pm += np.logaddexp(0.0, -np.abs(lam)).reshape(B, 1)
+            self.pm += np.logaddexp(0.0, -np.abs(per_frame))
             self.trail.append((self.column[pos], bits, self.identity))
             self.origin = self.identity
         else:
-            lam = lam.reshape(B, -1)
             cand = np.concatenate(
-                [self.pm + np.logaddexp(0.0, -lam), self.pm + np.logaddexp(0.0, lam)], axis=1
+                [self.pm + np.logaddexp(0.0, -per_frame), self.pm + np.logaddexp(0.0, per_frame)], axis=1
             )
             keep = np.argsort(cand, axis=1, kind="stable")[:, :L]
             bits = (keep >= L).astype(np.uint8).ravel()

@@ -19,10 +19,8 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
-import numpy as np
-
 from ._version import __version__ as _version
-from .channel import ChannelConfig, bpsk_modulate, frame_rng, llr_demod
+from .channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
 from .codec import CRC24, RULES, _crc_select, crc_append, encode, scl_decode_batch
 from .construction import (
     CONSTRUCTION_METHODS,
@@ -119,6 +117,10 @@ class ExperimentConfig:
 
 @dataclass
 class PointReport:
+    """Counters of one Eb/N0 point.  ``stop`` says why it ended: ``"errors"``
+    when the frame-error target was met, else ``"frames"`` (the frame cap);
+    it goes to the JSON report only, not to the CSV."""
+
     ebno_db: float
     frames: int
     bit_errors: int
@@ -126,6 +128,7 @@ class PointReport:
     ber: float
     fer: float
     wall_time_s: float
+    stop: str
 
 
 @dataclass
@@ -173,13 +176,7 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int
     count = min(BATCH_FRAMES, cfg.max_frames - start)
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     pay_bits = cfg.payload_bits
-    M = cfg.M
-    payloads = np.empty((count, pay_bits), dtype=np.uint8)
-    noise = np.empty((count, M))
-    for j in range(count):
-        rng = frame_rng(cfg.seed, start + j)
-        payloads[j] = rng.integers(0, 2, pay_bits, dtype=np.uint8)
-        noise[j] = rng.normal(0.0, chan.sigma, M)
+    payloads, noise = frame_draws(cfg.seed, start, count, pay_bits, cfg.M, chan.sigma)
     msgs = crc_append(payloads, CRC24) if cfg.crc_len else payloads
     tx = tx_frame(spec, encode(spec, msgs))
     frames = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
@@ -230,6 +227,7 @@ def run_point(
         ber=bit_errors / (frames * cfg.payload_bits),
         fer=frame_errors / frames,
         wall_time_s=wall,
+        stop="errors" if frame_errors >= cfg.min_frame_errors else "frames",
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nupolar.channel import frame_draws
 from nupolar.codec import (
     CRC24,
     CrcConfig,
@@ -167,6 +168,17 @@ class TestScDecode:
         ms, _ = sc_decode_batch(spec, llr, rule="minsum")
         ex, _ = sc_decode_batch(spec, llr, rule="exact")
         assert np.mean(ms == ex) >= 0.99
+
+    def test_rate1_tie_is_not_the_hard_decision(self):
+        # On a Rate-1 code SC's tie rule (an LLR of exactly 0 gives bit 0)
+        # applies to the source bits, not the code bits: the decoded
+        # codeword differs from the hard decision on the node LLRs.
+        spec = build_mother_code(2, 2)
+        llr = np.array([0.0, -3.0])
+        res = sc_decode(spec, llr)
+        assert res.message.tolist() == [0, 1]
+        assert encode(spec, res.message).tolist() == [1, 1]
+        assert (llr < 0).astype(np.uint8).tolist() == [0, 1]
 
     def test_all_frozen_spec(self):
         spec = CodeSpec(8, 0, 8, np.ones(8, dtype=bool), RateMatchPattern())
@@ -378,3 +390,23 @@ class TestSaturatedFrames:
         assert np.isfinite(pm).all()
         best, pms = scl_decode_batch(spec, llr, L=4)
         assert np.isfinite(pms[:, 0]).all()
+
+
+def test_empty_batch_keeps_its_shapes():
+    spec = build_extended_code(64, 16, 40, 3.0)
+    N, M, K, L = 64, 80, 40, 4
+    bits, noise = frame_draws(0, 0, 0, K - CRC24.width, M, 1.0)
+    assert bits.shape == (0, K - CRC24.width) and noise.shape == (0, M)
+    msgs = crc_append(bits)
+    assert msgs.shape == (0, K)
+    cw = encode(spec, msgs)
+    assert cw.shape == (0, N)
+    assert tx_frame(spec, cw).shape == (0, M)
+    frames = dematch(spec, noise)
+    assert frames.shape == (0, N)
+    out, pm = sc_decode_batch(spec, frames)
+    assert out.shape == (0, K) and pm.shape == (0,)
+    out, pm = scl_decode_batch(spec, frames, L)
+    assert out.shape == (0, L, K) and pm.shape == (0, L)
+    out, ok, rank = ca_scl_decode_batch(spec, frames, L)
+    assert out.shape == (0, K) and ok.shape == rank.shape == (0,)

@@ -136,6 +136,17 @@ class TestRunPoint:
         assert p.frame_errors >= 25
         assert p.frames < 100_000
 
+    def test_stop_reason(self):
+        # The frame cap ends a clean point, the error target a noisy one;
+        # the reason reaches the JSON report and leaves the CSV as it was.
+        cfg = small_cfg(ebno_sweep=(12.0, -5.0), max_frames=512, min_frame_errors=30)
+        rep = run_sweep(cfg)
+        assert [p.stop for p in rep.points] == ["frames", "errors"]
+        assert [p["stop"] for p in rep.to_json_dict()["points"]] == ["frames", "errors"]
+        assert rep.points[0].frames == 512 and rep.points[0].frame_errors < 30
+        assert rep.points[1].frame_errors >= 30
+        assert all(len(row.split(",")) == 6 for row in rep.csv_text().splitlines())
+
     def test_pool_is_gone_after_return(self):
         run_point(small_cfg(max_frames=100_000, min_frame_errors=300), 0.0, workers=2)
         assert multiprocessing.active_children() == []
