@@ -6,7 +6,8 @@ how frames are sharded across workers.  :func:`frame_rng` defines that
 stream.  :func:`frame_draws` makes a whole batch's draws from it: since a
 Philox stream is fully set by its key and counter, one generator re-keyed
 to each frame in turn gives every frame's stream without building a new
-generator per frame.
+generator per frame, and the payload bits are read straight off the raw
+64-bit words, which is what a range-two ``integers`` draw amounts to.
 """
 
 from __future__ import annotations
@@ -73,8 +74,25 @@ def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, si
     Frame ``j`` draws ``integers(0, 2, n_bits, dtype=uint8)`` and then
     ``normal(0, sigma, n_noise)`` from ``frame_rng(seed, j)``; returns the
     bits ``(count, n_bits)`` and the noise ``(count, n_noise)``.
+
+    The bits are taken from ``random_raw`` words instead, bit for bit the
+    same:
+
+    * For ``uint8`` and a range of two, ``integers`` runs Lemire's method
+      on a buffered byte stream: byte ``b`` gives ``(2 b) >> 8 = b >> 7``,
+      and the rejection threshold ``(255 - 1) mod 2`` is 0, so no byte is
+      ever rejected.
+    * The bytes come low byte first out of 32-bit words, and Philox hands
+      out each 64-bit output's low half, then its high half, as 32-bit
+      words.  So bit ``i`` is the top bit of byte ``i`` of the
+      little-endian raw stream.
+    * ``integers`` consumes ``ceil(n_bits / 4)`` 32-bit words, that is
+      ``ceil(n_bits / 8)`` 64-bit outputs; a buffered half word may be
+      left over, but ``normal`` draws whole 64-bit words and never reads
+      it, so the noise starts at the same counter as before.
     """
-    bits = np.empty((count, n_bits), dtype=np.uint8)
+    words = -(-n_bits // 8)
+    raw = np.empty((count, words), dtype="<u8")
     noise = np.empty((count, n_noise))
     rng = frame_rng(seed, start)
     bitgen = rng.bit_generator
@@ -83,9 +101,9 @@ def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, si
     for j in range(count):
         key[1] = start + j
         bitgen.state = fresh
-        bits[j] = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        raw[j] = bitgen.random_raw(words)
         noise[j] = rng.normal(0.0, sigma, n_noise)
-    return bits, noise
+    return raw.view(np.uint8)[:, :n_bits] >> 7, noise
 
 
 def bpsk_modulate(bits) -> np.ndarray:

@@ -122,8 +122,30 @@ def g_node(a, b, u_sum):
     contradiction is resolved to an erasure (LLR 0).
     """
     with np.errstate(invalid="ignore"):
-        out = b + (1.0 - 2.0 * u_sum.astype(np.float64)) * a
+        return _g(a, b, u_sum)
+
+
+def _g(a, b, u_sum):
+    """:func:`g_node`'s arithmetic, for callers that already ignore invalid
+    floating-point operations."""
+    out = b + (1.0 - 2.0 * u_sum.astype(np.float64)) * a
     return np.where(np.isnan(out), 0.0, out)
+
+
+def _penalties(lam):
+    """Metric penalties ``logaddexp(0, -lam)`` and ``logaddexp(0, lam)`` of
+    bits 0 and 1, bit for bit, from one ``logaddexp``.
+
+    numpy's ``logaddexp(x, y)`` is ``x + log(2)`` when ``x == y`` and else
+    ``max(x, y) + log1p(exp(-|x - y|))``.  So with ``t = logaddexp(0, -|lam|)``
+    the decision that ``lam`` favours costs ``t`` and the other one
+    ``|lam| + t``; at ``lam = 0`` both are ``log(2)``.
+    """
+    mag = np.abs(lam)
+    t = np.logaddexp(0.0, -mag)
+    other = mag + t
+    neg = lam < 0
+    return np.where(neg, other, t), np.where(neg, t, other)
 
 
 def _check_frames(spec: CodeSpec, frames) -> tuple[np.ndarray, bool]:
@@ -195,7 +217,9 @@ class _ListDecoder:
         self.pm = np.full((B, L), np.inf)
         self.pm[:, 0] = 0.0
         self.trail = []
-        self._rec(llr, 0, 1)
+        # One error-state context for the whole walk instead of one per g.
+        with np.errstate(invalid="ignore"):
+            self._rec(llr, 0, 1)
         order = (np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
         msgs = np.empty((B * L, len(self.trail)), dtype=np.uint8)
         row = order
@@ -224,7 +248,7 @@ class _ListDecoder:
         left_to_entry = self.origin
         a_cur = self._align(a, left_to_entry)
         b_cur = self._align(b, left_to_entry)
-        x_right = self._rec(g_node(a_cur, b_cur, x_left), offset + stride, 2 * stride)
+        x_right = self._rec(_g(a_cur, b_cur, x_left), offset + stride, 2 * stride)
         right_to_left = self.origin
         x_left = self._align(x_left, right_to_left)
         if left_to_entry is not self.identity:
@@ -251,9 +275,8 @@ class _ListDecoder:
             self.trail.append((self.column[pos], bits, self.identity))
             self.origin = self.identity
         else:
-            cand = np.concatenate(
-                [self.pm + np.logaddexp(0.0, -per_frame), self.pm + np.logaddexp(0.0, per_frame)], axis=1
-            )
+            zero, one = _penalties(per_frame)
+            cand = np.concatenate([self.pm + zero, self.pm + one], axis=1)
             keep = np.argsort(cand, axis=1, kind="stable")[:, :L]
             bits = (keep >= L).astype(np.uint8).ravel()
             self.pm = cand[self.rows, keep]

@@ -85,11 +85,35 @@ class TestFrameDraws:
         np.testing.assert_array_equal(bits, want_bits)
         np.testing.assert_array_equal(noise.view(np.uint64), want_noise.view(np.uint64))
 
-    @pytest.mark.parametrize("n_bits, n_noise", [(7, 13), (40, 80), (1, 1), (0, 5)])
+    # Widths at the edges of the raw 64-bit words, and the 160-bit payload
+    # of sc-short512, each with an odd noise length.
+    @pytest.mark.parametrize(
+        "n_bits, n_noise",
+        [(7, 13), (40, 80), (1, 1), (0, 5)] + [(n, 41) for n in (8, 9, 15, 16, 17, 63, 64, 65, 160)],
+    )
     def test_widths(self, n_bits, n_noise):
         args = (3, 100, 17, n_bits, n_noise, 1.5)
-        for got, want in zip(frame_draws(*args), self.per_frame(*args)):
-            np.testing.assert_array_equal(got, want)
+        bits, noise = frame_draws(*args)
+        want_bits, want_noise = self.per_frame(*args)
+        assert bits.dtype == np.uint8 and bits.shape == (17, n_bits)
+        np.testing.assert_array_equal(bits, want_bits)
+        np.testing.assert_array_equal(noise.view(np.uint64), want_noise.view(np.uint64))
+
+    @pytest.mark.parametrize("n_bits", [1, 7, 8, 9, 36, 64, 65, 160])
+    def test_range_two_integers_read_raw_bytes(self, n_bits):
+        # frame_draws relies on numpy's range-two uint8 draw being the top
+        # bit of each byte of the little-endian raw Philox stream, with the
+        # stream after it left at the next whole 64-bit word.
+        words = -(-n_bits // 8)
+        drawn = frame_rng(11, 5)
+        bits = drawn.integers(0, 2, n_bits, dtype=np.uint8)
+        after = drawn.normal(0.0, 1.0, 3)
+        raw = frame_rng(11, 5)
+        raw_bits = raw.bit_generator.random_raw(words).astype("<u8").view(np.uint8)[:n_bits] >> 7
+        raw_after = raw.normal(0.0, 1.0, 3)
+        why = "numpy's integers(0, 2, dtype=uint8) no longer reads one buffered byte of the raw stream per bit"
+        assert np.array_equal(bits, raw_bits), why
+        assert np.array_equal(after.view(np.uint64), raw_after.view(np.uint64)), why + " (noise counter moved)"
 
     @pytest.mark.parametrize("seed", [2**63 + 5, 0xDEADBEEFCAFEF00D, -1, -7, 2**64 + 3])
     def test_frame_rng_key_is_exact(self, seed):

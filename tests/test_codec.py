@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from nupolar.codec import (
     encode,
     f_exact,
     f_minsum,
+    _penalties,
     g_node,
     sc_decode,
     sc_decode_batch,
@@ -125,6 +128,16 @@ class TestNodeFunctions:
         assert g_node(np.array(inf), np.array(1.0), np.array(1, np.uint8)) == -inf
         # contradictory certainties resolve to an erasure, never NaN
         assert g_node(np.array(inf), np.array(inf), np.array(1, np.uint8)) == 0.0
+
+    def test_leaf_penalties_equal_two_logaddexps(self):
+        # One logaddexp gives both candidates' penalties bit for bit, edge
+        # values included: signed zeros, infinities, the smallest subnormal,
+        # near-overflow magnitudes and exp's overflow/underflow limits.
+        edge = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 709.78, -709.78, -745.2, 745.2]
+        lam = np.concatenate([edge, np.random.default_rng(7).normal(0.0, 8.0, 100_000)])
+        zero, one = _penalties(lam)
+        assert np.array_equal(zero.view(np.uint64), np.logaddexp(0.0, -lam).view(np.uint64))
+        assert np.array_equal(one.view(np.uint64), np.logaddexp(0.0, lam).view(np.uint64))
 
 
 class TestScDecode:
@@ -390,6 +403,19 @@ class TestSaturatedFrames:
         assert np.isfinite(pm).all()
         best, pms = scl_decode_batch(spec, llr, L=4)
         assert np.isfinite(pms[:, 0]).all()
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_opposite_infinities_decode_quietly(self, L):
+        # Frames full of both certainties make g meet inf - inf; the walk
+        # silences that itself and leaves the caller's error state as it was.
+        rng = np.random.default_rng(21)
+        spec = build_mother_code(16, 8, 2.0)
+        llr = rng.choice([np.inf, -np.inf, 1.5, -0.5], size=(64, 16))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scl_decode_batch(spec, llr, L)
+        assert np.geterr() == before
 
 
 def test_empty_batch_keeps_its_shapes():
