@@ -8,21 +8,25 @@ name, and alternates one op between the two sides, so drift hits both
 alike.  For each workload of ``perfbench/workloads.py`` one op is:
 
 * ``construct-family1024``: ``build_spec`` over the whole seed-0 family;
-* the simulation workloads: one ``_sim_chunk`` batch (256 frames, one
-  process) on the spec each side builds, at the op-0 channel seed.
+* the simulation workloads: one ``run_point`` call (one sweep point, as the
+  benchmark times it) at the workload's worker count, with op ``i``'s
+  configuration, on the spec each side builds.
 
-Each pair times the two sides back to back, the order flipping every pair.
+Each workload runs on as many of the process's allowed cores as it has
+workers (the last ones), so a 1-worker workload keeps to one core.  Each
+pair times the two sides back to back, the order flipping every pair.
 The report gives per workload the median of the per-pair time ratios
 (head / base) and its quartiles, and checks that both sides give equal
 frozen masks and rate-matching patterns (every workload) and error
-counters (the simulation workloads).
+counters ``(frames, bit_errors, frame_errors)`` (the simulation
+workloads).
 
 Compare the parent commit with the working tree (``git archive`` output
 unpacked anywhere outside the repository):
 
     git archive <parent> src | tar -x -C /tmp/parent
-    taskset -c 1 python3 bench/ab.py --base /tmp/parent/src --head src \\
-        --pairs 30 --out bench/BENCH_3.json
+    python3 bench/ab.py --base /tmp/parent/src --head src \\
+        --pairs 30 --out bench/BENCH_6.json
 
 Run the tree against itself for a few pairs, as a quick check that the
 script works (no report unless ``--out`` is given):
@@ -38,6 +42,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import platform
 import statistics
 import sys
@@ -52,6 +57,7 @@ import workloads  # noqa: E402  (the configurations only; ops run on the loaded 
 
 SMOKE_PAIRS = 2
 SEED = 0  # the benchmark's default seed, whose reference.json pins the masks
+ALLOWED_CORES = os.sched_getaffinity(0)
 
 
 def load_tree(src: Path, name: str):
@@ -78,11 +84,14 @@ def make_op(lib, workload):
     if workload.cfg is None:
         family = [cfg_of(cfg) for cfg in workloads.construct_family(SEED)]
         return lambda i: [spec_digest(lib.build_spec(cfg)) for cfg in family]
-    cfg = cfg_of(workloads.op_config(workload, SEED, 0))
-    spec = lib.build_spec(cfg)
-    starts = range(0, cfg.max_frames, lib.harness.BATCH_FRAMES)
+    spec = lib.build_spec(cfg_of(workload.cfg))
     digest = spec_digest(spec)
-    return lambda i: (digest, *lib.harness._sim_chunk(spec, cfg, cfg.ebno_sweep[0], starts[i % len(starts)]))
+
+    def op(i):
+        cfg = cfg_of(workloads.op_config(workload, SEED, i))
+        p = lib.run_point(cfg, workload.ebno_db, workers=workload.workers, spec=spec)
+        return digest, p.frames, p.bit_errors, p.frame_errors
+    return op
 
 
 def timed(op, i: int):
@@ -92,6 +101,8 @@ def timed(op, i: int):
 
 
 def compare(workload, base, head, pairs: int) -> dict:
+    cores = sorted(ALLOWED_CORES)[-workload.workers:]
+    os.sched_setaffinity(0, cores)
     base, head = make_op(base, workload), make_op(head, workload)
     timed(base, 0), timed(head, 0)  # warm-up
     base_s, head_s, diffs = [], [], []
@@ -110,7 +121,9 @@ def compare(workload, base, head, pairs: int) -> dict:
           f"{statistics.median(head_s) * 1e3:9.2f} ms  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
           f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}")
     return {
-        "op": "build_spec over the seed-0 family" if workload.cfg is None else "one _sim_chunk batch",
+        "op": "build_spec over the seed-0 family" if workload.cfg is None else "one run_point call",
+        "workers": workload.workers,
+        "cores": cores,
         "pairs": pairs,
         "base_median_s": statistics.median(base_s),
         "head_median_s": statistics.median(head_s),

@@ -2,10 +2,14 @@
 
 A run sweeps Eb/N0 points for one code/decoder configuration.  Each frame
 draws its payload and noise from a counter-based stream keyed by
-``(seed, frame index)`` (payload bits first, then noise samples), and
-frames run in fixed-size batches: workers take whole batches, and their
-counters are committed in batch order with the stopping rule checked after
-each one.  So the counters are bit-for-bit the same for any worker count.
+``(seed, frame index)`` (payload bits first, then noise samples).  Counters
+are committed per batch of ``BATCH_FRAMES`` frames, in batch order, with the
+stopping rule checked after each one.  The frames are decoded in larger work
+units of 1, 2, 4, ... whole batches (doubling up to a size cap), each in one
+pass through the numpy pipeline; a unit returns the counters of every batch
+in it.  Every frame depends only on its index and every decoder step is
+row-wise, and the units do not depend on the worker count, so the counters
+are bit-for-bit the same for any worker count and any unit size.
 """
 
 from __future__ import annotations
@@ -14,10 +18,14 @@ import contextlib
 import dataclasses
 import functools
 import io
+import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+
+import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
@@ -36,6 +44,10 @@ from .numerics import G_MODES
 from .ratematch import dematch, tx_frame
 
 BATCH_FRAMES = 256
+# A work unit holds at most this many decoder LLRs (frames * list size * N),
+# and at least one batch.
+UNIT_LLRS = 1 << 16
+FER_Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
 WORKERS_ENV = "NUPOLAR_WORKERS"
 
 DECODERS = ("SC", "SCL", "CASCL")
@@ -119,7 +131,8 @@ class ExperimentConfig:
 class PointReport:
     """Counters of one Eb/N0 point.  ``stop`` says why it ended: ``"errors"``
     when the frame-error target was met, else ``"frames"`` (the frame cap);
-    it goes to the JSON report only, not to the CSV."""
+    ``fer_ci95`` is the 95% Wilson score interval on FER.  Both go to the
+    JSON report only, not to the CSV."""
 
     ebno_db: float
     frames: int
@@ -129,6 +142,7 @@ class PointReport:
     fer: float
     wall_time_s: float
     stop: str
+    fer_ci95: tuple[float, float]
 
 
 @dataclass
@@ -170,10 +184,35 @@ def build_spec(cfg: ExperimentConfig) -> CodeSpec:
                                 repolarize=cfg.method == "NUPGA_shortened")
 
 
-def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int):
-    """Simulate the batch of frames from ``start`` (up to ``BATCH_FRAMES``, ending
-    by ``max_frames``); returns integer error counters."""
-    count = min(BATCH_FRAMES, cfg.max_frames - start)
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of a binomial proportion ``errors / n``."""
+    p, z = errors / n, FER_Z95
+    centre = p + z * z / (2 * n)
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    scale = 1 + z * z / n
+    return max(0.0, (centre - half) / scale), min(1.0, (centre + half) / scale)
+
+
+def _work_units(cfg: ExperimentConfig):
+    """The ``(start, count)`` work units of a point, in frame order: 1, 2, 4,
+    ... batches, doubling up to the most whole batches whose decoder holds
+    at most ``UNIT_LLRS`` LLRs (at least one); the last unit ends at
+    ``max_frames``."""
+    L = 1 if cfg.decoder == "SC" else cfg.list_size
+    cap = max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N))
+    start, batches = 0, 1
+    while start < cfg.max_frames:
+        count = min(batches * BATCH_FRAMES, cfg.max_frames - start)
+        yield start, count
+        start += count
+        batches = min(2 * batches, cap)
+
+
+def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tuple[int, int]):
+    """Simulate the frames of one ``(start, count)`` work unit in one pass;
+    returns the integer error counters ``(frames, bit_errors, frame_errors)``
+    of each ``BATCH_FRAMES`` batch in it, in order."""
+    start, count = unit
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     pay_bits = cfg.payload_bits
     payloads, noise = frame_draws(cfg.seed, start, count, pay_bits, cfg.M, chan.sigma)
@@ -184,7 +223,8 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, start: int
     lists, pm = scl_decode_batch(spec, frames, L, cfg.scl_threshold, cfg.rule)
     decoded = _crc_select(lists, pm, CRC24)[0] if cfg.decoder == "CASCL" else lists[:, 0]
     errs = decoded[:, :pay_bits] != payloads
-    return count, int(errs.sum()), int(errs.any(axis=1).sum())
+    return [(len(e), int(e.sum()), int(e.any(axis=1).sum()))
+            for e in np.split(errs, range(BATCH_FRAMES, count, BATCH_FRAMES))]
 
 
 def run_point(
@@ -195,24 +235,26 @@ def run_point(
 ) -> PointReport:
     """Accumulate BER/FER counters for one Eb/N0 point.
 
-    Frames run in batches of ``BATCH_FRAMES`` until ``min_frame_errors``
-    frame errors have been counted or ``max_frames`` frames have been
-    simulated, whichever comes first.  With ``workers`` > 1 (default: the
-    ``NUPOLAR_WORKERS`` environment variable, else 1) each worker of a
-    fork pool owned by this call takes whole batches; the counters are
-    committed in batch order, and batches past the stopping point are
-    dropped when the pool is terminated.
+    Counters are committed per batch of ``BATCH_FRAMES`` frames until
+    ``min_frame_errors`` frame errors have been counted or ``max_frames``
+    frames have been simulated, whichever comes first.  The batches are
+    decoded in the work units of :func:`_work_units`.  With ``workers`` > 1
+    (default: the ``NUPOLAR_WORKERS`` environment variable, else 1) each
+    worker of a fork pool owned by this call takes whole units; the
+    counters are committed in batch order, and units past the stopping
+    point are dropped when the pool is terminated.
     """
     if spec is None:
         spec = build_spec(cfg)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
-    batch = functools.partial(_sim_chunk, spec, cfg, ebno_db)
-    starts = range(0, cfg.max_frames, BATCH_FRAMES)
+    unit = functools.partial(_sim_chunk, spec, cfg, ebno_db)
+    units = _work_units(cfg)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     with get_context("fork").Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for n, be, fe in pool.imap(batch, starts) if pool else map(batch, starts):
+        results = pool.imap(unit, units) if pool else map(unit, units)
+        for n, be, fe in itertools.chain.from_iterable(results):
             frames += n
             bit_errors += be
             frame_errors += fe
@@ -228,6 +270,7 @@ def run_point(
         fer=frame_errors / frames,
         wall_time_s=wall,
         stop="errors" if frame_errors >= cfg.min_frame_errors else "frames",
+        fer_ci95=wilson_interval(frame_errors, frames),
     )
 
 

@@ -1,8 +1,12 @@
+import itertools
+import json
 import multiprocessing
+import statistics
 
 import numpy as np
 import pytest
 
+from nupolar import harness
 from nupolar.construction import (
     CONSTRUCTION_METHODS,
     ConstructionError,
@@ -10,7 +14,7 @@ from nupolar.construction import (
     build_extended_code,
     build_shortened_code,
 )
-from nupolar.harness import ExperimentConfig, build_spec, run_point, run_sweep
+from nupolar.harness import BATCH_FRAMES, ExperimentConfig, _work_units, build_spec, run_point, run_sweep
 
 
 def small_cfg(**kw):
@@ -155,6 +159,83 @@ class TestRunPoint:
         p = run_point(small_cfg(), 1.0)
         assert p.fer >= p.ber
         assert p.ber == p.bit_errors / (p.frames * 32)
+
+    @pytest.mark.parametrize("ebno", [12.0, 1.0, -5.0])
+    def test_fer_wilson_interval(self, ebno):
+        # Recomputed as the roots of (fer - p)^2 = z^2 p (1 - p) / n, the
+        # score test the Wilson interval inverts.
+        rep = run_sweep(small_cfg(ebno_sweep=(ebno,), max_frames=700, min_frame_errors=50))
+        p = rep.points[0]
+        n, z = p.frames, statistics.NormalDist().inv_cdf(0.975)
+        a = 1 + z * z / n
+        roots = np.sort(np.roots([a, -(2 * p.fer + z * z / n), p.fer ** 2]).real)
+        assert p.fer_ci95 == pytest.approx(tuple(roots), abs=1e-12)
+        assert p.fer_ci95[0] <= p.fer <= p.fer_ci95[1]
+        assert json.loads(json.dumps(rep.to_json_dict()))["points"][0]["fer_ci95"] == list(p.fer_ci95)
+        assert rep.csv_text().splitlines()[0] == "ebno_db,frames,bit_errors,frame_errors,ber,fer"
+
+
+class TestWorkUnits:
+    @pytest.mark.parametrize("max_frames", [1, 255, 256, 1000, 4096, 10_000])
+    @pytest.mark.parametrize("N", [16, 64, 512])
+    def test_units_tile_the_frames(self, N, max_frames):
+        units = list(_work_units(small_cfg(N=N, K=N // 2, max_frames=max_frames)))
+        starts = [start for start, _ in units]
+        ends = list(itertools.accumulate(count for _, count in units))
+        assert starts == [0] + ends[:-1]
+        assert ends[-1] == max_frames
+        assert all(start % BATCH_FRAMES == 0 for start in starts)
+
+    @pytest.mark.parametrize("N, L, batches", [
+        (16, 1, [1, 2, 4, 8, 16, 16, 16]),
+        (32, 1, [1, 2, 4, 8, 8, 8]),
+        (64, 1, [1, 2, 4, 4, 4]),
+        (64, 2, [1, 2, 2, 2, 1]),
+        (128, 1, [1, 2, 2, 2]),
+        (256, 1, [1, 1, 1]),
+    ])
+    def test_sizes_double_up_to_the_cap(self, N, L, batches):
+        cfg = small_cfg(N=N, K=N // 2, decoder="SCL" if L > 1 else "SC", list_size=L,
+                        max_frames=sum(batches) * BATCH_FRAMES)
+        # The cap is the most whole batches with frames * L * N <= 2^16.
+        assert [count // BATCH_FRAMES for _, count in _work_units(cfg)] == batches
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(N=512, M=320, K=160, method="NUPGA_shortened", max_frames=8192),
+        ExperimentConfig(N=512, M=280, K=128, method="NUPGA_shortened", decoder="CASCL",
+                         list_size=16, crc_len=24, max_frames=8192),
+        ExperimentConfig(N=64, K=40, decoder="CASCL", list_size=16, crc_len=24, max_frames=8192),
+    ])
+    def test_one_batch_cap(self, cfg):
+        assert {count for _, count in _work_units(cfg)} == {BATCH_FRAMES}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unit_size_does_not_change_results(self, monkeypatch, workers):
+        cfg = small_cfg(ebno_sweep=(2.0,), max_frames=100_000, min_frame_errors=300)
+        ramped = run_sweep(cfg, workers=workers)
+        # The error target is met inside a unit of several batches, so the
+        # batches after it in that unit must be dropped.
+        ends = list(itertools.accumulate(count for _, count in _work_units(cfg)))
+        assert ramped.points[0].stop == "errors" and ramped.points[0].frames not in ends
+        monkeypatch.setattr(harness, "UNIT_LLRS", 0)
+        assert max(count for _, count in _work_units(cfg)) == BATCH_FRAMES
+        single = run_sweep(cfg, workers=workers)
+        strip = lambda p: {k: v for k, v in vars(p).items() if k != "wall_time_s"}  # noqa: E731
+        assert strip(single.points[0]) == strip(ramped.points[0])
+        assert single.csv_text() == ramped.csv_text()
+
+    def test_first_batch_stop_decodes_one_batch(self, monkeypatch):
+        rows = []
+        decode = harness.scl_decode_batch
+
+        def counted(spec, frames, *args):
+            rows.append(len(frames))
+            return decode(spec, frames, *args)
+
+        monkeypatch.setattr(harness, "scl_decode_batch", counted)
+        p = run_point(small_cfg(max_frames=100_000, min_frame_errors=10), -5.0, workers=1)
+        assert p.frames == BATCH_FRAMES and p.stop == "errors"
+        assert rows == [BATCH_FRAMES]
 
 
 class TestRunSweep:
