@@ -2,7 +2,7 @@
 
 SC decodes bit by bit; SCL keeps a list of candidate paths; CA-SCL picks
 the best list entry that passes a CRC-24.  All decoders run on whole
-batches of frames at once.
+batches of frames at once; one frame's results are its row of each output.
 """
 
 import numpy as np
@@ -26,8 +26,8 @@ llr = np.stack([
 ])
 
 sc_msgs, _ = npl.sc_decode_batch(spec, llr)
-scl_msgs, _ = npl.scl_decode_batch(spec, llr, L=8)
-ca_msgs, crc_ok, _ = npl.ca_scl_decode_batch(spec, llr, L=8)
+scl_msgs, scl_metrics = npl.scl_decode_batch(spec, llr, L=8)
+ca_msgs, _, crc_ok, ca_rank = npl.ca_scl_decode_batch(spec, llr, L=8)
 
 for name, got in (("SC", sc_msgs), ("SCL L=8", scl_msgs[:, 0, :]), ("CA-SCL L=8", ca_msgs)):
     fer = np.mean((got[:, : payload.shape[1]] != payload).any(axis=1))
@@ -36,10 +36,7 @@ print(f"CRC caught {int((~crc_ok).sum())} undecodable frames out of {frames}")
 
 # A closer look at one frame's list --------------------------------------
 
-one = npl.scl_decode(spec, llr[0], L=8)
 print("\nlist for frame 0 (best metric first):")
-for r in one[:4]:
-    print(f"  rank {r.list_rank}: metric {r.path_metric:8.3f}  first bits {r.message[:8].tolist()}")
-
-result = npl.ca_scl_decode(spec, llr[0], L=8)
-print("CA-SCL pick: rank", result.list_rank, "crc_ok", result.crc_ok)
+for rank in range(4):
+    print(f"  rank {rank}: metric {scl_metrics[0, rank]:8.3f}  first bits {scl_msgs[0, rank, :8].tolist()}")
+print("CA-SCL pick: rank", ca_rank[0], "crc_ok", crc_ok[0])

@@ -9,8 +9,6 @@ from .channel import ChannelConfig, awgn, bpsk_modulate, frame_rng, llr_demod
 from .codec import (
     CRC24,
     CrcConfig,
-    DecodeResult,
-    ca_scl_decode,
     ca_scl_decode_batch,
     crc_append,
     crc_check,
@@ -18,9 +16,7 @@ from .codec import (
     f_exact,
     f_minsum,
     g_node,
-    sc_decode,
     sc_decode_batch,
-    scl_decode,
     scl_decode_batch,
 )
 from .construction import (

@@ -5,9 +5,11 @@ that positive values favour bit 0.  ``numerics.KNOWN_ZERO_LLR`` (+inf)
 marks a position whose transmitted bit is known to be zero; both node
 update rules absorb it without ever producing NaN.
 
-The decoders are batched: every entry point accepts a single frame
-``(N,)`` or a batch ``(B, N)`` and decides each frame independently, which
-is what makes large Monte-Carlo runs affordable in pure numpy.  One tree
+There is one decoder API, and it is batched: ``sc_decode_batch``,
+``scl_decode_batch`` and ``ca_scl_decode_batch`` take frames ``(B, N)``
+and decide each frame independently, which is what makes large
+Monte-Carlo runs affordable in pure numpy.  A single frame ``(N,)`` is a
+batch of one, and its results are row 0 of each output.  One tree
 walk serves SC, SCL and CRC-aided SCL: the list decoder folds its ``L``
 path slots into the rows of each node array, and SC is its ``L = 1`` case,
 where an information leaf takes the hard decision ``lambda < 0`` and the
@@ -16,6 +18,7 @@ arrays are plain ``(B, n)``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +45,6 @@ class CrcConfig:
 CRC24 = CrcConfig()
 
 
-@dataclass
-class DecodeResult:
-    """One decoded candidate.
-
-    ``message`` carries all K information bits (including CRC bits when a
-    CRC is in use).  ``path_metric`` is the accumulated LLR-domain penalty;
-    smaller is more likely.  ``crc_ok`` is set only by the CRC-aided
-    decoder, and ``list_rank`` is the candidate's position in the
-    metric-sorted list (0 = best).
-    """
-
-    message: np.ndarray
-    path_metric: float
-    crc_ok: bool | None = None
-    list_rank: int | None = None
-
-
 # ---------------------------------------------------------------------------
 # encoding
 
@@ -72,7 +58,9 @@ def encode(spec: CodeSpec, msg) -> np.ndarray:
     Kronecker power of [[1,0],[1,1]] (no bit reversal).  Accepts a single
     message ``(K,)`` or a batch ``(B, K)``.
     """
-    msg = np.asarray(msg, dtype=np.uint8)
+    msg = np.asarray(msg)
+    if not np.all((msg == 0) | (msg == 1)):
+        raise ValueError("message bits must each be 0 or 1")
     if msg.shape[-1] != spec.payload_len:
         raise ValueError(f"message length {msg.shape[-1]} != K = {spec.payload_len}")
     N = spec.mother_len
@@ -148,22 +136,14 @@ def _penalties(lam):
     return np.where(neg, other, t), np.where(neg, t, other)
 
 
-def _check_frames(spec: CodeSpec, frames) -> tuple[np.ndarray, bool]:
-    llr = np.asarray(frames, dtype=np.float64)
-    single = llr.ndim == 1
-    if single:
-        llr = llr[None, :]
+def _check_frames(spec: CodeSpec, frames) -> np.ndarray:
+    """``frames`` as a float64 ``(B, N)`` batch; a single ``(N,)`` frame is a
+    batch of one."""
+    llr = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if llr.ndim != 2 or llr.shape[1] != spec.mother_len:
         raise ValueError(f"LLR frame length must be N = {spec.mother_len}")
     if np.isnan(llr).any():
         raise ValueError("LLR frame contains NaN")
-    return llr, single
-
-
-def _single_frame(spec: CodeSpec, frame, name: str) -> np.ndarray:
-    llr, single = _check_frames(spec, frame)
-    if not single:
-        raise ValueError(f"{name} takes a single frame; use {name}_batch")
     return llr
 
 
@@ -195,8 +175,8 @@ class _ListDecoder:
     """
 
     def __init__(self, spec: CodeSpec, L: int, threshold: float, rule: str):
-        if L < 1:
-            raise ValueError("list size must be at least 1")
+        if not isinstance(L, numbers.Integral) or L < 1:
+            raise ValueError(f"list size must be a whole number >= 1, got {L!r}")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("pruning threshold must lie in [0, 1]")
         if rule not in RULES:
@@ -289,55 +269,30 @@ class _ListDecoder:
 
 
 def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):
-    """SC-decode a batch of LLR frames: the single-path list decode.
+    """SC-decode LLR frames ``(B, N)`` or one frame ``(N,)``: the
+    single-path list decode.
 
-    Returns ``(messages, metrics)`` where ``messages`` is ``(B, K)`` and
-    ``metrics`` the accumulated path penalties ``(B,)``.
+    Frozen positions decode as 0; an LLR of exactly 0 resolves to bit 0.
+    ``rule`` selects the check-node update: ``"minsum"`` (default) or
+    ``"exact"``.  Returns ``(messages, metrics)`` where ``messages`` is
+    ``(B, K)`` and ``metrics`` the accumulated path penalties ``(B,)``.
     """
     msgs, pm = scl_decode_batch(spec, frames, 1, rule=rule)
     return msgs[:, 0], pm[:, 0]
 
 
-def sc_decode(spec: CodeSpec, frame, rule: str = "minsum") -> DecodeResult:
-    """Successive-cancellation decoding of one LLR frame.
-
-    Frozen positions decode as 0; an LLR of exactly 0 resolves to bit 0.
-    ``rule`` selects the check-node update: ``"minsum"`` (default) or
-    ``"exact"``.
-    """
-    msgs, pm = sc_decode_batch(spec, _single_frame(spec, frame, "sc_decode"), rule)
-    return DecodeResult(message=msgs[0], path_metric=float(pm[0]))
-
-
 def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rule: str = "minsum"):
-    """List-decode a batch of frames.
-
-    Returns ``(messages, metrics)`` with shapes ``(B, L, K)`` and
-    ``(B, L)``, sorted best metric first within each frame; never-used or
-    pruned path slots carry an infinite metric.  ``L = 1`` is SC decoding.
-    """
-    llr, _ = _check_frames(spec, frames)
-    return _ListDecoder(spec, L, threshold, rule).decode(llr)
-
-
-def scl_decode(spec: CodeSpec, frame, L: int, threshold: float = 0.0, rule: str = "minsum"):
-    """Successive-cancellation list decoding of one frame.
+    """List-decode LLR frames ``(B, N)`` or one frame ``(N,)``.
 
     At every information bit each path forks on both hypotheses and the L
     best metrics survive; ``threshold`` in (0, 1] additionally drops paths
     whose probability falls below ``threshold`` times the list maximum
-    (0 disables).  Returns the surviving candidates as a list of
-    :class:`DecodeResult`, best metric first.
+    (0 disables).  Returns ``(messages, metrics)`` with shapes
+    ``(B, L, K)`` and ``(B, L)``, sorted best metric first within each
+    frame; never-used or pruned path slots carry an infinite metric.
+    ``L = 1`` is SC decoding.
     """
-    llr = _single_frame(spec, frame, "scl_decode")
-    msgs, pm = scl_decode_batch(spec, llr, L, threshold, rule)
-    finite = np.isfinite(pm[0])
-    if not finite.any():
-        finite[0] = True
-    return [
-        DecodeResult(message=msgs[0, k], path_metric=float(pm[0, k]), list_rank=rank)
-        for rank, k in enumerate(np.flatnonzero(finite))
-    ]
+    return _ListDecoder(spec, L, threshold, rule).decode(_check_frames(spec, frames))
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +358,11 @@ def ca_scl_decode_batch(
     threshold: float = 0.0,
     rule: str = "minsum",
 ):
-    """CRC-aided list decoding of a batch of frames.
+    """CRC-aided list decoding of LLR frames ``(B, N)`` or one frame ``(N,)``.
 
-    Returns ``(messages, crc_ok, list_rank)``: per frame the best-metric
-    candidate that passes the CRC, or the overall best-metric candidate
-    with ``crc_ok = False`` when none does.
+    Returns ``(messages, metrics, crc_ok, list_rank)``: per frame the
+    best-metric candidate that passes the CRC, or the overall best-metric
+    candidate with ``crc_ok = False`` when none does.  The messages still
+    include the CRC bits.
     """
-    msgs, _, crc_ok, rank = _crc_select(*scl_decode_batch(spec, frames, L, threshold, rule), crc)
-    return msgs, crc_ok, rank
-
-
-def ca_scl_decode(
-    spec: CodeSpec,
-    frame,
-    L: int,
-    crc: CrcConfig = CRC24,
-    threshold: float = 0.0,
-    rule: str = "minsum",
-) -> DecodeResult:
-    """List decoding returning the best candidate that passes the CRC.
-
-    Falls back to the best-metric candidate with ``crc_ok = False`` when
-    no list entry passes.  ``message`` still includes the CRC bits.
-    """
-    llr = _single_frame(spec, frame, "ca_scl_decode")
-    msgs, pm, crc_ok, rank = _crc_select(*scl_decode_batch(spec, llr, L, threshold, rule), crc)
-    return DecodeResult(
-        message=msgs[0], path_metric=float(pm[0]), crc_ok=bool(crc_ok[0]), list_rank=int(rank[0])
-    )
+    return _crc_select(*scl_decode_batch(spec, frames, L, threshold, rule), crc)

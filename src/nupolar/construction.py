@@ -34,7 +34,7 @@ class ConstructionError(ValueError):
 
 
 def _check_power_of_two(n: int) -> int:
-    n = int(n)
+    n = int(_whole(n, "mother length"))
     if n < 2 or n & (n - 1):
         raise ConstructionError(f"mother length must be a power of two >= 2, got {n}")
     return n

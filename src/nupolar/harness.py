@@ -20,6 +20,7 @@ import functools
 import io
 import itertools
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -52,6 +53,8 @@ WORKERS_ENV = "NUPOLAR_WORKERS"
 
 DECODERS = ("SC", "SCL", "CASCL")
 
+# The ExperimentConfig fields that hold integers.
+INT_FIELDS = ("N", "K", "M", "list_size", "crc_len", "max_frames", "min_frame_errors", "seed")
 # The allowed values of each enumerated ExperimentConfig field.
 CHOICES = {"method": CONSTRUCTION_METHODS, "pattern_method": PATTERN_METHODS,
            "decoder": DECODERS, "g_mode": G_MODES, "rule": RULES, "repeat": REPEAT_RULES}
@@ -84,7 +87,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.M is None:
-            self.M = int(self.N)
+            self.M = self.N
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConstructionError(f"{name} must be a whole number, got {value!r}")
+            setattr(self, name, int(value))
         self.ebno_sweep = tuple(float(x) for x in self.ebno_sweep)
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:

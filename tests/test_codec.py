@@ -7,7 +7,6 @@ from nupolar.channel import frame_draws
 from nupolar.codec import (
     CRC24,
     CrcConfig,
-    ca_scl_decode,
     ca_scl_decode_batch,
     crc_append,
     crc_check,
@@ -16,9 +15,7 @@ from nupolar.codec import (
     f_minsum,
     _penalties,
     g_node,
-    sc_decode,
     sc_decode_batch,
-    scl_decode,
     scl_decode_batch,
 )
 from nupolar.construction import (
@@ -38,6 +35,18 @@ def awgn_llrs(codewords, sigma, rng):
     symbols = 1.0 - 2.0 * codewords
     y = symbols + rng.normal(0.0, sigma, codewords.shape)
     return 2.0 * y / sigma**2
+
+
+def assert_single_frames_are_batch_rows(decode, llr):
+    """Each ``(N,)`` frame of ``llr`` decodes to exactly its row of the
+    batch decode, in every output."""
+    batch = decode(llr)
+    for i, frame in enumerate(llr):
+        single = decode(frame)
+        assert len(single) == len(batch)
+        for got, want in zip(single, batch):
+            assert got.shape == (1,) + want.shape[1:]
+            assert np.array_equal(got[0], want[i]), f"frame {i}"
 
 
 def sc_probability_reference(spec, llr):
@@ -102,6 +111,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(spec, np.zeros(5, np.uint8))
 
+    @pytest.mark.parametrize("msg", [[2, 0, 0, 0], [0.5, 0, 0, 0], [0, 0, -1, 0], [[0, 1, 1, 0], [0, 0, 0, 255]]])
+    def test_rejects_non_binary_bits(self, msg):
+        # Not truncated or wrapped to uint8: a 2 would carry through the XOR butterfly.
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode(build_mother_code(8, 4), np.array(msg))
+
 
 class TestNodeFunctions:
     def test_minsum_example(self):
@@ -151,13 +166,13 @@ class TestScDecode:
 
     def test_zero_llr_resolves_to_zero(self):
         spec = build_mother_code(4, 4)
-        res = sc_decode(spec, np.zeros(4))
-        assert res.message.tolist() == [0, 0, 0, 0]
+        msgs, _ = sc_decode_batch(spec, np.zeros(4))
+        assert msgs[0].tolist() == [0, 0, 0, 0]
 
     def test_rejects_nan(self):
         spec = build_mother_code(4, 2)
         with pytest.raises(ValueError):
-            sc_decode(spec, np.array([1.0, np.nan, 0.5, 2.0]))
+            sc_decode_batch(spec, np.array([1.0, np.nan, 0.5, 2.0]))
 
     def test_matches_probability_domain_reference(self):
         # 1000 noisy frames at 3 dB, N=8/K=4; the exact-rule LLR decoder and
@@ -188,16 +203,22 @@ class TestScDecode:
         # codeword differs from the hard decision on the node LLRs.
         spec = build_mother_code(2, 2)
         llr = np.array([0.0, -3.0])
-        res = sc_decode(spec, llr)
-        assert res.message.tolist() == [0, 1]
-        assert encode(spec, res.message).tolist() == [1, 1]
+        msgs, _ = sc_decode_batch(spec, llr)
+        assert msgs[0].tolist() == [0, 1]
+        assert encode(spec, msgs[0]).tolist() == [1, 1]
         assert (llr < 0).astype(np.uint8).tolist() == [0, 1]
 
     def test_all_frozen_spec(self):
         spec = CodeSpec(8, 0, 8, np.ones(8, dtype=bool), RateMatchPattern())
-        res = sc_decode(spec, np.random.default_rng(6).normal(0, 2, 8))
-        assert res.message.size == 0
-        assert encode(spec, res.message).tolist() == [0] * 8
+        msgs, _ = sc_decode_batch(spec, np.random.default_rng(6).normal(0, 2, 8))
+        assert msgs[0].size == 0
+        assert encode(spec, msgs[0]).tolist() == [0] * 8
+
+    def test_single_frame_is_its_batch_row(self):
+        rng = np.random.default_rng(21)
+        spec = build_mother_code(64, 32)
+        llr = awgn_llrs(encode(spec, rng.integers(0, 2, (20, 32), dtype=np.uint8)), 0.9, rng)
+        assert_single_frames_are_batch_rows(lambda f: sc_decode_batch(spec, f), llr)
 
 
 class TestSclDecode:
@@ -225,55 +246,56 @@ class TestSclDecode:
         for trial in range(50):
             msg = rng.integers(0, 2, 4, dtype=np.uint8)
             llr = awgn_llrs(encode(spec, msg[None, :]), 1.0, rng)[0]
-            results = scl_decode(spec, llr, L=16, rule="exact")
+            msgs, pm = scl_decode_batch(spec, llr, L=16, rule="exact")
             cands, cws, scores = ml_codeword_scores(spec, llr)
             by_msg = {tuple(m): s for m, s in zip(cands.tolist(), scores)}
-            got = [by_msg[tuple(r.message.tolist())] for r in results]
+            got = [by_msg[tuple(m)] for m in msgs[0, np.isfinite(pm[0])].tolist()]
             assert all(a >= b - 1e-9 for a, b in zip(got, got[1:])), f"trial {trial}"
 
     def test_threshold_one_keeps_only_best(self):
         rng = np.random.default_rng(10)
         spec = build_mother_code(16, 8)
         llr = awgn_llrs(encode(spec, rng.integers(0, 2, (1, 8), dtype=np.uint8)), 0.9, rng)
-        results = scl_decode(spec, llr[0], L=8, threshold=1.0)
-        assert len(results) >= 1
-        assert all(r.path_metric == results[0].path_metric for r in results)
+        _, pm = scl_decode_batch(spec, llr[0], L=8, threshold=1.0)
+        live = pm[0, np.isfinite(pm[0])]
+        assert len(live) >= 1
+        assert (live == live[0]).all()
 
     def test_results_sorted_and_ranked(self):
         rng = np.random.default_rng(11)
         spec = build_mother_code(16, 8)
         llr = awgn_llrs(encode(spec, rng.integers(0, 2, (1, 8), dtype=np.uint8)), 1.2, rng)
-        results = scl_decode(spec, llr[0], L=8)
-        pms = [r.path_metric for r in results]
+        _, pm = scl_decode_batch(spec, llr[0], L=8)
+        pms = pm[0].tolist()
         assert pms == sorted(pms)
-        assert [r.list_rank for r in results] == list(range(len(results)))
+        # The live candidates hold the leading ranks 0, 1, ...
+        live = np.isfinite(pm[0])
+        assert live[: live.sum()].all()
 
-    def test_batch_agrees_with_single(self):
+    def test_single_frame_is_its_batch_row(self):
         rng = np.random.default_rng(21)
         spec = build_mother_code(64, 32)
         llr = awgn_llrs(encode(spec, rng.integers(0, 2, (20, 32), dtype=np.uint8)), 0.9, rng)
-        msgs, pm = scl_decode_batch(spec, llr, L=8, threshold=1e-3)
-        for i in range(20):
-            single = scl_decode(spec, llr[i], L=8, threshold=1e-3)
-            assert len(single) == np.isfinite(pm[i]).sum()
-            for k, res in enumerate(single):
-                np.testing.assert_array_equal(res.message, msgs[i, k])
-                assert res.path_metric == pm[i, k]
-                assert res.list_rank == k
+        assert_single_frames_are_batch_rows(lambda f: scl_decode_batch(spec, f, L=8, threshold=1e-3), llr)
 
     def test_list_size_validation(self):
         spec = build_mother_code(8, 4)
         with pytest.raises(ValueError):
-            scl_decode(spec, np.zeros(8), L=0)
+            scl_decode_batch(spec, np.zeros(8), L=0)
         with pytest.raises(ValueError):
-            scl_decode(spec, np.zeros(8), L=2, threshold=1.5)
+            scl_decode_batch(spec, np.zeros(8), L=2, threshold=1.5)
+        # A list size must be an integer, not a float that would be truncated.
+        for L in (2.5, 2.0, np.float64(4.0)):
+            with pytest.raises(ValueError, match="whole number"):
+                scl_decode_batch(spec, np.zeros(8), L=L)
+        assert scl_decode_batch(spec, np.zeros(8), L=np.int64(2))[0].shape == (1, 2, 4)
 
     def test_rule_validation(self):
         spec = build_mother_code(8, 4)
         with pytest.raises(ValueError, match="unknown rule"):
-            sc_decode(spec, np.zeros(8), rule="x")
+            sc_decode_batch(spec, np.zeros(8), rule="x")
         with pytest.raises(ValueError, match="unknown rule"):
-            scl_decode(spec, np.zeros(8), L=2, rule="x")
+            scl_decode_batch(spec, np.zeros(8), L=2, rule="x")
 
 
 BIT_IDENTITY_CODES = {
@@ -364,31 +386,30 @@ class TestCaScl:
         payload = rng.integers(0, 2, 8, dtype=np.uint8)
         msg = crc_append(payload)
         llr = 25.0 * (1.0 - 2.0 * encode(spec, msg))
-        res = ca_scl_decode(spec, llr, L=4)
-        assert res.crc_ok is True
-        np.testing.assert_array_equal(res.message, msg)
-        np.testing.assert_array_equal(res.message[:8], payload)
+        msgs, _, crc_ok, _ = ca_scl_decode_batch(spec, llr, L=4)
+        assert crc_ok[0]
+        np.testing.assert_array_equal(msgs[0], msg)
+        np.testing.assert_array_equal(msgs[0, :8], payload)
 
     def test_fallback_reports_failure(self):
         # A frame of garbage LLRs essentially never decodes to a valid
         # 24-bit checksum with a small list.
         rng = np.random.default_rng(18)
         spec = build_mother_code(64, 32)
-        res = ca_scl_decode(spec, rng.normal(0, 1, 64), L=2)
-        assert res.crc_ok is False
-        assert res.list_rank == 0
+        _, _, crc_ok, rank = ca_scl_decode_batch(spec, rng.normal(0, 1, 64), L=2)
+        assert not crc_ok[0]
+        assert rank[0] == 0
 
-    def test_batch_agrees_with_single(self):
+    def test_single_frame_is_its_batch_row(self):
         rng = np.random.default_rng(19)
         spec = build_mother_code(64, 32)
         payloads = rng.integers(0, 2, (20, 8), dtype=np.uint8)
         llr = awgn_llrs(encode(spec, crc_append(payloads)), 0.9, rng)
-        msgs, ok, rank = ca_scl_decode_batch(spec, llr, L=8)
-        for i in range(20):
-            single = ca_scl_decode(spec, llr[i], L=8)
-            np.testing.assert_array_equal(msgs[i], single.message)
-            assert bool(ok[i]) == single.crc_ok
-            assert int(rank[i]) == single.list_rank
+        decode = lambda f: ca_scl_decode_batch(spec, f, L=8, threshold=1e-3)  # noqa: E731
+        assert_single_frames_are_batch_rows(decode, llr)
+        # The frames cover both outcomes of the CRC selection.
+        _, _, crc_ok, rank = decode(llr)
+        assert crc_ok.any() and not crc_ok.all() and rank.any()
 
 
 class TestSaturatedFrames:
@@ -434,5 +455,5 @@ def test_empty_batch_keeps_its_shapes():
     assert out.shape == (0, K) and pm.shape == (0,)
     out, pm = scl_decode_batch(spec, frames, L)
     assert out.shape == (0, L, K) and pm.shape == (0, L)
-    out, ok, rank = ca_scl_decode_batch(spec, frames, L)
-    assert out.shape == (0, K) and ok.shape == rank.shape == (0,)
+    out, pm, ok, rank = ca_scl_decode_batch(spec, frames, L)
+    assert out.shape == (0, K) and pm.shape == ok.shape == rank.shape == (0,)

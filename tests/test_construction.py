@@ -245,6 +245,10 @@ class TestMotherCode:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConstructionError):
             build_mother_code(96, 48)
+        # Rejected, not truncated to N = 64; a whole float still builds.
+        with pytest.raises(ConstructionError, match="whole numbers"):
+            build_mother_code(64.5, 32)
+        assert build_mother_code(64.0, 32).mother_len == 64
 
     def test_agrees_with_bec_oracle_at_matched_point(self):
         # Informational cross-check: the GA mask at 0 dB and the exact BEC

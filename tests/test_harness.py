@@ -59,6 +59,15 @@ class TestConfig:
             ExperimentConfig(N=64, K=32, repeat="bogus")
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, ebno_sweep=(1.0, float("inf")))
+        # Integer fields must hold integers: rejected when the config is made,
+        # not truncated or left to fail inside run_point.
+        for name, value in (("N", 64.5), ("K", 32.5), ("M", 48.5), ("list_size", 2.5), ("crc_len", 24.0),
+                            ("max_frames", 1000.5), ("min_frame_errors", 10.5), ("seed", 1.5)):
+            with pytest.raises(ConstructionError, match=f"{name} must be a whole number"):
+                ExperimentConfig(**{"N": 64, "K": 32, "decoder": "SCL", name: value})
+        # numpy integers are stored as ints, so the JSON report can echo them.
+        cfg = ExperimentConfig(N=np.int64(64), K=32, seed=np.uint64(2**64 - 1))
+        assert json.loads(json.dumps(cfg.as_dict()))["seed"] == 2**64 - 1 and cfg.M == 64
 
     def test_m_must_be_positive(self):
         with pytest.raises(ConstructionError, match="M must be"):
