@@ -18,16 +18,15 @@ import sys
 import typing
 
 from .construction import ConstructionError
-from .harness import CHOICES, ExperimentConfig, build_spec, run_sweep
+from .harness import CHOICES, FIELD_TYPES, ExperimentConfig, build_spec, run_sweep
 
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 _BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
 
 def _coerce(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+    if key not in FIELD_TYPES:
         raise ConstructionError(f"unknown configuration key {key!r}")
-    kind = _FIELD_TYPES[key]
+    kind = FIELD_TYPES[key]
     if kind == tuple[float, ...]:
         return tuple(float(tok) for tok in raw.replace(",", " ").split())
     if kind is bool:
@@ -55,7 +54,7 @@ def load_config_file(path: str) -> dict:
 
 def _merged_config(args, path: str | None) -> ExperimentConfig:
     values = load_config_file(path) if path else {}
-    for name in _FIELD_TYPES:
+    for name in FIELD_TYPES:
         raw = getattr(args, name)
         if raw is not None:
             values[name] = _coerce(name, raw)
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = fields.add_argument_group(
         "configuration", "ExperimentConfig field names, with dashes for underscores; "
         "a value parses like the configuration-file value and overrides it")
-    for name in _FIELD_TYPES:
+    for name in FIELD_TYPES:
         group.add_argument("--" + name.replace("_", "-"), choices=CHOICES.get(name))
 
     p_construct = sub.add_parser("construct", help="build a code and emit its JSON spec", parents=[fields])

@@ -282,7 +282,7 @@ def select_information_set(rel, K: int) -> np.ndarray:
     when fewer than K positions have strictly positive reliability.
     """
     rel = np.asarray(rel, dtype=np.float64)
-    K = int(K)
+    K = int(_whole(K, "payload length"))
     usable = int(np.count_nonzero(rel > 0))
     if K > usable:
         raise ConstructionError(
@@ -349,6 +349,7 @@ def shortening_pattern(method: str, N: int, M: int) -> RateMatchPattern:
     the pattern is read off the index bits without building the matrix.
     """
     N = _check_power_of_two(N)
+    M = int(_whole(M, "shortened length"))
     if not N // 2 < M < N:
         raise ConstructionError(f"shortened length must satisfy N/2 < M < N, got M={M}, N={N}")
     r = N - M
@@ -417,7 +418,7 @@ def build_extended_code(
     as given.
     """
     N = _check_power_of_two(N)
-    delta_M = int(delta_M)
+    delta_M = int(_whole(delta_M, "extension length"))
     if delta_M == 0:
         return build_mother_code(N, K, design_snr_db, g_mode)
     if not 0 < delta_M < N // 2:
@@ -435,7 +436,7 @@ def build_extended_code(
     elif isinstance(repeat, str):
         raise ConstructionError(f"unknown repeat rule {repeat!r}")
     else:
-        positions = np.asarray(repeat, dtype=np.int64)
+        positions = _whole(repeat, "repeat positions")
         if positions.size != delta_M:
             raise ConstructionError("explicit repeat positions must have length delta_M")
     pattern = RateMatchPattern("extend", positions)
@@ -461,7 +462,7 @@ def bec_construct(erasures, K: int) -> np.ndarray:
     unfrozen; ties break toward the lower index.
     """
     final = evolve_bec(erasures)
-    K = int(K)
+    K = int(_whole(K, "payload length"))
     if not 0 <= K <= final.size:
         raise ConstructionError(f"payload length {K} outside [0, {final.size}]")
     order = np.argsort(final, kind="stable")

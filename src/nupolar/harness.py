@@ -23,6 +23,7 @@ import math
 import numbers
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -53,8 +54,6 @@ WORKERS_ENV = "NUPOLAR_WORKERS"
 
 DECODERS = ("SC", "SCL", "CASCL")
 
-# The ExperimentConfig fields that hold integers.
-INT_FIELDS = ("N", "K", "M", "list_size", "crc_len", "max_frames", "min_frame_errors", "seed")
 # The allowed values of each enumerated ExperimentConfig field.
 CHOICES = {"method": CONSTRUCTION_METHODS, "pattern_method": PATTERN_METHODS,
            "decoder": DECODERS, "g_mode": G_MODES, "rule": RULES, "repeat": REPEAT_RULES}
@@ -103,16 +102,11 @@ class ExperimentConfig:
             raise ConstructionError(f"CASCL decoding needs crc_len = {CRC24.width}")
         if self.crc_len and self.K <= self.crc_len:
             raise ConstructionError("K must exceed the CRC length")
-        if self.list_size < 1:
-            raise ConstructionError("list_size must be at least 1")
+        for name in ("list_size", "min_frame_errors", "max_frames", "M"):
+            if getattr(self, name) < 1:
+                raise ConstructionError(f"{name} must be at least 1")
         if not 0.0 <= self.scl_threshold <= 1.0:
             raise ConstructionError("scl_threshold must lie in [0, 1]")
-        if self.min_frame_errors < 1:
-            raise ConstructionError("min_frame_errors must be at least 1")
-        if self.max_frames < 1:
-            raise ConstructionError("max_frames must be at least 1")
-        if self.M < 1:
-            raise ConstructionError("M must be at least 1")
         # Every sweep point must have a usable channel before the first runs.
         for ebno in self.ebno_sweep:
             try:
@@ -133,6 +127,11 @@ class ExperimentConfig:
         doc = dataclasses.asdict(self)
         doc["ebno_sweep"] = list(self.ebno_sweep)
         return doc
+
+
+# The type of each ExperimentConfig field; INT_FIELDS hold ``int`` or ``int | None``.
+FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+INT_FIELDS = tuple(name for name, kind in FIELD_TYPES.items() if int in (typing.get_args(kind) or (kind,)))
 
 
 @dataclass

@@ -96,8 +96,9 @@ class TestEncode:
         rng = np.random.default_rng(0)
         for N in (8, 32, 128, 1024):
             spec = build_mother_code(N, N // 2)
-            msgs = rng.integers(0, 2, (20, N // 2), dtype=np.uint8)
-            np.testing.assert_array_equal(encode(spec, msgs), dense_encode(spec, msgs))
+            for shape in ((20, N // 2), (2, 20, N // 2)):
+                msgs = rng.integers(0, 2, shape, dtype=np.uint8)
+                np.testing.assert_array_equal(encode(spec, msgs), dense_encode(spec, msgs))
 
     def test_gf2_linearity(self):
         rng = np.random.default_rng(1)
@@ -213,6 +214,10 @@ class TestScDecode:
         msgs, _ = sc_decode_batch(spec, np.random.default_rng(6).normal(0, 2, 8))
         assert msgs[0].size == 0
         assert encode(spec, msgs[0]).tolist() == [0] * 8
+        # No information leaf runs, so the root keeps one row per frame.
+        lists, pm = scl_decode_batch(spec, np.random.default_rng(6).normal(0, 2, (3, 8)), 4)
+        assert lists.shape == (3, 4, 0)
+        assert np.isfinite(pm[:, 0]).all() and np.isinf(pm[:, 1:]).all()
 
     def test_single_frame_is_its_batch_row(self):
         rng = np.random.default_rng(21)
@@ -277,6 +282,22 @@ class TestSclDecode:
         spec = build_mother_code(64, 32)
         llr = awgn_llrs(encode(spec, rng.integers(0, 2, (20, 32), dtype=np.uint8)), 0.9, rng)
         assert_single_frames_are_batch_rows(lambda f: scl_decode_batch(spec, f, L=8, threshold=1e-3), llr)
+
+    def test_frozen_leaves_after_the_last_fork_reorder_paths(self):
+        # Position N - 1 is the last leaf decoded.  Frozen here, its penalties
+        # re-rank the paths after the last fork, so each message must follow
+        # its path into the final metric order.  In the built codes that leaf
+        # is an information bit or a shortened one (penalty 0), which leaves
+        # the paths in metric order already.
+        mask = build_mother_code(16, 8).frozen_mask.copy()
+        mask[15] = True
+        spec = CodeSpec(16, 7, 16, mask, RateMatchPattern())
+        rng = np.random.default_rng(24)
+        llr = awgn_llrs(encode(spec, rng.integers(0, 2, (256, 7), dtype=np.uint8)), 1.0, rng)
+        for L in (2, 4):
+            msgs, pm = scl_decode_batch(spec, llr, L)
+            ref_msgs, ref_pm = reference_scl_decode_batch(spec, llr, L, 0.0, "minsum")
+            assert np.array_equal(msgs, ref_msgs) and np.array_equal(pm, ref_pm), f"L={L}"
 
     def test_list_size_validation(self):
         spec = build_mother_code(8, 4)

@@ -231,6 +231,12 @@ class TestSelect:
         with pytest.raises(ConstructionError, match="deficit 2"):
             select_information_set([1.0, 0.0, 0.0, 2.0], 4)
 
+    def test_rejects_fractional_count(self):
+        # Rejected, not truncated to K = 3; a whole float still selects.
+        with pytest.raises(ConstructionError, match="whole numbers"):
+            select_information_set([1.0, 2.0, 3.0, 4.0], 3.7)
+        assert np.count_nonzero(~select_information_set([1.0, 2.0, 3.0, 4.0], 3.0)) == 3
+
 
 class TestMotherCode:
     def test_tiny(self):
@@ -328,6 +334,13 @@ class TestShorteningPattern:
             shortening_pattern("NAT_PD", 8, 4)
         with pytest.raises(ConstructionError):
             shortening_pattern("XYZ", 8, 6)
+        # A fractional M is a construction error, not a TypeError or a truncation.
+        for method in PATTERN_METHODS:
+            with pytest.raises(ConstructionError, match="whole numbers"):
+                shortening_pattern(method, 64, 40.5)
+            with pytest.raises(ConstructionError, match="whole numbers"):
+                build_shortened_code(64, 40.5, 20, method)
+        assert build_shortened_code(64, 40.0, 20, "CW").tx_len == 40
 
 
 class TestBuildShortened:
@@ -420,6 +433,13 @@ class TestBuildExtended:
             build_extended_code(8, 4, 4)  # delta_M must stay below N/2
         with pytest.raises(ConstructionError):
             build_extended_code(8, 3, 0)
+        # Rejected, not truncated to delta_M = 16 or to positions 60, 61, 62.
+        with pytest.raises(ConstructionError, match="whole numbers"):
+            build_extended_code(64, 16.7, 40)
+        with pytest.raises(ConstructionError, match="whole numbers"):
+            build_extended_code(64, 3, 40, repeat=[60.5, 61.5, 62.9])
+        assert build_extended_code(64, 16.0, 40).tx_len == 80
+        assert build_extended_code(64, 3, 40, repeat=[60.0, 61.0, 62.0]).pattern.indices.tolist() == [60, 61, 62]
 
 
 class TestBecConstruct:
@@ -466,6 +486,8 @@ class TestBecConstruct:
                 evolve_bec(eps)
         with pytest.raises(ConstructionError):
             bec_construct([np.nan, 0.5, 0.5, 0.5], 2)
+        with pytest.raises(ConstructionError, match="whole numbers"):
+            bec_construct(np.full(8, 0.5), 3.7)
 
 
 class TestCodeSpec:

@@ -59,6 +59,9 @@ class TestConfig:
             ExperimentConfig(N=64, K=32, repeat="bogus")
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, ebno_sweep=(1.0, float("inf")))
+        for name in ("list_size", "min_frame_errors", "max_frames", "M"):
+            with pytest.raises(ConstructionError, match=f"{name} must be at least 1"):
+                ExperimentConfig(**{"N": 64, "K": 32, "decoder": "SCL", name: 0})
         # Integer fields must hold integers: rejected when the config is made,
         # not truncated or left to fail inside run_point.
         for name, value in (("N", 64.5), ("K", 32.5), ("M", 48.5), ("list_size", 2.5), ("crc_len", 24.0),
