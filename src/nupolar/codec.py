@@ -179,9 +179,19 @@ class _ListDecoder:
     the slot order, so SC never re-aligns.  The messages are read off the
     root's codewords, in metric order, through the self-inverse
     :func:`_transform`.
+
+    Without ``metric`` (SC only, for callers that read the messages alone;
+    see :func:`_sc_messages`) the walk keeps no path metric and returns
+    ``None`` for it.  It also skips every Rate-0 node, a subtree whose
+    positions ``offset::stride`` are all frozen: its codeword is all zeros
+    whatever its LLRs (Alamdar-Yazdi & Kschischang 2011), so neither its
+    ``f``/``g`` updates nor its leaves run.  That is exact only without the
+    metric, which adds a penalty for every frozen leaf's LLR.  Rate-1, REP
+    and SPC nodes are not skipped: SC breaks ties on the source bits, so
+    their hard-decision shortcuts would change the messages.
     """
 
-    def __init__(self, spec: CodeSpec, L: int, threshold: float, rule: str):
+    def __init__(self, spec: CodeSpec, L: int, threshold: float, rule: str, metric: bool = True):
         if not isinstance(L, numbers.Integral) or L < 1:
             raise ValueError(f"list size must be a whole number >= 1, got {L!r}")
         if not 0.0 <= threshold <= 1.0:
@@ -193,22 +203,30 @@ class _ListDecoder:
         # A single path is never pruned.
         self.log_thr = None if threshold == 0.0 or L == 1 else -float(np.log(threshold))
         self.f = RULES[rule]
+        # Per stride s, which offsets root an all-frozen (Rate-0) subtree.
+        N = len(self.frozen)
+        self.rate0 = None if metric else {
+            s: self.frozen.reshape(N // s, s).all(axis=0) for s in (1 << k for k in range(N.bit_length()))}
 
     def decode(self, llr):
         B, L = len(llr), self.L
         self.rows = np.arange(B)[:, None]
         self.identity = np.arange(B * L)
-        self.pm = np.full((B, L), np.inf)
-        self.pm[:, 0] = 0.0
+        self.pm = None
+        if self.rate0 is None:
+            self.pm = np.full((B, L), np.inf)
+            self.pm[:, 0] = 0.0
         # One error-state context for the whole walk instead of one per g.
         with np.errstate(invalid="ignore"):
             x = self._rec(llr, 0, 1)
-        order = (np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
+        order = self.identity if self.pm is None else (
+            np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
         x = self._align(x, order)
         u = np.empty((len(self.frozen), B, L), dtype=np.uint8)
         for i in range(0, B * L, 64):  # blocks stay in cache: 5x faster at B*L = 4096, N = 512
             u.reshape(len(u), B * L)[:, i : i + 64] = x[i : i + 64].T
-        return _transform(u)[~self.frozen].transpose(1, 2, 0), self.pm.ravel()[order].reshape(B, L)
+        msgs = _transform(u)[~self.frozen].transpose(1, 2, 0)
+        return msgs, None if self.pm is None else self.pm.ravel()[order].reshape(B, L)
 
     def _align(self, x, to):
         if to is self.identity:
@@ -218,6 +236,9 @@ class _ListDecoder:
         return x[to]
 
     def _rec(self, llr, offset, stride):
+        if self.rate0 is not None and self.rate0[stride][offset]:
+            self.origin = self.identity
+            return np.zeros(llr.shape, dtype=np.uint8)
         if llr.shape[1] == 1:
             return self._leaf(llr[:, 0], offset)[:, None]
         # Adjacent channel positions polarize together (the tree dual to the
@@ -241,11 +262,13 @@ class _ListDecoder:
 
     def _leaf(self, lam, pos):
         """Decide position ``pos`` on every row of ``lam``; returns the bits."""
+        self.origin = self.identity
+        if self.pm is None:  # metric-free SC: frozen leaves are Rate-0 nodes
+            return (lam < 0).astype(np.uint8)
         B, L = self.pm.shape
         # Per frame: one LLR above the first information leaf, else one per
         # slot (sized explicitly, so that an empty batch reshapes too).
         per_frame = lam.reshape(B, L if len(lam) > B else 1)
-        self.origin = self.identity
         if self.frozen[pos]:
             bits = np.zeros(lam.shape, dtype=np.uint8)
             self.pm += np.logaddexp(0.0, -per_frame)
@@ -277,6 +300,12 @@ def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):
     """
     msgs, pm = scl_decode_batch(spec, frames, 1, rule=rule)
     return msgs[:, 0], pm[:, 0]
+
+
+def _sc_messages(spec: CodeSpec, frames, rule: str) -> np.ndarray:
+    """The messages ``(B, K)`` of :func:`sc_decode_batch`, bit for bit,
+    from the metric-free walk that skips Rate-0 nodes."""
+    return _ListDecoder(spec, 1, 0.0, rule, metric=False).decode(_check_frames(spec, frames))[0][:, 0]
 
 
 def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rule: str = "minsum"):

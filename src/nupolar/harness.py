@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
-from .codec import CRC24, RULES, _crc_select, crc_append, encode, scl_decode_batch
+from .codec import CRC24, RULES, _crc_select, _sc_messages, crc_append, encode, scl_decode_batch
 from .construction import (
     CONSTRUCTION_METHODS,
     PATTERN_METHODS,
@@ -226,9 +226,11 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tupl
     msgs = crc_append(payloads, CRC24) if cfg.crc_len else payloads
     tx = tx_frame(spec, encode(spec, msgs))
     frames = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
-    L = 1 if cfg.decoder == "SC" else cfg.list_size
-    lists, pm = scl_decode_batch(spec, frames, L, cfg.scl_threshold, cfg.rule)
-    decoded = _crc_select(lists, pm, CRC24)[0] if cfg.decoder == "CASCL" else lists[:, 0]
+    if cfg.decoder == "SC":
+        decoded = _sc_messages(spec, frames, cfg.rule)
+    else:
+        lists, pm = scl_decode_batch(spec, frames, cfg.list_size, cfg.scl_threshold, cfg.rule)
+        decoded = _crc_select(lists, pm, CRC24)[0] if cfg.decoder == "CASCL" else lists[:, 0]
     errs = decoded[:, :pay_bits] != payloads
     return [(len(e), int(e.sum()), int(e.any(axis=1).sum()))
             for e in np.split(errs, range(BATCH_FRAMES, count, BATCH_FRAMES))]

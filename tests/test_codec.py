@@ -13,7 +13,9 @@ from nupolar.codec import (
     encode,
     f_exact,
     f_minsum,
+    _ListDecoder,
     _penalties,
+    _sc_messages,
     g_node,
     sc_decode_batch,
     scl_decode_batch,
@@ -350,6 +352,56 @@ class TestSclBitIdentity:
                     sc_msgs, sc_pm = sc_decode_batch(spec, batch, rule)
                     assert np.array_equal(sc_msgs, ref_msgs[:, 0]), f"SC messages, B={len(batch)}"
                     assert np.array_equal(sc_pm, ref_pm[:, 0]), f"SC metrics, B={len(batch)}"
+
+
+# Besides the bit-identity codes: a K = N mother code, which has no Rate-0
+# node, and an all-frozen one, whose root is a Rate-0 node.
+METRIC_FREE_CODES = dict(
+    BIT_IDENTITY_CODES,
+    **{"mother-64-64": lambda: build_mother_code(64, 64),
+       "all-frozen-8": lambda: CodeSpec(8, 0, 8, np.ones(8, dtype=bool), RateMatchPattern())},
+)
+
+
+class TestMetricFreeSc:
+    """The metric-free walk that ``run_point`` runs for SC skips the Rate-0
+    nodes and still decodes the messages of ``sc_decode_batch`` bit for bit
+    (which ``TestSclBitIdentity`` pins to the reference decoder)."""
+
+    @pytest.mark.parametrize("rule", ["minsum", "exact"])
+    @pytest.mark.parametrize("code", sorted(METRIC_FREE_CODES))
+    def test_messages_equal_sc_decode(self, code, rule):
+        spec = METRIC_FREE_CODES[code]()
+        rng = np.random.default_rng(25)
+        msgs = rng.integers(0, 2, (256, spec.payload_len), dtype=np.uint8)
+        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.9, rng))
+        # Salt the frames with both certainties and exact ties.
+        salt = rng.choice([np.inf, -np.inf, 0.0], size=frames.shape)
+        frames = np.where(rng.random(frames.shape) < 0.05, salt, frames)
+        for batch in (frames[:0], frames[:1], frames):
+            got = _sc_messages(spec, batch, rule)
+            want, _ = sc_decode_batch(spec, batch, rule)
+            assert got.shape == want.shape and np.array_equal(got, want), f"B={len(batch)}"
+
+    @pytest.mark.parametrize("code", sorted(METRIC_FREE_CODES))
+    def test_walk_stops_at_rate0_nodes(self, code, monkeypatch):
+        spec = METRIC_FREE_CODES[code]()
+        frozen = spec.frozen_mask
+
+        def nodes(offset, stride):  # the nodes down to and including each Rate-0 root
+            sub = frozen[offset::stride]
+            if sub.all() or len(sub) == 1:
+                return 1
+            return 1 + nodes(offset, 2 * stride) + nodes(offset + stride, 2 * stride)
+
+        visits, leaves = [], []
+        rec, leaf = _ListDecoder._rec, _ListDecoder._leaf
+        monkeypatch.setattr(_ListDecoder, "_rec", lambda self, *a: visits.append(a) or rec(self, *a))
+        monkeypatch.setattr(_ListDecoder, "_leaf", lambda self, *a: leaves.append(a[1]) or leaf(self, *a))
+        _sc_messages(spec, np.ones((3, spec.mother_len)), "minsum")
+        assert len(visits) == nodes(0, 1)
+        # Only the information leaves run, each once.
+        assert sorted(leaves) == np.flatnonzero(~frozen).tolist()
 
 
 class TestCrc:

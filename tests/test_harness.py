@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from nupolar import harness
+from nupolar.channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
+from nupolar.codec import encode, sc_decode_batch
 from nupolar.construction import (
     CONSTRUCTION_METHODS,
     ConstructionError,
@@ -15,6 +17,7 @@ from nupolar.construction import (
     build_shortened_code,
 )
 from nupolar.harness import BATCH_FRAMES, ExperimentConfig, _work_units, build_spec, run_point, run_sweep
+from nupolar.ratematch import dematch, tx_frame
 
 
 def small_cfg(**kw):
@@ -186,6 +189,31 @@ class TestRunPoint:
         assert json.loads(json.dumps(rep.to_json_dict()))["points"][0]["fer_ci95"] == list(p.fer_ci95)
         assert rep.csv_text().splitlines()[0] == "ebno_db,frames,bit_errors,frame_errors,ber,fer"
 
+    @pytest.mark.parametrize("rule", ["minsum", "exact"])
+    @pytest.mark.parametrize("code", [
+        dict(N=512, M=320, K=160, method="NUPGA_shortened", pattern_method="NAT_PD"),
+        dict(N=64, M=80, K=40, method="NUPGA_extended"),
+    ])
+    def test_sc_counters_replay_the_public_chain(self, code, rule):
+        # 2 dB stops on the error target, 3 dB at the frame cap.
+        cfg = ExperimentConfig(decoder="SC", rule=rule, max_frames=1024, min_frame_errors=100, seed=5, **code)
+        spec = build_spec(cfg)
+        for ebno in (2.0, 3.0):
+            p = run_point(cfg, ebno, workers=1, spec=spec)
+            chan = ChannelConfig(ebno, cfg.rate, cfg.seed)
+            frames = bit_errors = frame_errors = 0
+            while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
+                count = min(BATCH_FRAMES, cfg.max_frames - frames)
+                payloads, noise = frame_draws(cfg.seed, frames, count, cfg.payload_bits, cfg.M, chan.sigma)
+                tx = tx_frame(spec, encode(spec, payloads))
+                llr = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
+                errs = sc_decode_batch(spec, llr, rule)[0] != payloads
+                frames += count
+                bit_errors += int(errs.sum())
+                frame_errors += int(errs.any(axis=1).sum())
+            assert (p.frames, p.bit_errors, p.frame_errors) == (frames, bit_errors, frame_errors), ebno
+            assert p.stop == ("errors" if ebno == 2.0 else "frames")
+
 
 class TestWorkUnits:
     @pytest.mark.parametrize("max_frames", [1, 255, 256, 1000, 4096, 10_000])
@@ -238,13 +266,13 @@ class TestWorkUnits:
 
     def test_first_batch_stop_decodes_one_batch(self, monkeypatch):
         rows = []
-        decode = harness.scl_decode_batch
+        decode = harness._sc_messages
 
         def counted(spec, frames, *args):
             rows.append(len(frames))
             return decode(spec, frames, *args)
 
-        monkeypatch.setattr(harness, "scl_decode_batch", counted)
+        monkeypatch.setattr(harness, "_sc_messages", counted)
         p = run_point(small_cfg(max_frames=100_000, min_frame_errors=10), -5.0, workers=1)
         assert p.frames == BATCH_FRAMES and p.stop == "errors"
         assert rows == [BATCH_FRAMES]
