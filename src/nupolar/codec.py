@@ -174,11 +174,17 @@ class _ListDecoder:
     can re-align the LLRs and partial sums they captured before their
     children duplicated and re-ranked the paths.  Frozen leaves keep the
     slot order; ``origin`` is then the shared ``identity`` array, and
-    re-alignment against it is skipped.  With one path an information leaf
-    takes SC's hard decision, an LLR below 0 giving bit 1, and also keeps
-    the slot order, so SC never re-aligns.  The messages are read off the
-    root's codewords, in metric order, through the self-inverse
-    :func:`_transform`.
+    re-alignment against it is skipped.  Otherwise a node re-aligns its
+    LLRs with one gather of whole rows and reads both halves off that.
+    With one path an information leaf takes SC's hard decision, an LLR
+    below 0 giving bit 1, and also keeps the slot order, so SC never
+    re-aligns.  With more, it keeps the ``L`` best of its ``2L`` candidates
+    in stable-sort order, ties going to the lower column: an unstable sort,
+    and a stable re-sort of just the rows where it meets a tie
+    (:meth:`_top`).  A frozen leaf whose LLR is known-zero (+inf) on every
+    row adds nothing to the metric and skips its ``logaddexp``.  The
+    messages are read off the root's codewords, in metric order, through
+    the self-inverse :func:`_transform`.
 
     Without ``metric`` (SC only, for callers that read the messages alone;
     see :func:`_sc_messages`) the walk keeps no path metric and returns
@@ -233,7 +239,7 @@ class _ListDecoder:
             return x
         if len(x) < len(to):  # one row per frame: the same for every slot
             return np.repeat(x, self.L, axis=0)
-        return x[to]
+        return np.take(x, to, axis=0)
 
     def _rec(self, llr, offset, stride):
         if self.rate0 is not None and self.rate0[stride][offset]:
@@ -248,9 +254,13 @@ class _ListDecoder:
         b = llr[:, 1::2]
         x_left = self._rec(self.f(a, b), offset, 2 * stride)
         left_to_entry = self.origin
-        a_cur = self._align(a, left_to_entry)
-        b_cur = self._align(b, left_to_entry)
-        x_right = self._rec(_g(a_cur, b_cur, x_left), offset + stride, 2 * stride)
+        if left_to_entry is not self.identity:
+            # One gather of whole rows: gathering the two strided halves
+            # separately is up to 13x slower on narrow nodes.
+            llr = self._align(llr, left_to_entry)
+            a = llr[:, 0::2]
+            b = llr[:, 1::2]
+        x_right = self._rec(_g(a, b, x_left), offset + stride, 2 * stride)
         right_to_left = self.origin
         x_left = self._align(x_left, right_to_left)
         if left_to_entry is not self.identity:
@@ -271,7 +281,10 @@ class _ListDecoder:
         per_frame = lam.reshape(B, L if len(lam) > B else 1)
         if self.frozen[pos]:
             bits = np.zeros(lam.shape, dtype=np.uint8)
-            self.pm += np.logaddexp(0.0, -per_frame)
+            # A known-zero (+inf) LLR costs logaddexp(0, -inf) = 0.0, and
+            # pm + 0.0 == pm bit for bit, since pm is never -0.0.
+            if not np.isposinf(per_frame).all():
+                self.pm += np.logaddexp(0.0, -per_frame)
         elif L == 1:
             # SC: an LLR of exactly 0 resolves to bit 0.
             bits = (lam < 0).astype(np.uint8)
@@ -279,14 +292,32 @@ class _ListDecoder:
         else:
             zero, one = _penalties(per_frame)
             cand = np.concatenate([self.pm + zero, self.pm + one], axis=1)
-            keep = np.argsort(cand, axis=1, kind="stable")[:, :L]
-            bits = (keep >= L).astype(np.uint8).ravel()
-            self.pm = cand[self.rows, keep]
-            self.origin = (keep % L + L * self.rows).ravel()
+            keep, self.pm = self._top(cand)
+            is_one = keep >= L
+            bits = is_one.astype(np.uint8).ravel()
+            self.origin = (keep - L * is_one + L * self.rows).ravel()
         if self.log_thr is not None:
             best = self.pm.min(axis=1, keepdims=True)
             self.pm = np.where(self.pm > best + self.log_thr, np.inf, self.pm)
         return bits
+
+    def _top(self, cand):
+        """Per row of ``cand`` ``(B, 2L)``, the columns of the ``L`` smallest
+        values and those values, in the order of a stable ``argsort``.
+
+        The unstable sort is 3x faster and orders the columns the same way
+        unless two of the first ``L + 1`` sorted values are equal (``inf``
+        and signed zeros included); such rows are sorted again, stably.
+        """
+        L = self.L
+        row_start = 2 * L * self.rows
+        order = np.argsort(cand, axis=1)
+        top = np.take(cand, order[:, : L + 1] + row_start)
+        tied = (top[:, 1:] == top[:, :-1]).any(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(cand[tied], axis=1, kind="stable")
+            top[tied] = np.take(cand, order[tied, : L + 1] + row_start[tied])
+        return order[:, :L], top[:, :L]
 
 
 def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):

@@ -354,6 +354,40 @@ class TestSclBitIdentity:
                     assert np.array_equal(sc_pm, ref_pm[:, 0]), f"SC metrics, B={len(batch)}"
 
 
+class TestSclFastPaths:
+    """Inputs that reach the list decoder's shortcuts, against the reference
+    decoder bit for bit: candidate metrics that tie, which the unstable sort
+    of the top-L hands to a stable re-sort, and frozen leaves whose LLRs are
+    known-zero (+inf) on every row, which add no penalty."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3])
+    @pytest.mark.parametrize("rule", ["minsum", "exact"])
+    def test_matches_reference(self, rule, threshold):
+        spec = build_shortened_code(64, 48, 24, "NAT_PD")
+        rng = np.random.default_rng(27)
+        msgs = rng.integers(0, 2, (128, spec.payload_len), dtype=np.uint8)
+        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.9, rng))
+        # Two magnitudes only, so that finite candidate metrics tie, salted
+        # with both certainties and exact zeros.
+        repeated = np.sign(frames) * rng.choice([1.0, 2.0], size=frames.shape)
+        salt = rng.choice([np.inf, -np.inf, 0.0], size=frames.shape)
+        salted = np.where(rng.random(frames.shape) < 0.05, salt, repeated)
+        # Frozen positions that are known-zero on some rows only.
+        partial = frames.copy()
+        partial[::2, spec.frozen_mask] = KNOWN_ZERO_LLR
+        batches = {
+            "salted": salted,
+            "partial": partial,
+            "all-known-zero": np.full(frames.shape, KNOWN_ZERO_LLR),
+        }
+        for L in (2, 4, 16):
+            for name, batch in batches.items():
+                got_msgs, got_pm = scl_decode_batch(spec, batch, L, threshold, rule)
+                ref_msgs, ref_pm = reference_scl_decode_batch(spec, batch, L, threshold, rule)
+                assert np.array_equal(got_msgs, ref_msgs), f"messages, L={L}, {name}"
+                assert np.array_equal(got_pm, ref_pm), f"metrics, L={L}, {name}"
+
+
 # Besides the bit-identity codes: a K = N mother code, which has no Rate-0
 # node, and an all-frozen one, whose root is a Rate-0 node.
 METRIC_FREE_CODES = dict(

@@ -153,3 +153,35 @@ class TestDispatch:
             assert spec.tx_positions.size == spec.tx_len
             counts = np.bincount(spec.tx_positions, minlength=spec.mother_len)
             assert counts.tolist() == [1] * 12 + [tail_count] * 4
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            build_mother_code(64, 32),
+            build_shortened_code(512, 320, 160, "NAT_PD"),
+            build_shortened_code(128, 100, 50, "RQUP"),
+            build_shortened_code(128, 90, 40, "CW"),
+            build_extended_code(64, 16, 40),
+        ],
+        ids=["mother", "nat-pd", "rqup", "cw", "extended"],
+    )
+    def test_dematch_equals_the_scatter_formula(self, spec):
+        # Each position's first observation scattered into a known-zero
+        # frame, then the repeated observations added: the same bits as
+        # dematch, for both certainties and both signed zeros.
+        def scatter(rx):
+            N, pos = spec.mother_len, spec.tx_positions
+            out = np.full(rx.shape[:-1] + (N,), KNOWN_ZERO_LLR)
+            out[..., pos[:N]] = rx[..., :N]
+            out[..., pos[N:]] += rx[..., N:]
+            return out
+
+        rng = np.random.default_rng(7)
+        rx = rng.normal(0.0, 3.0, (32, spec.tx_len))
+        salt = rng.choice([np.inf, -np.inf, 0.0, -0.0], size=rx.shape)
+        rx = np.where(rng.random(rx.shape) < 0.1, salt, rx)
+        with np.errstate(invalid="ignore"):  # +inf meets -inf on a repeated position
+            for frames in (rx, rx[0], rx[:0]):
+                got, want = dematch(spec, frames), scatter(frames)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
