@@ -26,7 +26,7 @@ unpacked anywhere outside the repository):
 
     git archive <parent> src | tar -x -C /tmp/parent
     python3 bench/ab.py --base /tmp/parent/src --head src \\
-        --pairs 30 --out bench/BENCH_6.json
+        --pairs 30 --out bench/BENCH_<n>.json
 
 Run the tree against itself for a few pairs, as a quick check that the
 script works (no report unless ``--out`` is given):

@@ -18,7 +18,7 @@ All indices in the Python API are 0-based.  The JSON serialization of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -190,36 +190,30 @@ class CodeSpec:
         return isinstance(other, CodeSpec) and self.to_json() == other.to_json()
 
     def to_json(self, indent: int | None = None) -> str:
-        """Serialize to JSON with 1-based pattern/mask positions."""
-        doc = {
-            "mother_len": self.mother_len,
-            "payload_len": self.payload_len,
-            "tx_len": self.tx_len,
-            "frozen_mask": self.frozen_mask.astype(int).tolist(),
-            "pattern": {
-                "kind": self.pattern.kind,
-                "indices": (self.pattern.indices + 1).tolist(),
-            },
-            "design_snr_db": self.design_snr_db,
-            "construction_method": self.construction_method,
-            "g_mode": self.g_mode,
-        }
+        """Serialize the init fields, in field order, as JSON: the mask as
+        0/1 and the pattern as ``{"kind", "indices"}`` with 1-based positions."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        doc["frozen_mask"] = self.frozen_mask.astype(int).tolist()
+        doc["pattern"] = {"kind": self.pattern.kind, "indices": (self.pattern.indices + 1).tolist()}
         return json.dumps(doc, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "CodeSpec":
-        doc = json.loads(text)
-        pattern = RateMatchPattern(doc["pattern"]["kind"], np.asarray(doc["pattern"]["indices"]) - 1)
-        return cls(
-            mother_len=doc["mother_len"],
-            payload_len=doc["payload_len"],
-            tx_len=doc["tx_len"],
-            frozen_mask=doc["frozen_mask"],
-            pattern=pattern,
-            design_snr_db=doc["design_snr_db"],
-            construction_method=doc["construction_method"],
-            g_mode=doc["g_mode"],
-        )
+        """Inverse of :meth:`to_json`; rejects missing and unknown keys."""
+        doc = _exact_keys(json.loads(text), cls)
+        pattern = _exact_keys(doc["pattern"], RateMatchPattern)
+        doc["pattern"] = RateMatchPattern(pattern["kind"], np.asarray(pattern["indices"]) - 1)
+        return cls(**doc)
+
+
+def _exact_keys(doc, cls) -> dict:
+    # ``doc`` once its keys are exactly the init fields of dataclass ``cls``.
+    names = {f.name for f in fields(cls) if f.init}
+    keys = set(doc) if isinstance(doc, dict) else set()
+    if keys != names:
+        raise ConstructionError(f"{cls.__name__} document: missing keys {sorted(names - keys)}, "
+                                f"unknown keys {sorted(keys - names)}")
+    return doc
 
 
 def _butterfly(v, pair, keep_stages: bool, hold):

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
-from .codec import CRC24, RULES, _crc_select, _sc_messages, crc_append, encode, scl_decode_batch
+from .codec import CRC24, RULES, _sc_messages, ca_scl_decode_batch, crc_append, encode, scl_decode_batch
 from .construction import (
     CONSTRUCTION_METHODS,
     PATTERN_METHODS,
@@ -228,9 +228,10 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tupl
     frames = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
     if cfg.decoder == "SC":
         decoded = _sc_messages(spec, frames, cfg.rule)
+    elif cfg.decoder == "CASCL":
+        decoded = ca_scl_decode_batch(spec, frames, cfg.list_size, CRC24, cfg.scl_threshold, cfg.rule)[0]
     else:
-        lists, pm = scl_decode_batch(spec, frames, cfg.list_size, cfg.scl_threshold, cfg.rule)
-        decoded = _crc_select(lists, pm, CRC24)[0] if cfg.decoder == "CASCL" else lists[:, 0]
+        decoded = scl_decode_batch(spec, frames, cfg.list_size, cfg.scl_threshold, cfg.rule)[0][:, 0]
     errs = decoded[:, :pay_bits] != payloads
     return [(len(e), int(e.sum()), int(e.any(axis=1).sum()))
             for e in np.split(errs, range(BATCH_FRAMES, count, BATCH_FRAMES))]

@@ -118,7 +118,7 @@ class TestSimulate:
         assert rc == 0
 
     @pytest.mark.parametrize("line", ["rate_excludes_crc = ture", "rule = bogus", "g_mode = bogus",
-                                      "repeat = bogus"])
+                                      "repeat = bogus", "list = 4", "seed 4"])
     def test_bad_config_file_value_exits_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"N = 64\nK = 32\nebno_sweep = 1.0\nmax_frames = 256\n{line}\n")

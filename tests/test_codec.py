@@ -176,6 +176,9 @@ class TestScDecode:
         spec = build_mother_code(4, 2)
         with pytest.raises(ValueError):
             sc_decode_batch(spec, np.array([1.0, np.nan, 0.5, 2.0]))
+        for frames in (np.zeros(5), np.zeros((2, 8)), np.zeros((1, 2, 4))):
+            with pytest.raises(ValueError, match="LLR frame length"):
+                sc_decode_batch(spec, frames)
 
     def test_matches_probability_domain_reference(self):
         # 1000 noisy frames at 3 dB, N=8/K=4; the exact-rule LLR decoder and
@@ -484,6 +487,10 @@ class TestCrc:
         msgs = crc_append(rng.integers(0, 2, (5, 3, 26), dtype=np.uint8))
         assert crc_check(msgs).shape == (5, 3)
         assert crc_check(msgs).all()
+
+    def test_check_needs_a_payload(self):
+        with pytest.raises(ValueError, match="shorter than the checksum"):
+            crc_check(np.zeros(24, np.uint8))
 
 
 class TestCaScl:

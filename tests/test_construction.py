@@ -67,6 +67,8 @@ class TestEvolve:
             evolve_reliabilities([1.0, np.inf])
         with pytest.raises(ConstructionError):
             evolve_reliabilities([1.0, np.nan])
+        with pytest.raises(ConstructionError, match="one-dimensional"):
+            evolve_reliabilities(np.full((2, 2), 4.0))
 
     def test_keep_stages(self):
         stages = evolve_reliabilities(np.full(8, 4.0), keep_stages=True)
@@ -440,6 +442,12 @@ class TestBuildExtended:
             build_extended_code(64, 3, 40, repeat=[60.5, 61.5, 62.9])
         assert build_extended_code(64, 16.0, 40).tx_len == 80
         assert build_extended_code(64, 3, 40, repeat=[60.0, 61.0, 62.0]).pattern.indices.tolist() == [60, 61, 62]
+        with pytest.raises(ConstructionError, match="delta_M <= K"):
+            build_extended_code(8, 3, 2, repeat="weak_info")
+        with pytest.raises(ConstructionError, match="unknown repeat rule"):
+            build_extended_code(8, 1, 3, repeat="head")
+        with pytest.raises(ConstructionError, match="length delta_M"):
+            build_extended_code(8, 2, 3, repeat=[7])
 
 
 class TestBecConstruct:
@@ -488,6 +496,11 @@ class TestBecConstruct:
             bec_construct([np.nan, 0.5, 0.5, 0.5], 2)
         with pytest.raises(ConstructionError, match="whole numbers"):
             bec_construct(np.full(8, 0.5), 3.7)
+        with pytest.raises(ConstructionError, match="one-dimensional"):
+            evolve_bec(np.full((2, 2), 0.5))
+        for K in (-1, 9):
+            with pytest.raises(ConstructionError, match="payload length"):
+                bec_construct(np.full(8, 0.5), K)
 
 
 class TestCodeSpec:
@@ -507,6 +520,95 @@ class TestCodeSpec:
         with pytest.raises(ConstructionError):
             CodeSpec(8, 2, 6, np.array([1, 1, 1, 1, 1, 0, 0, 1], dtype=bool),
                      RateMatchPattern("shorten", [5, 6]))
+        for kind, indices, match in (("cut", [], "unknown pattern kind"), ("shorten", [5, 5], "distinct"),
+                                     ("extend", [-1], "non-negative"), ("none", [3], "carries no indices")):
+            with pytest.raises(ConstructionError, match=match):
+                RateMatchPattern(kind, indices)
+        # The checks a document from outside meets; each edit leaves the
+        # rest of the mother code's document valid.
+        for edit, match in (({"payload_len": 9}, "payload length 9 outside"),
+                            ({"construction_method": "GA"}, "unknown construction method"),
+                            ({"g_mode": "max"}, "unknown g_mode"),
+                            ({"tx_len": 7}, "tx length 7 must equal the 8"),
+                            ({"tx_len": 4, "pattern": {"kind": "shorten", "indices": [5, 6, 7, 8]}}, "N/2 < M < N")):
+            doc = json.loads(build_mother_code(8, 3).to_json()) | edit
+            with pytest.raises(ConstructionError, match=match):
+                CodeSpec.from_json(json.dumps(doc))
+        # A document that is not a JSON object has every key missing.
+        with pytest.raises(ConstructionError, match="CodeSpec document: missing keys"):
+            CodeSpec.from_json("[]")
+
+    @pytest.mark.parametrize("spec, text", [
+        (build_shortened_code(8, 6, 3, "NAT_PD"),
+         '''{
+  "mother_len": 8,
+  "payload_len": 3,
+  "tx_len": 6,
+  "frozen_mask": [
+    1,
+    0,
+    1,
+    0,
+    1,
+    0,
+    1,
+    1
+  ],
+  "pattern": {
+    "kind": "shorten",
+    "indices": [
+      7,
+      8
+    ]
+  },
+  "design_snr_db": 0.0,
+  "construction_method": "NUPGA_shortened",
+  "g_mode": "sum"
+}'''),
+        (build_extended_code(8, 1, 3),
+         '''{
+  "mother_len": 8,
+  "payload_len": 3,
+  "tx_len": 9,
+  "frozen_mask": [
+    1,
+    1,
+    1,
+    0,
+    1,
+    0,
+    1,
+    0
+  ],
+  "pattern": {
+    "kind": "extend",
+    "indices": [
+      8
+    ]
+  },
+  "design_snr_db": 0.0,
+  "construction_method": "NUPGA_extended",
+  "g_mode": "sum"
+}'''),
+    ], ids=["shortened", "extended"])
+    def test_document_bytes(self, spec, text):
+        # The document's exact bytes: key order, 0/1 mask, 1-based positions.
+        assert spec.to_json(indent=2) == text
+        assert spec.to_json() == json.dumps(json.loads(text))
+        assert CodeSpec.from_json(text) == spec
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc.pop("g_mode"), r"missing keys \['g_mode'\], unknown keys \[\]"),
+        (lambda doc: doc.update(rate=0.5), r"missing keys \[\], unknown keys \['rate'\]"),
+        (lambda doc: doc["pattern"].pop("kind"), r"RateMatchPattern document: missing keys \['kind'\]"),
+        (lambda doc: doc["pattern"].update(repeat="tail"), r"RateMatchPattern document: .*unknown keys \['repeat'\]"),
+        (lambda doc: doc.update(pattern=[8]), r"missing keys \['indices', 'kind'\]"),
+    ], ids=["missing", "unknown", "pattern_missing", "pattern_unknown", "pattern_not_object"])
+    def test_document_keys_are_exact(self, edit, match):
+        doc = json.loads(build_extended_code(8, 1, 3).to_json())
+        edit(doc)
+        with pytest.raises(ConstructionError, match=match):
+            CodeSpec.from_json(json.dumps(doc))
 
     def test_out_of_range_pattern_positions(self):
         # One range check serves every path into a spec: the JSON reader for

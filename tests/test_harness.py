@@ -46,6 +46,11 @@ class TestConfig:
             ExperimentConfig(N=64, K=32, decoder="CASCL", crc_len=0)
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, crc_len=8)
+        with pytest.raises(ConstructionError, match="K must exceed the CRC length"):
+            ExperimentConfig(N=64, K=24, crc_len=24)
+        for threshold in (-0.1, 1.5):
+            with pytest.raises(ConstructionError, match="scl_threshold"):
+                ExperimentConfig(N=64, K=32, decoder="SCL", scl_threshold=threshold)
         with pytest.raises(ConstructionError):
             ExperimentConfig(N=64, K=32, min_frame_errors=0)
         with pytest.raises(ConstructionError):

@@ -5,6 +5,7 @@ from nupolar.codec import encode
 from nupolar.construction import build_mother_code, build_shortened_code, evolve_reliabilities
 from nupolar.numerics import ga_pair_uniform, phi, phi_inv
 from nupolar.oracles import (
+    DENSE_MAX_N,
     dense_cw_pattern,
     dense_encode,
     exact_bec_channels,
@@ -92,6 +93,10 @@ class TestExactBec:
         out = exact_bec_channels(np.full(1024, 0.5))
         frac_extreme = np.mean((out < 0.01) | (out > 0.99))
         assert frac_extreme > 0.6
+
+    def test_recursion_cap(self):
+        with pytest.raises(ValueError, match="recursion capped"):
+            exact_bec_channels(np.full(2 * DENSE_MAX_N, 0.5))
 
 
 class TestKnownBitGa:

@@ -32,6 +32,8 @@ class TestShorten:
         spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
         with pytest.raises(InvalidSpecError):
             tx_frame(spec, np.array([1, 0, 1, 1], np.uint8))
+        with pytest.raises(ValueError, match="codeword length"):
+            tx_frame(spec, np.zeros(3, np.uint8))
 
     def test_exhaustive_small_code(self):
         spec = build_shortened_code(8, 6, 4, "NAT_PD")
