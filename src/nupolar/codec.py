@@ -87,8 +87,20 @@ def encode(spec: CodeSpec, msg) -> np.ndarray:
 
 
 def f_minsum(a, b):
-    """Check-node update, min-sum rule: sign(a) sign(b) min(|a|, |b|)."""
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    """Check-node update, min-sum rule: sign(a) sign(b) min(|a|, |b|).
+
+    The signs scale the minimum in place.  Each product is exact, and the
+    minimum is 0 wherever a sign is 0, so the order of the factors does not
+    change a bit, the sign of zero included.
+    """
+    out = np.abs(a)
+    try:
+        np.minimum(out, np.abs(b), out=out)
+    except (TypeError, ValueError):  # numpy scalars from 0-d inputs, or b broadcast wider than a
+        out = np.minimum(out, np.abs(b))
+    out *= np.sign(a)
+    out *= np.sign(b)
+    return out
 
 
 def f_exact(a, b):
@@ -118,14 +130,24 @@ def g_node(a, b, u_sum):
     contradiction is resolved to an erasure (LLR 0).
     """
     with np.errstate(invalid="ignore"):
-        return _g(a, b, u_sum)
+        return _g(*np.broadcast_arrays(a, b, u_sum))
 
 
 def _g(a, b, u_sum):
-    """:func:`g_node`'s arithmetic, for callers that already ignore invalid
-    floating-point operations."""
-    out = b + (1.0 - 2.0 * u_sum.astype(np.float64)) * a
-    return np.where(np.isnan(out), 0.0, out)
+    """:func:`g_node`'s arithmetic on arrays of one shape, in place on the
+    sign ``1 - 2 u_sum``, for callers that already ignore invalid
+    floating-point operations.  ``u_sum=None`` stands for all zeros, where
+    the update is ``b + a``."""
+    if u_sum is None:
+        out = b + a
+    else:
+        out = u_sum.astype(np.float64)
+        out *= -2.0
+        out += 1.0
+        out *= a
+        out += b
+    out[np.isnan(out)] = 0.0
+    return out
 
 
 def _penalties(lam):
@@ -159,6 +181,40 @@ def _check_frames(spec: CodeSpec, frames) -> np.ndarray:
 # successive cancellation list; SC is the single-path case
 
 
+def _combine(x_left, x_right) -> np.ndarray:
+    """A node's codeword from its children's ``(rows, n)`` codewords, ``None``
+    for an all-zero one: ``x_left ^ x_right`` at the even positions and
+    ``x_right`` at the odd ones.  Each pair of bits is built as one
+    little-endian ``uint16``, so that no step writes a strided view."""
+    if x_right is None:
+        return x_left.astype("<u2", order="C").view(np.uint8)
+    out = x_right.astype("<u2", order="C")
+    out *= 257  # the bit in both bytes
+    if x_left is not None:
+        out ^= x_left
+    return out.view(np.uint8)
+
+
+# Node kinds of the metric-free SC walk (see :class:`_ListDecoder`).
+RATE0, REP, RATE1, OTHER = range(4)
+
+
+def _node_kinds(frozen, rule: str) -> dict:
+    """Per stride ``s``, the kind of the node at each offset, the subtree of
+    positions ``offset::s``; a leaf is Rate-0 or REP."""
+    N = len(frozen)
+    kinds = {}
+    for s in (1 << k for k in range(N.bit_length())):
+        sub = frozen.reshape(N // s, s)
+        kind = np.full(s, OTHER)
+        if rule == "minsum":
+            kind[~sub.any(axis=0)] = RATE1
+        kind[sub[:-1].all(axis=0)] = REP
+        kind[sub.all(axis=0)] = RATE0
+        kinds[s] = kind.tolist()
+    return kinds
+
+
 class _ListDecoder:
     """Path-managed SCL over a batch of B frames; SC is the case ``L = 1``.
 
@@ -187,14 +243,27 @@ class _ListDecoder:
     the self-inverse :func:`_transform`.
 
     Without ``metric`` (SC only, for callers that read the messages alone;
-    see :func:`_sc_messages`) the walk keeps no path metric and returns
-    ``None`` for it.  It also skips every Rate-0 node, a subtree whose
-    positions ``offset::stride`` are all frozen: its codeword is all zeros
-    whatever its LLRs (Alamdar-Yazdi & Kschischang 2011), so neither its
-    ``f``/``g`` updates nor its leaves run.  That is exact only without the
-    metric, which adds a penalty for every frozen leaf's LLR.  Rate-1, REP
-    and SPC nodes are not skipped: SC breaks ties on the source bits, so
-    their hard-decision shortcuts would change the messages.
+    see :func:`_sc_messages`) the decoder keeps no path metric, returns
+    ``None`` for it, and runs :meth:`_sc`, a simplified-SC walk that
+    decodes three kinds of node (``kinds``, from the frozen mask and the
+    rule) without descending, bit for bit as SC does.  Each is named after
+    the positions ``offset::stride`` of its subtree:
+
+    * Rate-0, all frozen: the codeword is all zeros (Alamdar-Yazdi &
+      Kschischang 2011), and the parent does not compute the node's input;
+    * REP, all frozen but the last (Sarkis et al. 2014): every ``g`` is
+      ``b + a``, so the node is a level-wise sum, NaN set to 0 per level,
+      and its codeword repeats the bit ``sum < 0``;
+    * Rate-1, none frozen, min-sum only, with no LLR of 0: each ``f`` keeps
+      the sign ``sign(a) sign(b)`` with a nonzero magnitude and each ``g``
+      adds two nonzero values of one sign, so the codeword is ``llr < 0``.
+      An LLR of 0 meets SC's tie rule on the source bits
+      (``test_rate1_tie_is_not_the_hard_decision``), so the node is walked;
+      under the exact rule, whose ``f`` can round to 0 or flip its sign on
+      tiny inputs, every Rate-1 node is walked.
+
+    None of these is exact with the metric, which needs every leaf's LLR.
+    SPC nodes are walked: their Wagner decision is not shown to equal SC's.
     """
 
     def __init__(self, spec: CodeSpec, L: int, threshold: float, rule: str, metric: bool = True):
@@ -209,22 +278,19 @@ class _ListDecoder:
         # A single path is never pruned.
         self.log_thr = None if threshold == 0.0 or L == 1 else -float(np.log(threshold))
         self.f = RULES[rule]
-        # Per stride s, which offsets root an all-frozen (Rate-0) subtree.
-        N = len(self.frozen)
-        self.rate0 = None if metric else {
-            s: self.frozen.reshape(N // s, s).all(axis=0) for s in (1 << k for k in range(N.bit_length()))}
+        self.kinds = None if metric else _node_kinds(self.frozen, rule)
 
     def decode(self, llr):
         B, L = len(llr), self.L
         self.rows = np.arange(B)[:, None]
         self.identity = np.arange(B * L)
         self.pm = None
-        if self.rate0 is None:
+        if self.kinds is None:
             self.pm = np.full((B, L), np.inf)
             self.pm[:, 0] = 0.0
         # One error-state context for the whole walk instead of one per g.
         with np.errstate(invalid="ignore"):
-            x = self._rec(llr, 0, 1)
+            x = self._rec(llr, 0, 1) if self.kinds is None else self._sc(llr, 0, 1)
         order = self.identity if self.pm is None else (
             np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
         x = self._align(x, order)
@@ -241,10 +307,29 @@ class _ListDecoder:
             return np.repeat(x, self.L, axis=0)
         return np.take(x, to, axis=0)
 
-    def _rec(self, llr, offset, stride):
-        if self.rate0 is not None and self.rate0[stride][offset]:
-            self.origin = self.identity
+    def _sc(self, llr, offset, stride):
+        """The codeword of the node at ``offset`` on the metric-free walk."""
+        kind = self.kinds[stride][offset]
+        if kind == RATE0:  # the root only: parents skip their Rate-0 children
             return np.zeros(llr.shape, dtype=np.uint8)
+        if kind == REP:
+            n = llr.shape[1]
+            while llr.shape[1] > 1:
+                llr = _g(llr[:, 0::2], llr[:, 1::2], None)
+            return np.repeat(llr < 0, n, axis=1).view(np.uint8)
+        if kind == RATE1 and llr.all():
+            return (llr < 0).view(np.uint8)
+        a = llr[:, 0::2]
+        b = llr[:, 1::2]
+        child = self.kinds[2 * stride]
+        x_left = x_right = None
+        if child[offset] != RATE0:
+            x_left = self._sc(self.f(a, b), offset, 2 * stride)
+        if child[offset + stride] != RATE0:
+            x_right = self._sc(_g(a, b, x_left), offset + stride, 2 * stride)
+        return _combine(x_left, x_right)
+
+    def _rec(self, llr, offset, stride):
         if llr.shape[1] == 1:
             return self._leaf(llr[:, 0], offset)[:, None]
         # Adjacent channel positions polarize together (the tree dual to the
@@ -265,16 +350,11 @@ class _ListDecoder:
         x_left = self._align(x_left, right_to_left)
         if left_to_entry is not self.identity:
             self.origin = self._align(left_to_entry, right_to_left)
-        out = np.empty((len(x_left), 2 * x_left.shape[1]), dtype=np.uint8)
-        out[:, 0::2] = x_left ^ x_right
-        out[:, 1::2] = x_right
-        return out
+        return _combine(x_left, x_right)
 
     def _leaf(self, lam, pos):
         """Decide position ``pos`` on every row of ``lam``; returns the bits."""
         self.origin = self.identity
-        if self.pm is None:  # metric-free SC: frozen leaves are Rate-0 nodes
-            return (lam < 0).astype(np.uint8)
         B, L = self.pm.shape
         # Per frame: one LLR above the first information leaf, else one per
         # slot (sized explicitly, so that an empty batch reshapes too).

@@ -18,6 +18,7 @@ All indices in the Python API are 0-based.  The JSON serialization of
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -41,9 +42,13 @@ def _check_power_of_two(n: int) -> int:
 
 
 def _whole(values, what: str) -> np.ndarray:
-    """``values`` as int64, rejecting (not truncating) anything fractional."""
+    """``values`` as int64, rejecting (not truncating) anything fractional
+    and anything that is not a number."""
     arr = np.asarray(values)
-    ints = arr.astype(np.int64)
+    if arr.dtype.kind not in "biuf":
+        raise ConstructionError(f"{what} must be whole numbers")
+    with np.errstate(invalid="ignore"):  # inf and NaN cast to garbage, caught below
+        ints = arr.astype(np.int64)
     if not np.array_equal(ints, arr):
         raise ConstructionError(f"{what} must be whole numbers")
     return ints
@@ -180,6 +185,8 @@ class CodeSpec:
         self.mother_len, self.payload_len, self.tx_len = N, K, M
         self.frozen_mask = mask
         self.tx_positions = tx
+        if not isinstance(self.design_snr_db, numbers.Real):
+            raise ConstructionError(f"design_snr_db must be a number, got {self.design_snr_db!r}")
         self.design_snr_db = float(self.design_snr_db)
 
     @property
@@ -202,7 +209,7 @@ class CodeSpec:
         """Inverse of :meth:`to_json`; rejects missing and unknown keys."""
         doc = _exact_keys(json.loads(text), cls)
         pattern = _exact_keys(doc["pattern"], RateMatchPattern)
-        doc["pattern"] = RateMatchPattern(pattern["kind"], np.asarray(pattern["indices"]) - 1)
+        doc["pattern"] = RateMatchPattern(pattern["kind"], _whole(pattern["indices"], "pattern indices") - 1)
         return cls(**doc)
 
 

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+import scl_reference
+from nupolar import codec
 from nupolar.channel import frame_draws
 from nupolar.codec import (
     CRC24,
@@ -146,6 +148,30 @@ class TestNodeFunctions:
         assert g_node(np.array(inf), np.array(1.0), np.array(1, np.uint8)) == -inf
         # contradictory certainties resolve to an erasure, never NaN
         assert g_node(np.array(inf), np.array(inf), np.array(1, np.uint8)) == 0.0
+
+    def test_bit_identical_to_the_reference_formulas(self):
+        # The in-place node updates give the bits of the plain formulas that
+        # scl_reference keeps, the sign of zero included, on every pair of
+        # edge values (signed zeros, infinities, subnormals, near-overflow
+        # magnitudes), on random values salted with them, and on 0-d inputs.
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2e-310, -2e-310,
+                         1.0, -2.5, 1e308, -1e308])
+        rng = np.random.default_rng(28)
+        noise = rng.normal(0.0, 8.0, (2, 10_000))
+        noise = np.where(rng.random(noise.shape) < 0.2, rng.choice(edge, noise.shape), noise)
+        a = np.concatenate([np.repeat(edge, edge.size), noise[0]])
+        b = np.concatenate([np.tile(edge, edge.size), noise[1]])
+        u = rng.integers(0, 2, a.shape, dtype=np.uint8)
+        pairs = [(a, b, u)] + [(np.array(x), np.array(y), np.array(v, np.uint8))
+                               for x, y in zip(edge, edge[::-1]) for v in (0, 1)]
+        for x, y, v in pairs:
+            with np.errstate(over="ignore"):  # sums near 1e308 overflow to inf on both sides
+                results = ((f_minsum(x, y), scl_reference.f_minsum(x, y)),
+                           (f_exact(x, y), scl_reference.f_exact(x, y)),
+                           (g_node(x, y, v), scl_reference.g_node(x, y, v)))
+            for got, want in results:
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
     def test_leaf_penalties_equal_two_logaddexps(self):
         # One logaddexp gives both candidates' penalties bit for bit, edge
@@ -414,31 +440,98 @@ class TestMetricFreeSc:
         frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.9, rng))
         # Salt the frames with both certainties and exact ties.
         salt = rng.choice([np.inf, -np.inf, 0.0], size=frames.shape)
-        frames = np.where(rng.random(frames.shape) < 0.05, salt, frames)
-        for batch in (frames[:0], frames[:1], frames):
-            got = _sc_messages(spec, batch, rule)
-            want, _ = sc_decode_batch(spec, batch, rule)
-            assert got.shape == want.shape and np.array_equal(got, want), f"B={len(batch)}"
+        salted = np.where(rng.random(frames.shape) < 0.05, salt, frames)
+        # Two magnitudes only, so that g cancels to exact zeros inside the
+        # tree and Rate-1 nodes met with a 0 walk on.
+        two = np.where(frames < 0, -1.0, 1.0) * rng.choice([1.0, 2.0], size=frames.shape)
+        for name, frames in (("salted", salted), ("two magnitudes", two)):
+            for batch in (frames[:0], frames[:1], frames):
+                got = _sc_messages(spec, batch, rule)
+                want, _ = sc_decode_batch(spec, batch, rule)
+                assert got.shape == want.shape and np.array_equal(got, want), f"{name}, B={len(batch)}"
+
+    @pytest.mark.parametrize("rule", ["minsum", "exact"])
+    def test_random_masks_equal_sc_decode(self, rule):
+        # Frozen masks no construction gives, so that every mix of node
+        # kinds occurs, a Rate-0 right child beside a walked left one too.
+        rng = np.random.default_rng(30)
+        for N in (2, 4, 8, 16, 32) * 8:
+            frozen = rng.random(N) < rng.random()
+            spec = CodeSpec(N, int(N - frozen.sum()), N, frozen, RateMatchPattern())
+            frames = rng.normal(1.0, 2.0, (16, N))
+            frames = np.where(rng.random(frames.shape) < 0.1, rng.choice([np.inf, -np.inf, 0.0], frames.shape), frames)
+            got = _sc_messages(spec, frames, rule)
+            assert np.array_equal(got, sc_decode_batch(spec, frames, rule)[0]), frozen.astype(int).tolist()
 
     @pytest.mark.parametrize("code", sorted(METRIC_FREE_CODES))
     def test_walk_stops_at_rate0_nodes(self, code, monkeypatch):
+        # No f or g input is computed for a Rate-0 child, and REP nodes
+        # (leaves included) and, with no LLR of 0, Rate-1 nodes decode
+        # without descending: a REP node of n positions runs log2(n) g's.
         spec = METRIC_FREE_CODES[code]()
         frozen = spec.frozen_mask
 
-        def nodes(offset, stride):  # the nodes down to and including each Rate-0 root
+        def walk(offset, stride):  # (nodes, f calls, g calls) at a node that is not Rate-0
             sub = frozen[offset::stride]
-            if sub.all() or len(sub) == 1:
-                return 1
-            return 1 + nodes(offset, 2 * stride) + nodes(offset + stride, 2 * stride)
+            if sub[:-1].all():
+                return np.array([1, 0, len(sub).bit_length() - 1])
+            if not sub.any():
+                return np.array([1, 0, 0])
+            total = np.array([1, 0, 0])
+            for child, update in ((offset, 1), (offset + stride, 2)):
+                if not frozen[child::2 * stride].all():
+                    total += walk(child, 2 * stride)
+                    total[update] += 1
+            return total
 
-        visits, leaves = [], []
-        rec, leaf = _ListDecoder._rec, _ListDecoder._leaf
-        monkeypatch.setattr(_ListDecoder, "_rec", lambda self, *a: visits.append(a) or rec(self, *a))
-        monkeypatch.setattr(_ListDecoder, "_leaf", lambda self, *a: leaves.append(a[1]) or leaf(self, *a))
+        calls = np.zeros(3, dtype=int)
+
+        def count(i, fn):
+            def counted(*args):
+                calls[i] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(_ListDecoder, "_sc", count(0, _ListDecoder._sc))
+        monkeypatch.setitem(codec.RULES, "minsum", count(1, f_minsum))
+        monkeypatch.setattr(codec, "_g", count(2, codec._g))
         _sc_messages(spec, np.ones((3, spec.mother_len)), "minsum")
-        assert len(visits) == nodes(0, 1)
-        # Only the information leaves run, each once.
-        assert sorted(leaves) == np.flatnonzero(~frozen).tolist()
+        want = [1, 0, 0] if frozen.all() else walk(0, 1)
+        assert calls.tolist() == list(want)
+
+    def test_rate1_tie_walks_the_node(self):
+        # The frame of test_rate1_tie_is_not_the_hard_decision as one row of a
+        # batch of ordinary rows: its 0 sends the Rate-1 root down the walk,
+        # and every row still decodes as SC does.
+        spec = build_mother_code(2, 2)
+        llr = np.array([[1.5, -2.0], [0.0, -3.0], [-0.5, 4.0]])
+        got = _sc_messages(spec, llr, "minsum")
+        assert got[1].tolist() == [0, 1]
+        assert np.array_equal(got, sc_decode_batch(spec, llr)[0])
+        # The same tie below the root of a Rate-1 mother code.
+        spec = build_mother_code(64, 64)
+        llr = np.random.default_rng(29).normal(1.0, 2.0, (8, 64))
+        llr[3, 10] = 0.0
+        llr[5, 40:42] = [-0.0, -3.0]
+        assert np.array_equal(_sc_messages(spec, llr, "minsum"), sc_decode_batch(spec, llr)[0])
+
+    def test_rep_levels_meet_opposite_certainties(self):
+        # Pairs of +inf and -inf in a REP node make a level's sum NaN, which
+        # SC's g resolves to 0 before the next level.
+        spec = CodeSpec(8, 1, 8, np.arange(8) < 7, RateMatchPattern())
+        inf = np.inf
+        llr = np.array([
+            [inf, -inf, 1.0, 2.0, -inf, inf, 0.5, -0.25],  # 0 + 3, 0 + 0.25: bit 0
+            [inf, -inf, -1.0, -2.0, inf, -inf, 0.5, 0.25],  # 0 - 3, 0 + 0.75: bit 1
+            [inf, -inf, -inf, inf, inf, -inf, -inf, inf],  # all 0: tie, bit 0
+            [inf, 1.0, -inf, -1.0, inf, 2.0, -inf, -2.0],  # inf - inf at level 2
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for rule in ("minsum", "exact"):
+                got = _sc_messages(spec, llr, rule)
+                assert got[:, 0].tolist() == [0, 1, 0, 0]
+                assert np.array_equal(got, sc_decode_batch(spec, llr, rule)[0])
 
 
 class TestCrc:

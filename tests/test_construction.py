@@ -530,7 +530,12 @@ class TestCodeSpec:
                             ({"construction_method": "GA"}, "unknown construction method"),
                             ({"g_mode": "max"}, "unknown g_mode"),
                             ({"tx_len": 7}, "tx length 7 must equal the 8"),
-                            ({"tx_len": 4, "pattern": {"kind": "shorten", "indices": [5, 6, 7, 8]}}, "N/2 < M < N")):
+                            ({"tx_len": 4, "pattern": {"kind": "shorten", "indices": [5, 6, 7, 8]}}, "N/2 < M < N"),
+                            ({"pattern": {"kind": "none", "indices": "x"}}, "pattern indices must be whole"),
+                            ({"pattern": {"kind": "none", "indices": [None, None]}}, "pattern indices must be whole"),
+                            ({"pattern": {"kind": "none", "indices": [float("inf")]}}, "pattern indices must be whole"),
+                            ({"design_snr_db": "abc"}, "design_snr_db must be a number"),
+                            ({"design_snr_db": None}, "design_snr_db must be a number")):
             doc = json.loads(build_mother_code(8, 3).to_json()) | edit
             with pytest.raises(ConstructionError, match=match):
                 CodeSpec.from_json(json.dumps(doc))
