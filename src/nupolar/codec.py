@@ -129,15 +129,15 @@ def g_node(a, b, u_sum):
     Opposite saturated certainties would meet as inf - inf; that
     contradiction is resolved to an erasure (LLR 0).
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return _g(*np.broadcast_arrays(a, b, u_sum))
 
 
 def _g(a, b, u_sum):
     """:func:`g_node`'s arithmetic on arrays of one shape, in place on the
-    sign ``1 - 2 u_sum``, for callers that already ignore invalid
-    floating-point operations.  ``u_sum=None`` stands for all zeros, where
-    the update is ``b + a``."""
+    sign ``1 - 2 u_sum``, for callers that already ignore invalid and
+    overflowing floating-point operations.  ``u_sum=None`` stands for all
+    zeros, where the update is ``b + a``."""
     if u_sum is None:
         out = b + a
     else:
@@ -195,22 +195,23 @@ def _combine(x_left, x_right) -> np.ndarray:
     return out.view(np.uint8)
 
 
-# Node kinds of the metric-free SC walk (see :class:`_ListDecoder`).
+# Node kinds of the decoder walk (see :class:`_ListDecoder`).
 RATE0, REP, RATE1, OTHER = range(4)
 
 
-def _node_kinds(frozen, rule: str) -> dict:
+def _node_kinds(frozen, rule: str, metric: bool) -> dict:
     """Per stride ``s``, the kind of the node at each offset, the subtree of
-    positions ``offset::s``; a leaf is Rate-0 or REP."""
+    positions ``offset::s``: all ``OTHER`` with the metric, else a leaf is Rate-0 or REP."""
     N = len(frozen)
     kinds = {}
     for s in (1 << k for k in range(N.bit_length())):
         sub = frozen.reshape(N // s, s)
         kind = np.full(s, OTHER)
-        if rule == "minsum":
-            kind[~sub.any(axis=0)] = RATE1
-        kind[sub[:-1].all(axis=0)] = REP
-        kind[sub.all(axis=0)] = RATE0
+        if not metric:
+            if rule == "minsum":
+                kind[~sub.any(axis=0)] = RATE1
+            kind[sub[:-1].all(axis=0)] = REP
+            kind[sub.all(axis=0)] = RATE0
         kinds[s] = kind.tolist()
     return kinds
 
@@ -242,18 +243,21 @@ class _ListDecoder:
     messages are read off the root's codewords, in metric order, through
     the self-inverse :func:`_transform`.
 
-    Without ``metric`` (SC only, for callers that read the messages alone;
-    see :func:`_sc_messages`) the decoder keeps no path metric, returns
-    ``None`` for it, and runs :meth:`_sc`, a simplified-SC walk that
-    decodes three kinds of node (``kinds``, from the frozen mask and the
-    rule) without descending, bit for bit as SC does.  Each is named after
-    the positions ``offset::stride`` of its subtree:
+    One walk, :meth:`_rec`, serves both modes: each node, the subtree of
+    positions ``offset::stride``, reads its kind from :func:`_node_kinds`.
+    With ``metric`` every node is ``OTHER``: it splits into ``f`` and ``g``
+    children down to the leaves, each decided by :meth:`_leaf`, since the
+    metric needs every leaf's LLR.  Without it (SC only, for callers that
+    read the messages alone; see :func:`_sc_messages`) the decoder keeps no
+    path metric, returns ``None`` for it and never reaches :meth:`_leaf`
+    (``origin`` stays ``identity``), and the table marks three kinds of
+    node that decode without descending, bit for bit as SC does:
 
     * Rate-0, all frozen: the codeword is all zeros (Alamdar-Yazdi &
       Kschischang 2011), and the parent does not compute the node's input;
-    * REP, all frozen but the last (Sarkis et al. 2014): every ``g`` is
-      ``b + a``, so the node is a level-wise sum, NaN set to 0 per level,
-      and its codeword repeats the bit ``sum < 0``;
+    * REP, all frozen but the last (Sarkis et al. 2014), leaves included:
+      every ``g`` is ``b + a``, so the node is a level-wise sum, NaN set to 0
+      per level, and its codeword repeats the bit ``sum < 0``;
     * Rate-1, none frozen, min-sum only, with no LLR of 0: each ``f`` keeps
       the sign ``sign(a) sign(b)`` with a nonzero magnitude and each ``g``
       adds two nonzero values of one sign, so the codeword is ``llr < 0``.
@@ -262,7 +266,6 @@ class _ListDecoder:
       under the exact rule, whose ``f`` can round to 0 or flip its sign on
       tiny inputs, every Rate-1 node is walked.
 
-    None of these is exact with the metric, which needs every leaf's LLR.
     SPC nodes are walked: their Wagner decision is not shown to equal SC's.
     """
 
@@ -278,19 +281,20 @@ class _ListDecoder:
         # A single path is never pruned.
         self.log_thr = None if threshold == 0.0 or L == 1 else -float(np.log(threshold))
         self.f = RULES[rule]
-        self.kinds = None if metric else _node_kinds(self.frozen, rule)
+        self.metric = metric
+        self.kinds = _node_kinds(self.frozen, rule, metric)
 
     def decode(self, llr):
         B, L = len(llr), self.L
         self.rows = np.arange(B)[:, None]
-        self.identity = np.arange(B * L)
+        self.identity = self.origin = np.arange(B * L)
         self.pm = None
-        if self.kinds is None:
+        if self.metric:
             self.pm = np.full((B, L), np.inf)
             self.pm[:, 0] = 0.0
-        # One error-state context for the whole walk instead of one per g.
-        with np.errstate(invalid="ignore"):
-            x = self._rec(llr, 0, 1) if self.kinds is None else self._sc(llr, 0, 1)
+        # One error state for the walk, not one per node: inf - inf and overflow to inf are meant.
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = self._rec(llr, 0, 1)
         order = self.identity if self.pm is None else (
             np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
         x = self._align(x, order)
@@ -307,8 +311,7 @@ class _ListDecoder:
             return np.repeat(x, self.L, axis=0)
         return np.take(x, to, axis=0)
 
-    def _sc(self, llr, offset, stride):
-        """The codeword of the node at ``offset`` on the metric-free walk."""
+    def _rec(self, llr, offset, stride):
         kind = self.kinds[stride][offset]
         if kind == RATE0:  # the root only: parents skip their Rate-0 children
             return np.zeros(llr.shape, dtype=np.uint8)
@@ -319,17 +322,6 @@ class _ListDecoder:
             return np.repeat(llr < 0, n, axis=1).view(np.uint8)
         if kind == RATE1 and llr.all():
             return (llr < 0).view(np.uint8)
-        a = llr[:, 0::2]
-        b = llr[:, 1::2]
-        child = self.kinds[2 * stride]
-        x_left = x_right = None
-        if child[offset] != RATE0:
-            x_left = self._sc(self.f(a, b), offset, 2 * stride)
-        if child[offset + stride] != RATE0:
-            x_right = self._sc(_g(a, b, x_left), offset + stride, 2 * stride)
-        return _combine(x_left, x_right)
-
-    def _rec(self, llr, offset, stride):
         if llr.shape[1] == 1:
             return self._leaf(llr[:, 0], offset)[:, None]
         # Adjacent channel positions polarize together (the tree dual to the
@@ -337,7 +329,10 @@ class _ListDecoder:
         # observations of the encoded even-lattice source bits.
         a = llr[:, 0::2]
         b = llr[:, 1::2]
-        x_left = self._rec(self.f(a, b), offset, 2 * stride)
+        child = self.kinds[2 * stride]
+        x_left = x_right = None
+        if child[offset] != RATE0:
+            x_left = self._rec(self.f(a, b), offset, 2 * stride)
         left_to_entry = self.origin
         if left_to_entry is not self.identity:
             # One gather of whole rows: gathering the two strided halves
@@ -345,7 +340,8 @@ class _ListDecoder:
             llr = self._align(llr, left_to_entry)
             a = llr[:, 0::2]
             b = llr[:, 1::2]
-        x_right = self._rec(_g(a, b, x_left), offset + stride, 2 * stride)
+        if child[offset + stride] != RATE0:
+            x_right = self._rec(_g(a, b, x_left), offset + stride, 2 * stride)
         right_to_left = self.origin
         x_left = self._align(x_left, right_to_left)
         if left_to_entry is not self.identity:
@@ -366,7 +362,8 @@ class _ListDecoder:
             if not np.isposinf(per_frame).all():
                 self.pm += np.logaddexp(0.0, -per_frame)
         elif L == 1:
-            # SC: an LLR of exactly 0 resolves to bit 0.
+            # SC: an LLR of exactly 0 resolves to bit 0.  Where pm + |lam| rounds
+            # to pm (pm = inf included), a stable top-1 would pick 0; SC does not.
             bits = (lam < 0).astype(np.uint8)
             self.pm += np.logaddexp(0.0, -np.abs(per_frame))
         else:
@@ -428,7 +425,8 @@ def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rul
     (0 disables).  Returns ``(messages, metrics)`` with shapes
     ``(B, L, K)`` and ``(B, L)``, sorted best metric first within each
     frame; never-used or pruned path slots carry an infinite metric.
-    ``L = 1`` is SC decoding.
+    ``L = 1`` is SC decoding, which keeps the hard decision even where the
+    metric absorbs both candidates' penalties (a stable choice would take 0).
     """
     return _ListDecoder(spec, L, threshold, rule).decode(_check_frames(spec, frames))
 

@@ -383,6 +383,11 @@ class TestSclBitIdentity:
                     assert np.array_equal(sc_pm, ref_pm[:, 0]), f"SC metrics, B={len(batch)}"
 
 
+# Salt for frames: both certainties, exact zeros, finite magnitudes whose
+# sums overflow to inf, and the smallest subnormal.
+EXTREME_LLRS = [np.inf, -np.inf, 0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324]
+
+
 class TestSclFastPaths:
     """Inputs that reach the list decoder's shortcuts, against the reference
     decoder bit for bit: candidate metrics that tie, which the unstable sort
@@ -397,9 +402,9 @@ class TestSclFastPaths:
         msgs = rng.integers(0, 2, (128, spec.payload_len), dtype=np.uint8)
         frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.9, rng))
         # Two magnitudes only, so that finite candidate metrics tie, salted
-        # with both certainties and exact zeros.
+        # with the extreme LLRs.
         repeated = np.sign(frames) * rng.choice([1.0, 2.0], size=frames.shape)
-        salt = rng.choice([np.inf, -np.inf, 0.0], size=frames.shape)
+        salt = rng.choice(EXTREME_LLRS, size=frames.shape)
         salted = np.where(rng.random(frames.shape) < 0.05, salt, repeated)
         # Frozen positions that are known-zero on some rows only.
         partial = frames.copy()
@@ -412,7 +417,8 @@ class TestSclFastPaths:
         for L in (2, 4, 16):
             for name, batch in batches.items():
                 got_msgs, got_pm = scl_decode_batch(spec, batch, L, threshold, rule)
-                ref_msgs, ref_pm = reference_scl_decode_batch(spec, batch, L, threshold, rule)
+                with np.errstate(over="ignore"):
+                    ref_msgs, ref_pm = reference_scl_decode_batch(spec, batch, L, threshold, rule)
                 assert np.array_equal(got_msgs, ref_msgs), f"messages, L={L}, {name}"
                 assert np.array_equal(got_pm, ref_pm), f"metrics, L={L}, {name}"
 
@@ -459,7 +465,7 @@ class TestMetricFreeSc:
             frozen = rng.random(N) < rng.random()
             spec = CodeSpec(N, int(N - frozen.sum()), N, frozen, RateMatchPattern())
             frames = rng.normal(1.0, 2.0, (16, N))
-            frames = np.where(rng.random(frames.shape) < 0.1, rng.choice([np.inf, -np.inf, 0.0], frames.shape), frames)
+            frames = np.where(rng.random(frames.shape) < 0.1, rng.choice(EXTREME_LLRS, frames.shape), frames)
             got = _sc_messages(spec, frames, rule)
             assert np.array_equal(got, sc_decode_batch(spec, frames, rule)[0]), frozen.astype(int).tolist()
 
@@ -468,6 +474,8 @@ class TestMetricFreeSc:
         # No f or g input is computed for a Rate-0 child, and REP nodes
         # (leaves included) and, with no LLR of 0, Rate-1 nodes decode
         # without descending: a REP node of n positions runs log2(n) g's.
+        # The same walk with the metric has no fast node: it visits all
+        # 2N - 1 nodes and runs N - 1 f's and N - 1 g's.
         spec = METRIC_FREE_CODES[code]()
         frozen = spec.frozen_mask
 
@@ -492,12 +500,17 @@ class TestMetricFreeSc:
                 return fn(*args)
             return counted
 
-        monkeypatch.setattr(_ListDecoder, "_sc", count(0, _ListDecoder._sc))
+        monkeypatch.setattr(_ListDecoder, "_rec", count(0, _ListDecoder._rec))
         monkeypatch.setitem(codec.RULES, "minsum", count(1, f_minsum))
         monkeypatch.setattr(codec, "_g", count(2, codec._g))
-        _sc_messages(spec, np.ones((3, spec.mother_len)), "minsum")
+        frames = np.ones((3, spec.mother_len))
+        _sc_messages(spec, frames, "minsum")
         want = [1, 0, 0] if frozen.all() else walk(0, 1)
         assert calls.tolist() == list(want)
+        calls[:] = 0
+        sc_decode_batch(spec, frames)
+        N = spec.mother_len
+        assert calls.tolist() == [2 * N - 1, N - 1, N - 1]
 
     def test_rate1_tie_walks_the_node(self):
         # The frame of test_rate1_tie_is_not_the_hard_decision as one row of a
@@ -514,6 +527,19 @@ class TestMetricFreeSc:
         llr[3, 10] = 0.0
         llr[5, 40:42] = [-0.0, -3.0]
         assert np.array_equal(_sc_messages(spec, llr, "minsum"), sc_decode_batch(spec, llr)[0])
+
+    def test_leaf_keeps_the_hard_decision_under_an_absorbing_metric(self):
+        # Frozen leaf 2 meets an LLR of -inf, so the metric is inf when the
+        # last leaf, information bit 3, decides on -inf: both candidate
+        # metrics are inf.  SC keeps the hard decision, bit 1, on both
+        # walks; the reference's stable top-1 takes bit 0 there.  Frames of
+        # a valid spec never meet this: a shortened position's LLR is +inf.
+        spec = CodeSpec(4, 2, 4, np.array([False, True, True, False]), RateMatchPattern())
+        llr = np.array([[-np.inf, np.inf, 2.0, -np.inf]])
+        msgs, pm = sc_decode_batch(spec, llr)
+        assert msgs.tolist() == [[0, 1]] and pm.tolist() == [np.inf]
+        assert np.array_equal(_sc_messages(spec, llr, "minsum"), msgs)
+        assert reference_scl_decode_batch(spec, llr, 1)[0].tolist() == [[[0, 0]]]
 
     def test_rep_levels_meet_opposite_certainties(self):
         # Pairs of +inf and -inf in a REP node make a level's sum NaN, which
