@@ -90,6 +90,10 @@ def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, si
       ``ceil(n_bits / 8)`` 64-bit outputs; a buffered half word may be
       left over, but ``normal`` draws whole 64-bit words and never reads
       it, so the noise starts at the same counter as before.
+
+    The noise is drawn as ``standard_normal`` ``z`` per frame and scaled
+    once per call: ``normal`` returns ``loc + scale * z`` per sample, and
+    ``z * sigma + 0.0`` is the same value, the sign of zero included.
     """
     words = -(-n_bits // 8)
     raw = np.empty((count, words), dtype="<u8")
@@ -102,13 +106,22 @@ def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, si
         key[1] = start + j
         bitgen.state = fresh
         raw[j] = bitgen.random_raw(words)
-        noise[j] = rng.normal(0.0, sigma, n_noise)
+        rng.standard_normal(out=noise[j])
+    noise *= sigma
+    noise += 0.0
     return raw.view(np.uint8)[:, :n_bits] >> 7, noise
 
 
 def bpsk_modulate(bits) -> np.ndarray:
-    """Map bit 0 to +1 and bit 1 to -1 (positive LLR means bit 0)."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+    """Map bit 0 to +1 and bit 1 to -1 (positive LLR means bit 0).
+
+    Computed in place on one float copy of ``bits``: ``bits * -2.0 + 1.0``
+    is ``1.0 - 2.0 * bits`` bit for bit, without two more temporaries.
+    """
+    symbols = np.array(bits, dtype=np.float64)
+    symbols *= -2.0
+    symbols += 1.0
+    return symbols
 
 
 def awgn(symbols, cfg: ChannelConfig, frame_index: int = 0) -> np.ndarray:

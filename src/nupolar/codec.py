@@ -236,12 +236,13 @@ class _ListDecoder:
     With one path an information leaf takes SC's hard decision, an LLR
     below 0 giving bit 1, and also keeps the slot order, so SC never
     re-aligns.  With more, it keeps the ``L`` best of its ``2L`` candidates
-    in stable-sort order, ties going to the lower column: an unstable sort,
-    and a stable re-sort of just the rows where it meets a tie
-    (:meth:`_top`).  A frozen leaf whose LLR is known-zero (+inf) on every
-    row adds nothing to the metric and skips its ``logaddexp``.  The
-    messages are read off the root's codewords, in metric order, through
-    the self-inverse :func:`_transform`.
+    in stable-sort order, ties going to the lower column: the stable sort
+    where dead slots give ``inf`` candidates, else an unstable sort and a
+    stable re-sort of just the rows where it meets a tie (:meth:`_top`).
+    A frozen leaf whose LLR is known-zero (+inf) on every row adds nothing
+    to the metric and skips its ``logaddexp``.  The messages are read off
+    the root's codewords, in metric order, through the self-inverse
+    :func:`_transform`.
 
     One walk, :meth:`_rec`, serves both modes: each node, the subtree of
     positions ``offset::stride``, reads its kind from :func:`_node_kinds`.
@@ -382,12 +383,18 @@ class _ListDecoder:
         """Per row of ``cand`` ``(B, 2L)``, the columns of the ``L`` smallest
         values and those values, in the order of a stable ``argsort``.
 
-        The unstable sort is 3x faster and orders the columns the same way
-        unless two of the first ``L + 1`` sorted values are equal (``inf``
-        and signed zeros included); such rows are sorted again, stably.
+        Candidates of dead slots are ``inf`` and tie with each other.  When
+        any candidate is ``inf`` the stable sort runs alone: on such rows it
+        is faster than the unstable one.  Otherwise the unstable sort is 3x
+        faster and orders the columns the same way unless two of the first
+        ``L + 1`` sorted values are equal (signed zeros included); such rows
+        are sorted again, stably.
         """
         L = self.L
         row_start = 2 * L * self.rows
+        if np.isinf(cand).any():
+            order = np.argsort(cand, axis=1, kind="stable")[:, :L]
+            return order, np.take(cand, order + row_start)
         order = np.argsort(cand, axis=1)
         top = np.take(cand, order[:, : L + 1] + row_start)
         tied = (top[:, 1:] == top[:, :-1]).any(axis=1)

@@ -7,13 +7,16 @@ are committed per batch of ``BATCH_FRAMES`` frames, in batch order, with the
 stopping rule checked after each one.  The frames are decoded in larger work
 units of 1, 2, 4, ... whole batches (doubling up to a size cap), each in one
 pass through the numpy pipeline; a unit returns the counters of every batch
-in it.  Every frame depends only on its index and every decoder step is
-row-wise, and the units do not depend on the worker count, so the counters
-are bit-for-bit the same for any worker count and any unit size.
+in it.  With several workers, each forked worker is sent units down its own
+pipe, a few ahead of the commit, and the workers are terminated at the
+stopping point.  Every frame depends only on its index and every decoder
+step is row-wise, and the units do not depend on the worker count, so the
+counters are bit-for-bit the same for any worker count and any unit size.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -30,7 +33,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from ._version import __version__ as _version
-from .channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
+from .channel import ChannelConfig, bpsk_modulate, frame_draws
 from .codec import CRC24, RULES, _sc_messages, ca_scl_decode_batch, crc_append, encode, scl_decode_batch
 from .construction import (
     CONSTRUCTION_METHODS,
@@ -47,8 +50,9 @@ from .ratematch import dematch, tx_frame
 
 BATCH_FRAMES = 256
 # A work unit holds at most this many decoder LLRs (frames * list size * N),
-# and at least one batch.
-UNIT_LLRS = 1 << 16
+# at least one batch and at most UNIT_BATCHES.
+UNIT_LLRS = 1 << 18
+UNIT_BATCHES = 4
 FER_Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
 WORKERS_ENV = "NUPOLAR_WORKERS"
 
@@ -203,10 +207,11 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
 def _work_units(cfg: ExperimentConfig):
     """The ``(start, count)`` work units of a point, in frame order: 1, 2, 4,
     ... batches, doubling up to the most whole batches whose decoder holds
-    at most ``UNIT_LLRS`` LLRs (at least one); the last unit ends at
-    ``max_frames``."""
+    at most ``UNIT_LLRS`` LLRs, at least one and at most ``UNIT_BATCHES``
+    (4 for SC at N = 64, 2 for SC at N = 512, 1 for a list of 16 at
+    N = 512); the last unit ends at ``max_frames``."""
     L = 1 if cfg.decoder == "SC" else cfg.list_size
-    cap = max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N))
+    cap = min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N)))
     start, batches = 0, 1
     while start < cfg.max_frames:
         count = min(batches * BATCH_FRAMES, cfg.max_frames - start)
@@ -218,14 +223,20 @@ def _work_units(cfg: ExperimentConfig):
 def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tuple[int, int]):
     """Simulate the frames of one ``(start, count)`` work unit in one pass;
     returns the integer error counters ``(frames, bit_errors, frame_errors)``
-    of each ``BATCH_FRAMES`` batch in it, in order."""
+    of each ``BATCH_FRAMES`` batch in it, in order.
+
+    The received LLRs are ``llr_demod(bpsk_modulate(tx) + noise)``, bit for
+    bit, computed in place on the noise array: IEEE addition and
+    multiplication commute exactly."""
     start, count = unit
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     pay_bits = cfg.payload_bits
-    payloads, noise = frame_draws(cfg.seed, start, count, pay_bits, cfg.M, chan.sigma)
+    payloads, rx = frame_draws(cfg.seed, start, count, pay_bits, cfg.M, chan.sigma)
     msgs = crc_append(payloads, CRC24) if cfg.crc_len else payloads
     tx = tx_frame(spec, encode(spec, msgs))
-    frames = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
+    rx += bpsk_modulate(tx)
+    rx *= chan.llr_scale
+    frames = dematch(spec, rx)
     if cfg.decoder == "SC":
         decoded = _sc_messages(spec, frames, cfg.rule)
     elif cfg.decoder == "CASCL":
@@ -235,6 +246,70 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tupl
     errs = decoded[:, :pay_bits] != payloads
     return [(len(e), int(e.sum()), int(e.any(axis=1).sum()))
             for e in np.split(errs, range(BATCH_FRAMES, count, BATCH_FRAMES))]
+
+
+def _serve(conn, unit):
+    """A pool worker: runs each work unit received on ``conn`` and sends
+    back its counters, or the exception it raised."""
+    while True:
+        work = conn.recv()
+        try:
+            out = unit(work)
+        except Exception as exc:  # re-raised in the parent
+            out = exc
+        conn.send(out)
+
+
+def _receive(conn):
+    out = conn.recv()
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+@contextlib.contextmanager
+def _pool(unit, workers: int):
+    """Yields a function that maps work units to the results of ``unit``, in
+    order.  With ``workers`` > 1 they run in as many forked processes that
+    each inherit ``unit`` and have a pipe of their own: unit ``i`` goes to
+    worker ``i mod workers``, and at most ``workers + 1`` units are sent and
+    not yet received.  On exit the workers are terminated and joined.  No
+    lock is shared between the processes, so a worker terminated in
+    mid-send cannot hang the parent (``multiprocessing.Pool.terminate``
+    can: its task thread waits forever on the result queue's lock when a
+    worker was killed holding it)."""
+    if workers <= 1:
+        yield functools.partial(map, unit)
+        return
+    ctx = get_context("fork")
+    conns, procs = [], []
+
+    def in_order(units):
+        pending = collections.deque()
+        for i, work in enumerate(units):
+            conn = conns[i % workers]
+            conn.send(work)
+            pending.append(conn)
+            if len(pending) > workers:
+                yield _receive(pending.popleft())
+        while pending:
+            yield _receive(pending.popleft())
+
+    try:
+        for _ in range(workers):
+            conn, child_conn = ctx.Pipe()
+            conns.append(conn)
+            procs.append(ctx.Process(target=_serve, args=(child_conn, unit), daemon=True))
+            procs[-1].start()
+            child_conn.close()
+        yield in_order
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def run_point(
@@ -250,21 +325,23 @@ def run_point(
     frames have been simulated, whichever comes first.  The batches are
     decoded in the work units of :func:`_work_units`.  With ``workers`` > 1
     (default: the ``NUPOLAR_WORKERS`` environment variable, else 1) each
-    worker of a fork pool owned by this call takes whole units; the
-    counters are committed in batch order, and units past the stopping
-    point are dropped when the pool is terminated.
+    worker of a fork pool owned by this call (:func:`_pool`) takes whole
+    units.  Each worker inherits ``(spec, cfg, ebno_db)`` through the fork,
+    so a unit is sent as its ``(start, count)`` alone.  At most
+    ``workers + 1`` units are in flight, and their counters are committed
+    in batch order; at the stopping point no further unit is sent, and the
+    workers are terminated and joined, which drops the few units still in
+    flight.
     """
     if spec is None:
         spec = build_spec(cfg)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     unit = functools.partial(_sim_chunk, spec, cfg, ebno_db)
-    units = _work_units(cfg)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
-    with get_context("fork").Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = pool.imap(unit, units) if pool else map(unit, units)
-        for n, be, fe in itertools.chain.from_iterable(results):
+    with _pool(unit, workers) as run:
+        for n, be, fe in itertools.chain.from_iterable(run(_work_units(cfg))):
             frames += n
             bit_errors += be
             frame_errors += fe

@@ -383,6 +383,40 @@ class TestSclBitIdentity:
                     assert np.array_equal(sc_pm, ref_pm[:, 0]), f"SC metrics, B={len(batch)}"
 
 
+class TestTop:
+    """The top-L of the list decoder is the stable ``argsort``'s, both when
+    dead slots put ``inf`` candidates in a leaf and when none is ``inf``."""
+
+    @pytest.mark.parametrize("L", [2, 4, 16])
+    def test_equals_stable_argsort(self, L):
+        rng = np.random.default_rng(31)
+        decoder = _ListDecoder(build_mother_code(8, 4), L, 1e-3, "minsum")
+        decoder.rows = np.arange(64)[:, None]
+        # Few distinct values, so that finite candidates tie, also at the
+        # L-th place; then with a share of inf, up to whole rows of it.
+        tied = rng.choice([0.0, 0.25, 0.5, 1.0, 3.0], size=(64, 2 * L))
+        for inf_share in (0.0, 0.1, 0.5, 0.9, 1.0):
+            for cand in (tied, rng.random((64, 2 * L))):
+                cand = np.where(rng.random(cand.shape) < inf_share, np.inf, cand)
+                order, top = decoder._top(cand)
+                want = np.argsort(cand, axis=1, kind="stable")[:, :L]
+                assert np.array_equal(order, want), inf_share
+                assert np.array_equal(top, np.take_along_axis(cand, want, axis=1)), inf_share
+
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_pruned_shortened_code_matches_reference(self, L):
+        # Pruning kills paths at most leaves here, so the stable sort runs on
+        # most of them (L = 16 is in TestSclBitIdentity).
+        spec = BIT_IDENTITY_CODES["shortened-512-280-128"]()
+        rng = np.random.default_rng(32)
+        msgs = rng.integers(0, 2, (256, spec.payload_len), dtype=np.uint8)
+        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.9, rng))
+        got_msgs, got_pm = scl_decode_batch(spec, frames, L, 1e-3)
+        ref_msgs, ref_pm = reference_scl_decode_batch(spec, frames, L, 1e-3, "minsum")
+        assert np.array_equal(got_msgs, ref_msgs) and np.array_equal(got_pm, ref_pm)
+        assert np.isinf(got_pm).any()
+
+
 # Salt for frames: both certainties, exact zeros, finite magnitudes whose
 # sums overflow to inf, and the smallest subnormal.
 EXTREME_LLRS = [np.inf, -np.inf, 0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324]

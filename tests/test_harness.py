@@ -1,7 +1,10 @@
+import faulthandler
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +178,69 @@ class TestRunPoint:
         run_point(small_cfg(max_frames=100_000, min_frame_errors=300), 0.0, workers=2)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("ebno, stop", [(-5.0, "errors"), (12.0, "frames")])
+    def test_pool_is_gone_after_either_stop(self, ebno, stop):
+        # -5 dB meets the error target in the first unit, with units still
+        # in flight; 12 dB runs every unit up to the frame cap.
+        p = run_point(small_cfg(max_frames=4096, min_frame_errors=10), ebno, workers=2)
+        assert p.stop == stop and p.frames == (BATCH_FRAMES if stop == "errors" else 4096)
+        assert multiprocessing.active_children() == []
+
+    def test_repeated_early_stops_with_more_workers_than_cores(self):
+        # Each point stops in its first unit while the other workers are
+        # still busy with theirs, and may be sending them back, when they
+        # are terminated: the moment at which a multiprocessing.Pool can hang.
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            points = [run_point(small_cfg(max_frames=4096, min_frame_errors=10), -5.0, workers=3)
+                      for _ in range(20)]
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert len({(p.frames, p.bit_errors, p.frame_errors) for p in points}) == 1
+        assert points[0].frames == BATCH_FRAMES
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        def failing(spec, cfg, ebno_db, unit):
+            raise ValueError(f"unit {unit}")
+
+        monkeypatch.setattr(harness, "_sim_chunk", failing)
+        with pytest.raises(ValueError, match=r"unit \(0, 256\)"):
+            run_point(small_cfg(), 2.0, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_units_in_flight_are_bounded(self, monkeypatch, workers):
+        # The parent sends each unit down a worker's pipe and receives its
+        # counters back; between the two the unit is in flight.  (The
+        # workers count their own copies, which the parent never reads.)
+        sent = received = peak = 0
+        send, recv = multiprocessing.connection.Connection.send, multiprocessing.connection.Connection.recv
+
+        def counted_send(conn, obj):
+            nonlocal sent, peak
+            sent += 1
+            peak = max(peak, sent - received)
+            return send(conn, obj)
+
+        def counted_recv(conn):
+            nonlocal received
+            out = recv(conn)
+            received += 1
+            return out
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", counted_send)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv", counted_recv)
+        cfg = small_cfg(max_frames=100_000, min_frame_errors=300)
+        p = run_point(cfg, 3.0, workers=workers)
+        assert p.stop == "errors"
+        committed = sum(start < p.frames for start, _ in _work_units(cfg))
+        assert committed > workers + 1
+        assert peak == workers + 1
+        # Nothing is sent past the stopping point but the units already in flight.
+        assert received == committed and sent <= committed + workers
+        assert multiprocessing.active_children() == []
+
     def test_fer_at_least_ber(self):
         p = run_point(small_cfg(), 1.0)
         assert p.fer >= p.ber
@@ -220,6 +286,50 @@ class TestRunPoint:
             assert p.stop == ("errors" if ebno == 2.0 else "frames")
 
 
+class TestSimChunk:
+    # Exact zeros of both signs, subnormals, magnitudes near the float
+    # maximum, and +-1, which cancels a BPSK symbol to an exact zero.
+    SALT = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308, 1.0, -1.0]
+
+    @pytest.mark.parametrize("code", [
+        dict(N=512, M=320, K=160, method="NUPGA_shortened", pattern_method="NAT_PD"),
+        dict(N=64, M=80, K=40, method="NUPGA_extended"),
+    ], ids=["short-512-320-160", "ext-64-80-40"])
+    def test_in_place_llrs_equal_the_public_chain(self, code, monkeypatch):
+        # At -4 dB and rate 1/2 the demodulator gain 2 / sigma^2 is below 1,
+        # so the salted 1e308 stays finite and nothing may warn.
+        cfg = ExperimentConfig(decoder="SC", seed=3, **code)
+        spec, ebno = build_spec(cfg), -4.0
+        chan = ChannelConfig(ebno, cfg.rate, cfg.seed)
+        assert chan.llr_scale < 1
+        rng = np.random.default_rng(12)
+        drawn, decoded = [], []
+
+        def salted_draws(*args):
+            payloads, noise = frame_draws(*args)
+            noise[...] = np.where(rng.random(noise.shape) < 0.2, rng.choice(self.SALT, noise.shape), noise)
+            drawn.append((payloads, noise.copy()))
+            return payloads, noise
+
+        def decoder(spec, frames, rule):
+            decoded.append(frames.copy())
+            return np.zeros((len(frames), spec.payload_len), dtype=np.uint8)
+
+        monkeypatch.setattr(harness, "frame_draws", salted_draws)
+        monkeypatch.setattr(harness, "_sc_messages", decoder)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            harness._sim_chunk(spec, cfg, ebno, (BATCH_FRAMES, 2 * BATCH_FRAMES))
+            payloads, noise = drawn[0]
+            tx = tx_frame(spec, encode(spec, payloads))
+            want = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
+        got = decoded[0]
+        assert got.shape == want.shape == (2 * BATCH_FRAMES, cfg.N)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # The salt reached the frames: exact zeros and finite extremes.
+        assert (got == 0).any() and (np.isfinite(got) & (np.abs(got) > 1e307)).any()
+
+
 class TestWorkUnits:
     @pytest.mark.parametrize("max_frames", [1, 255, 256, 1000, 4096, 10_000])
     @pytest.mark.parametrize("N", [16, 64, 512])
@@ -232,21 +342,24 @@ class TestWorkUnits:
         assert all(start % BATCH_FRAMES == 0 for start in starts)
 
     @pytest.mark.parametrize("N, L, batches", [
-        (16, 1, [1, 2, 4, 8, 16, 16, 16]),
-        (32, 1, [1, 2, 4, 8, 8, 8]),
+        (16, 1, [1, 2, 4, 4, 4]),
+        (32, 1, [1, 2, 4, 4, 4]),
         (64, 1, [1, 2, 4, 4, 4]),
-        (64, 2, [1, 2, 2, 2, 1]),
-        (128, 1, [1, 2, 2, 2]),
-        (256, 1, [1, 1, 1]),
+        (64, 2, [1, 2, 4, 4, 1]),
+        (128, 1, [1, 2, 4, 4]),
+        (256, 1, [1, 2, 4, 4]),
+        (512, 1, [1, 2, 2, 2]),
+        (64, 8, [1, 2, 2, 2, 1]),
+        (1024, 1, [1, 1, 1]),
     ])
     def test_sizes_double_up_to_the_cap(self, N, L, batches):
         cfg = small_cfg(N=N, K=N // 2, decoder="SCL" if L > 1 else "SC", list_size=L,
                         max_frames=sum(batches) * BATCH_FRAMES)
-        # The cap is the most whole batches with frames * L * N <= 2^16.
+        # The cap is the most whole batches with frames * L * N <= 2^18, at most 4.
         assert [count // BATCH_FRAMES for _, count in _work_units(cfg)] == batches
 
     @pytest.mark.parametrize("cfg", [
-        ExperimentConfig(N=512, M=320, K=160, method="NUPGA_shortened", max_frames=8192),
+        ExperimentConfig(N=1024, K=512, max_frames=8192),
         ExperimentConfig(N=512, M=280, K=128, method="NUPGA_shortened", decoder="CASCL",
                          list_size=16, crc_len=24, max_frames=8192),
         ExperimentConfig(N=64, K=40, decoder="CASCL", list_size=16, crc_len=24, max_frames=8192),
@@ -256,18 +369,22 @@ class TestWorkUnits:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unit_size_does_not_change_results(self, monkeypatch, workers):
-        cfg = small_cfg(ebno_sweep=(2.0,), max_frames=100_000, min_frame_errors=300)
-        ramped = run_sweep(cfg, workers=workers)
-        # The error target is met inside a unit of several batches, so the
-        # batches after it in that unit must be dropped.
-        ends = list(itertools.accumulate(count for _, count in _work_units(cfg)))
-        assert ramped.points[0].stop == "errors" and ramped.points[0].frames not in ends
+        cfgs = [small_cfg(ebno_sweep=(2.0,), max_frames=100_000, min_frame_errors=300),
+                small_cfg(N=512, M=320, K=160, method="NUPGA_shortened", pattern_method="NAT_PD",
+                          ebno_sweep=(1.5,), max_frames=8192, min_frame_errors=300)]
+        ramped = [run_sweep(cfg, workers=workers) for cfg in cfgs]
+        for cfg, rep in zip(cfgs, ramped):
+            # The error target is met inside a unit of several batches (of 2
+            # at N = 512), so the batches after it in that unit must be dropped.
+            ends = list(itertools.accumulate(count for _, count in _work_units(cfg)))
+            assert rep.points[0].stop == "errors" and rep.points[0].frames not in ends
         monkeypatch.setattr(harness, "UNIT_LLRS", 0)
-        assert max(count for _, count in _work_units(cfg)) == BATCH_FRAMES
-        single = run_sweep(cfg, workers=workers)
         strip = lambda p: {k: v for k, v in vars(p).items() if k != "wall_time_s"}  # noqa: E731
-        assert strip(single.points[0]) == strip(ramped.points[0])
-        assert single.csv_text() == ramped.csv_text()
+        for cfg, rep in zip(cfgs, ramped):
+            assert max(count for _, count in _work_units(cfg)) == BATCH_FRAMES
+            single = run_sweep(cfg, workers=workers)
+            assert strip(single.points[0]) == strip(rep.points[0])
+            assert single.csv_text() == rep.csv_text()
 
     def test_first_batch_stop_decodes_one_batch(self, monkeypatch):
         rows = []
