@@ -16,12 +16,13 @@ print("phi(4.0)       =", npl.phi(4.0))
 print("phi(0.0)       =", npl.phi(0.0), "(clamped so inversion is well posed)")
 print("phi_inv(0.4071)=", npl.phi_inv(0.4071))
 
-# One polarization step on a shared mean m=4 (a 0 dB design point):
-minus, plus = npl.ga_pair_uniform(4.0)
+# One polarization step on a shared mean m=4 (a 0 dB design point) is the
+# pair update with equal inputs:
+minus, plus = npl.nupga_pair(4.0, 4.0)
 print(f"pair update of m=4: worse {minus:.4f}, better {plus:.4f}")
 
-# The generalized update takes two independent means, so it can evolve a
-# *non-uniform* profile:
+# The update takes two independent means, so it can evolve a *non-uniform*
+# profile:
 print("nupga_pair(4, 2) =", npl.nupga_pair(4.0, 2.0))
 # A stage-0 mean of 0 marks a dead (shortened) position; the butterfly
 # passes a pair with a dead member through unchanged:
@@ -44,10 +45,12 @@ print("shortened info mask      :", (~short.frozen_mask).astype(int))
 # The erasure-channel oracle ------------------------------------------------
 
 # For the BEC the same butterfly is exact, which makes it a good test
-# oracle: capacity is conserved at every stage.
+# oracle: capacity is conserved at every stage.  Stage s pairs positions
+# inside aligned blocks of 2^s, so it is the evolutions of those blocks:
 eps = np.full(8, 0.5)
-stages = npl.evolve_bec(eps, keep_stages=True)
-for s, stage in enumerate(stages):
+print(f"stage 0: capacity sum = {np.sum(1 - eps):.12f}")
+for s in range(1, 4):
+    stage = np.concatenate([npl.evolve_bec(block) for block in eps.reshape(-1, 1 << s)])
     print(f"stage {s}: capacity sum = {np.sum(1 - stage):.12f}")
-print("final erasures:", np.round(stages[-1], 4))
+print("final erasures:", np.round(npl.evolve_bec(eps), 4))
 print("BEC mask (K=4):", (~npl.bec_construct(eps, 4)).astype(int))

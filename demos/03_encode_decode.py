@@ -9,21 +9,17 @@ import numpy as np
 
 import nupolar as npl
 
-rng = np.random.default_rng(7)
 spec = npl.build_mother_code(128, 64)
 ebno_db = 2.0
 chan = npl.ChannelConfig(ebno_db=ebno_db, rate=spec.payload_len / spec.tx_len, seed=1)
 
+# frames 0..399 of the seed's streams, as the Monte-Carlo harness draws them:
+# each frame's payload bits, then its noise
 frames = 400
-payload = rng.integers(0, 2, (frames, 64 - 24), dtype=np.uint8)
+payload, noise = npl.frame_draws(chan, 0, frames, 64 - 24, spec.tx_len)
 msgs = npl.crc_append(payload)
 cw = npl.encode(spec, msgs)
-
-# one noisy frame at a time through the channel helpers
-llr = np.stack([
-    npl.llr_demod(npl.awgn(npl.bpsk_modulate(cw[i]), chan, frame_index=i), chan)
-    for i in range(frames)
-])
+llr = npl.llr_demod(npl.bpsk_modulate(cw) + noise, chan)
 
 sc_msgs, _ = npl.sc_decode_batch(spec, llr)
 scl_msgs, scl_metrics = npl.scl_decode_batch(spec, llr, L=8)

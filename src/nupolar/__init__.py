@@ -5,7 +5,7 @@ extended codes), SC / SCL / CRC-aided SCL decoding, BPSK-AWGN channel
 simulation, and a Monte-Carlo harness with a command-line front end.
 """
 
-from .channel import ChannelConfig, awgn, bpsk_modulate, frame_rng, llr_demod
+from .channel import ChannelConfig, bpsk_modulate, frame_draws, frame_rng, llr_demod
 from .codec import (
     CRC24,
     CrcConfig,
@@ -37,7 +37,7 @@ from .construction import (
     shortening_pattern,
 )
 from .harness import ExperimentConfig, PointReport, SimReport, build_spec, run_point, run_sweep
-from .numerics import KNOWN_ZERO_LLR, bec_pair, ga_pair_uniform, nupga_pair, phi, phi_inv
+from .numerics import KNOWN_ZERO_LLR, bec_pair, nupga_pair, phi, phi_inv
 from .ratematch import InvalidSpecError, dematch, tx_frame
 
 from ._version import __version__  # noqa: F401

@@ -68,12 +68,15 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, sigma: float):
+def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_noise: int):
     """Payload bits and noise of frames ``start .. start + count - 1``.
 
     Frame ``j`` draws ``integers(0, 2, n_bits, dtype=uint8)`` and then
-    ``normal(0, sigma, n_noise)`` from ``frame_rng(seed, j)``; returns the
-    bits ``(count, n_bits)`` and the noise ``(count, n_noise)``.
+    ``normal(0, chan.sigma, n_noise)`` from ``frame_rng(chan.seed, j)``;
+    returns the bits ``(count, n_bits)`` and the noise ``(count, n_noise)``.
+    This is the one noise path: the harness's frame ``j`` is
+    ``frame_draws(chan, j, 1, payload_bits, M)``, and with ``n_bits = 0``
+    the noise alone is the first draw of frame ``j``'s stream.
 
     The bits are taken from ``random_raw`` words instead, bit for bit the
     same:
@@ -98,7 +101,7 @@ def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, si
     words = -(-n_bits // 8)
     raw = np.empty((count, words), dtype="<u8")
     noise = np.empty((count, n_noise))
-    rng = frame_rng(seed, start)
+    rng = frame_rng(chan.seed, start)
     bitgen = rng.bit_generator
     fresh = bitgen.state
     key = fresh["state"]["key"]
@@ -107,7 +110,7 @@ def frame_draws(seed: int, start: int, count: int, n_bits: int, n_noise: int, si
         bitgen.state = fresh
         raw[j] = bitgen.random_raw(words)
         rng.standard_normal(out=noise[j])
-    noise *= sigma
+    noise *= chan.sigma
     noise += 0.0
     return raw.view(np.uint8)[:, :n_bits] >> 7, noise
 
@@ -122,17 +125,6 @@ def bpsk_modulate(bits) -> np.ndarray:
     symbols *= -2.0
     symbols += 1.0
     return symbols
-
-
-def awgn(symbols, cfg: ChannelConfig, frame_index: int = 0) -> np.ndarray:
-    """Add white Gaussian noise: the first draw of ``frame_rng(seed, frame_index)``.
-
-    This is not the noise of the harness's frame ``frame_index``, which
-    draws its payload bits from that stream first (see :func:`frame_draws`).
-    """
-    symbols = np.asarray(symbols, dtype=np.float64)
-    rng = frame_rng(cfg.seed, frame_index)
-    return symbols + rng.normal(0.0, cfg.sigma, size=symbols.shape)
 
 
 def llr_demod(received, cfg: ChannelConfig) -> np.ndarray:

@@ -129,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-csv", default="-", help="CSV output path (default stdout)")
     p_sim.add_argument("--out-json", help="JSON report output path")
     p_sim.add_argument("--emit-spec", help="also write the constructed CodeSpec JSON here")
-    p_sim.add_argument("--workers", type=int, help="worker processes (default: NUPOLAR_WORKERS env var or 1)")
+    p_sim.add_argument("--workers", type=int, default=1, help="worker processes (default 1: run in this process)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run two configurations over a shared sweep", parents=[fields])
     p_cmp.add_argument("config_a", help="first key=value configuration file")
     p_cmp.add_argument("config_b", help="second key=value configuration file")
     p_cmp.add_argument("--out-csv", default="-", help="joint CSV output path (default stdout)")
-    p_cmp.add_argument("--workers", type=int)
+    p_cmp.add_argument("--workers", type=int, default=1, help="worker processes (default 1: run in this process)")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

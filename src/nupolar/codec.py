@@ -28,18 +28,15 @@ from .construction import CodeSpec
 
 @dataclass
 class CrcConfig:
-    """Cyclic-redundancy-check parameters.
-
-    ``poly`` holds the generator polynomial without its leading term.  With
-    ``msb_first`` (default) the payload is divided high-order bit first and
-    the checksum is appended high-order bit first; otherwise both are
-    reflected.
+    """Cyclic-redundancy-check parameters: the generator polynomial ``poly``
+    without its leading term, of degree ``width``.  The register starts at
+    0, the payload is divided high-order bit first and the checksum is
+    appended high-order bit first.  The default is CRC-24 (0x864CFB), the
+    only CRC the harness uses.
     """
 
     poly: int = 0x864CFB
     width: int = 24
-    init: int = 0
-    msb_first: bool = True
 
 
 CRC24 = CrcConfig()
@@ -445,36 +442,28 @@ def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rul
 def _crc_remainder(bits, crc: CrcConfig):
     """Bit-serial polynomial division; ``bits`` may carry leading batch dims."""
     bits = np.asarray(bits, dtype=np.int64)
-    if not crc.msb_first:
-        bits = bits[..., ::-1]
     mask = (1 << crc.width) - 1
-    reg = np.full(bits.shape[:-1], crc.init & mask, dtype=np.int64)
+    reg = np.zeros(bits.shape[:-1], dtype=np.int64)
     for j in range(bits.shape[-1]):
         feedback = ((reg >> (crc.width - 1)) & 1) ^ bits[..., j]
         reg = ((reg << 1) & mask) ^ (feedback * crc.poly)
     return reg
 
 
-def _int_to_bits(value, width: int, msb_first: bool) -> np.ndarray:
-    shifts = np.arange(width - 1, -1, -1) if msb_first else np.arange(width)
-    return ((np.asarray(value)[..., None] >> shifts) & 1).astype(np.uint8)
-
-
 def crc_append(payload, crc: CrcConfig = CRC24) -> np.ndarray:
     """Append the checksum of ``payload``, high-order bit first."""
     payload = np.asarray(payload, dtype=np.uint8)
     rem = _crc_remainder(payload, crc)
-    return np.concatenate([payload, _int_to_bits(rem, crc.width, crc.msb_first)], axis=-1)
+    bits = (rem[..., None] >> np.arange(crc.width - 1, -1, -1)) & 1
+    return np.concatenate([payload, bits.astype(np.uint8)], axis=-1)
 
 
 def crc_check(msg, crc: CrcConfig = CRC24):
-    """True when the trailing checksum bits match the leading payload."""
+    """True when ``msg`` equals :func:`crc_append` of its leading payload."""
     msg = np.asarray(msg, dtype=np.uint8)
     if msg.shape[-1] <= crc.width:
         raise ValueError("message shorter than the checksum")
-    rem = _crc_remainder(msg[..., : -crc.width], crc)
-    expect = _int_to_bits(rem, crc.width, crc.msb_first)
-    ok = np.all(msg[..., -crc.width :] == expect, axis=-1)
+    ok = np.all(msg == crc_append(msg[..., : -crc.width], crc), axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -172,6 +172,8 @@ class CodeSpec:
             raise ConstructionError(f"unknown construction method {self.construction_method!r}")
         if self.g_mode not in G_MODES:
             raise ConstructionError(f"unknown g_mode {self.g_mode!r}")
+        if not isinstance(self.pattern, RateMatchPattern):
+            raise ConstructionError(f"pattern must be a RateMatchPattern, got {type(self.pattern).__name__}")
         tx = self.pattern.tx_positions(N)
         if M != tx.size:
             raise ConstructionError(f"tx length {M} must equal the {tx.size} transmitted positions")
@@ -223,26 +225,23 @@ def _exact_keys(doc, cls) -> dict:
     return doc
 
 
-def _butterfly(v, pair, keep_stages: bool, hold):
+def _butterfly(v, pair, hold):
     # The polarization butterfly, in place on v.  Stage s pairs positions
     # that differ in bit s (distance 2^s, smallest first); pair(a, b)
     # returns new (minus, plus) arrays, which land on the lower and the upper
     # index.  A pair with a member in the boolean mask `hold` is not
     # evaluated and keeps its values, so the held set is the same at every
     # stage.
-    stages = [v.copy()]
     d = 1
     while d < v.size:
         lo, hi = v.reshape(-1, 2, d).swapaxes(0, 1)
         live = ~hold.reshape(-1, 2, d).any(axis=1)
         lo[live], hi[live] = pair(lo[live], hi[live])
-        if keep_stages:
-            stages.append(v.copy())
         d *= 2
-    return stages if keep_stages else v
+    return v
 
 
-def evolve_reliabilities(stage0, g_mode: str = "sum", keep_stages: bool = False):
+def evolve_reliabilities(stage0, g_mode: str = "sum"):
     """Run the polarization butterfly over a stage-0 reliability vector.
 
     Stage ``s`` pairs positions that differ in bit ``s`` (distance 2^s,
@@ -253,8 +252,10 @@ def evolve_reliabilities(stage0, g_mode: str = "sum", keep_stages: bool = False)
     the plain two-mean update :func:`~nupolar.numerics.nupga_pair`, even
     where a live mean has evolved to 0.  On a pattern closed upward this is
     GA of the channel the decoder sees, with shortened bits known.
-    Returns the fully evolved vector, or the list of all ``log2(N) + 1``
-    stage vectors when ``keep_stages`` is set.
+    Returns the fully evolved vector.  After its first ``s`` stages the
+    vector is the evolutions of its aligned blocks of ``2^s`` positions,
+    concatenated: those stages pair positions inside a block, and whether
+    a pair passes through depends on its own positions only.
     """
     v = np.array(stage0, dtype=np.float64)
     if v.ndim != 1:
@@ -262,10 +263,10 @@ def evolve_reliabilities(stage0, g_mode: str = "sum", keep_stages: bool = False)
     _check_power_of_two(v.size)
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise ConstructionError("reliabilities must be finite and non-negative")
-    return _butterfly(v, lambda a, b: nupga_pair(a, b, g_mode), keep_stages, hold=v == 0.0)
+    return _butterfly(v, lambda a, b: nupga_pair(a, b, g_mode), hold=v == 0.0)
 
 
-def evolve_bec(stage0, keep_stages: bool = False):
+def evolve_bec(stage0):
     """Exact BEC erasure evolution through the same butterfly schedule."""
     v = np.array(stage0, dtype=np.float64)
     if v.ndim != 1:
@@ -273,17 +274,20 @@ def evolve_bec(stage0, keep_stages: bool = False):
     _check_power_of_two(v.size)
     if not np.all((v >= 0) & (v <= 1)):
         raise ConstructionError("erasure probabilities must lie in [0, 1]")
-    return _butterfly(v, bec_pair, keep_stages, hold=np.zeros(v.size, dtype=bool))
+    return _butterfly(v, bec_pair, hold=np.zeros(v.size, dtype=bool))
 
 
 def select_information_set(rel, K: int) -> np.ndarray:
     """Frozen mask unfreezing the K most reliable positions.
 
     Ties break toward the lower index.  Raises :class:`ConstructionError`
-    when fewer than K positions have strictly positive reliability.
+    when K is negative or fewer than K positions have strictly positive
+    reliability.
     """
     rel = np.asarray(rel, dtype=np.float64)
     K = int(_whole(K, "payload length"))
+    if K < 0:
+        raise ConstructionError(f"payload length {K} is negative")
     usable = int(np.count_nonzero(rel > 0))
     if K > usable:
         raise ConstructionError(

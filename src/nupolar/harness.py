@@ -24,7 +24,6 @@ import io
 import itertools
 import math
 import numbers
-import os
 import time
 import typing
 from dataclasses import dataclass, field
@@ -54,7 +53,6 @@ BATCH_FRAMES = 256
 UNIT_LLRS = 1 << 18
 UNIT_BATCHES = 4
 FER_Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
-WORKERS_ENV = "NUPOLAR_WORKERS"
 
 DECODERS = ("SC", "SCL", "CASCL")
 
@@ -231,7 +229,7 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tupl
     start, count = unit
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     pay_bits = cfg.payload_bits
-    payloads, rx = frame_draws(cfg.seed, start, count, pay_bits, cfg.M, chan.sigma)
+    payloads, rx = frame_draws(chan, start, count, pay_bits, cfg.M)
     msgs = crc_append(payloads, CRC24) if cfg.crc_len else payloads
     tx = tx_frame(spec, encode(spec, msgs))
     rx += bpsk_modulate(tx)
@@ -315,7 +313,7 @@ def _pool(unit, workers: int):
 def run_point(
     cfg: ExperimentConfig,
     ebno_db: float,
-    workers: int | None = None,
+    workers: int = 1,
     spec: CodeSpec | None = None,
 ) -> PointReport:
     """Accumulate BER/FER counters for one Eb/N0 point.
@@ -323,8 +321,8 @@ def run_point(
     Counters are committed per batch of ``BATCH_FRAMES`` frames until
     ``min_frame_errors`` frame errors have been counted or ``max_frames``
     frames have been simulated, whichever comes first.  The batches are
-    decoded in the work units of :func:`_work_units`.  With ``workers`` > 1
-    (default: the ``NUPOLAR_WORKERS`` environment variable, else 1) each
+    decoded in the work units of :func:`_work_units`, in this process when
+    ``workers`` is 1 or less (the default).  With ``workers`` > 1 each
     worker of a fork pool owned by this call (:func:`_pool`) takes whole
     units.  Each worker inherits ``(spec, cfg, ebno_db)`` through the fork,
     so a unit is sent as its ``(start, count)`` alone.  At most
@@ -335,8 +333,6 @@ def run_point(
     """
     if spec is None:
         spec = build_spec(cfg)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     unit = functools.partial(_sim_chunk, spec, cfg, ebno_db)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
@@ -361,7 +357,7 @@ def run_point(
     )
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int | None = None, spec: CodeSpec | None = None) -> SimReport:
+def run_sweep(cfg: ExperimentConfig, workers: int = 1, spec: CodeSpec | None = None) -> SimReport:
     """Map :func:`run_point` over the configured Eb/N0 sweep (on ``spec``, else
     the code ``build_spec(cfg)`` describes)."""
     if spec is None:

@@ -2,10 +2,9 @@
 
 Gaussian-approximation (GA) density evolution tracks only the mean of each
 bit-channel LLR through the polarization tree.  This module provides the
-GA transfer function ``phi`` and its numerical inverse, the classic
-single-mean pair update (both tree inputs share one mean), the generalized
-two-mean pair update used for non-uniform reliability profiles, and the
-exact binary-erasure-channel pair update used as a test oracle.
+GA transfer function ``phi`` and its numerical inverse, the two-mean pair
+update (the classic single-mean update is its case of equal means), and
+the exact binary-erasure-channel pair update used as a test oracle.
 
 Conventions: LLR means are non-negative; a mean of 0 is a live channel
 that carries no information (an erasure).  Which positions are dead
@@ -185,23 +184,14 @@ def phi_inv(y):
     return out
 
 
-def ga_pair_uniform(m):
-    """Classic GA pair update for two tree inputs sharing one mean ``m``.
-
-    Returns ``(minus, plus)`` with ``minus = phi_inv(1 - (1 - phi(m))^2)``
-    and ``plus = 2 m``: the two-mean update :func:`nupga_pair` at a == b.
-    Satisfies ``minus <= m <= plus`` for every m >= 0; a dead channel
-    (m == 0) stays dead on both outputs.
-    """
-    return nupga_pair(m, m, "sum")
-
-
 def nupga_pair(a, b, g_mode: str = "sum"):
     """Generalized pair update for two independent LLR means.
 
     ``minus = phi_inv(1 - (1 - phi(a)) (1 - phi(b)))`` and ``plus`` is
-    ``a + b`` for ``g_mode="sum"`` (the default; :func:`ga_pair_uniform` is
-    this at a == b) or ``a * b`` for ``g_mode="product"``.
+    ``a + b`` for ``g_mode="sum"`` (the default) or ``a * b`` for
+    ``g_mode="product"``.  The classic GA update of two tree inputs sharing
+    one mean ``m`` is ``nupga_pair(m, m, "sum")``: ``minus = phi_inv(1 -
+    (1 - phi(m))^2)`` and ``plus = 2 m``, with ``minus <= m <= plus``.
     A mean of 0 gets no special case: it gives ``minus = 0``, and in
     product mode ``plus = 0`` whatever the partner, infinity included.
     """

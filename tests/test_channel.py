@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nupolar.channel import ChannelConfig, awgn, bpsk_modulate, frame_draws, frame_rng, llr_demod
+from nupolar.channel import ChannelConfig, bpsk_modulate, frame_draws, frame_rng, llr_demod
 
 
 class TestModulation:
@@ -37,27 +37,35 @@ class TestChannelConfig:
         ChannelConfig(ebno_db=np.sign(ebno_db) * 3000.0, rate=0.5)
 
 
+def noise_of(cfg, frame_index, n):
+    """Frame ``frame_index``'s noise alone: its first ``n`` normal draws."""
+    return frame_draws(cfg, frame_index, 1, 0, n)[1][0]
+
+
 class TestAwgn:
     def test_determinism_per_seed_and_frame(self):
         cfg = ChannelConfig(ebno_db=1.0, rate=0.5, seed=42)
-        x = np.ones(64)
-        a = awgn(x, cfg, frame_index=7)
-        b = awgn(x, cfg, frame_index=7)
-        c = awgn(x, cfg, frame_index=8)
+        a = noise_of(cfg, 7, 64)
+        b = noise_of(cfg, 7, 64)
+        c = noise_of(cfg, 8, 64)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+        # The first draw of the frame's stream, as the removed awgn helper
+        # made it.
+        want = frame_rng(cfg.seed, 7).normal(0.0, cfg.sigma, 64)
+        np.testing.assert_array_equal(a.view(np.uint64), want.view(np.uint64))
 
     def test_noise_mean_is_centred(self):
         cfg = ChannelConfig(ebno_db=0.0, rate=0.5, seed=1)
         n = 1_000_000
-        noise = frame_rng(cfg.seed, 0).normal(0.0, cfg.sigma, n)
+        noise = noise_of(cfg, 0, n)
         assert abs(noise.mean()) < 4.0 * cfg.sigma / np.sqrt(n)
 
     def test_zero_noise_limit(self):
         # sigma -> 0 corresponds to Eb/N0 -> inf; approximate with a huge one
         cfg = ChannelConfig(ebno_db=200.0, rate=0.5, seed=0)
         x = np.linspace(-1, 1, 32)
-        np.testing.assert_allclose(awgn(x, cfg), x, atol=1e-8)
+        np.testing.assert_allclose(x + noise_of(cfg, 0, 32), x, atol=1e-8)
 
 
 class TestFrameDraws:
@@ -78,9 +86,9 @@ class TestFrameDraws:
     @pytest.mark.parametrize("start", [0, 2**32, 2**63 - 300])
     @pytest.mark.parametrize("count", [0, 1, 256])
     def test_equals_frame_rng(self, seed, start, count):
-        args = (seed, start, count, 104, 80, 0.73)
-        bits, noise = frame_draws(*args)
-        want_bits, want_noise = self.per_frame(*args)
+        chan = ChannelConfig(ebno_db=1.3, rate=0.6, seed=seed)
+        bits, noise = frame_draws(chan, start, count, 104, 80)
+        want_bits, want_noise = self.per_frame(seed, start, count, 104, 80, chan.sigma)
         assert bits.shape == (count, 104) and noise.shape == (count, 80)
         np.testing.assert_array_equal(bits, want_bits)
         np.testing.assert_array_equal(noise.view(np.uint64), want_noise.view(np.uint64))
@@ -92,9 +100,9 @@ class TestFrameDraws:
         [(7, 13), (40, 80), (1, 1), (0, 5)] + [(n, 41) for n in (8, 9, 15, 16, 17, 63, 64, 65, 160)],
     )
     def test_widths(self, n_bits, n_noise):
-        args = (3, 100, 17, n_bits, n_noise, 1.5)
-        bits, noise = frame_draws(*args)
-        want_bits, want_noise = self.per_frame(*args)
+        chan = ChannelConfig(ebno_db=-3.5, rate=0.5, seed=3)
+        bits, noise = frame_draws(chan, 100, 17, n_bits, n_noise)
+        want_bits, want_noise = self.per_frame(3, 100, 17, n_bits, n_noise, chan.sigma)
         assert bits.dtype == np.uint8 and bits.shape == (17, n_bits)
         np.testing.assert_array_equal(bits, want_bits)
         np.testing.assert_array_equal(noise.view(np.uint64), want_noise.view(np.uint64))

@@ -1,3 +1,4 @@
+import functools
 import json
 import warnings
 
@@ -25,12 +26,34 @@ from nupolar.construction import (
     select_information_set,
     shortening_pattern,
 )
-from nupolar.numerics import ga_pair_uniform
 from nupolar.oracles import dense_cw_pattern, exact_bec_channels, known_bit_ga_channels
 
 
 def info_mask(spec):
     return (~spec.frozen_mask).astype(int).tolist()
+
+
+def recorded_stages(stage0, pair, hold):
+    """Every stage vector of ``_butterfly(stage0, pair, hold)``, the input
+    first: the butterfly works in place and calls ``pair`` once per stage,
+    before it writes that stage."""
+    v = np.array(stage0, dtype=np.float64)
+    stages = []
+
+    def record(a, b):
+        stages.append(v.copy())
+        return pair(a, b)
+
+    stages.append(_butterfly(v, record, hold).copy())
+    return stages
+
+
+def block_stages(evolve, stage0):
+    """Stage ``s`` as the evolutions of the aligned blocks of ``2^s``
+    positions, concatenated, the input first."""
+    v = np.asarray(stage0, dtype=np.float64)
+    return [v] + [np.concatenate([evolve(block) for block in v.reshape(-1, 1 << s)])
+                  for s in range(1, v.size.bit_length())]
 
 
 class TestEvolve:
@@ -53,7 +76,7 @@ class TestEvolve:
         for i in range(N):
             m = 4.0
             for s in range(5):
-                minus, plus = ga_pair_uniform(m)
+                minus, plus = numerics.nupga_pair(m, m, "sum")
                 m = plus if (i >> s) & 1 else minus
             expect[i] = m
         np.testing.assert_array_equal(rel, expect)
@@ -70,10 +93,26 @@ class TestEvolve:
         with pytest.raises(ConstructionError, match="one-dimensional"):
             evolve_reliabilities(np.full((2, 2), 4.0))
 
-    def test_keep_stages(self):
-        stages = evolve_reliabilities(np.full(8, 4.0), keep_stages=True)
-        assert len(stages) == 4
-        np.testing.assert_array_equal(stages[0], np.full(8, 4.0))
+    def test_stages_are_block_evolutions(self):
+        # The butterfly's first s stages pair positions inside aligned blocks
+        # of 2^s, and whether a pair passes through depends on its own
+        # positions only, so stage s is the evolutions of those blocks.
+        rng = np.random.default_rng(5)
+        ga = rng.uniform(0.5, 8.0, 16)
+        ga[[3, 12]] = 0.0
+        eps = rng.uniform(0.0, 1.0, 16)
+        cases = [(eps, evolve_bec, numerics.bec_pair, np.zeros(16, dtype=bool))]
+        for g_mode in ("sum", "product"):
+            cases.append((ga, functools.partial(evolve_reliabilities, g_mode=g_mode),
+                          functools.partial(numerics.nupga_pair, g_mode=g_mode), ga == 0.0))
+        for stage0, evolve, pair, hold in cases:
+            got = recorded_stages(stage0, pair, hold)
+            want = block_stages(evolve, stage0)
+            assert len(got) == len(want) == 5
+            np.testing.assert_array_equal(got[0], stage0)
+            np.testing.assert_array_equal(got[-1], evolve(stage0))
+            for s, (g, w) in enumerate(zip(got, want)):
+                np.testing.assert_array_equal(g, w, err_msg=f"stage {s}")
 
     def test_monotone_penalty_without_guard(self):
         # Read as an erasure (GA with no known bits, no pass-through),
@@ -105,7 +144,7 @@ class TestEvolve:
             seen.append((a.copy(), b.copy()))
             return a + b, a * b + 1.0
 
-        stages = _butterfly(stage0.copy(), pair, True, hold)
+        stages = recorded_stages(stage0, pair, hold)
         assert len(seen) == 6
         for s, (a, b) in enumerate(seen):
             d = 1 << s
@@ -140,8 +179,8 @@ class TestEvolve:
             j = int(rng.integers(0, 16))
             hit = base.copy()
             hit[j] = 0.0
-            ref = evolve_reliabilities(base, keep_stages=True)
-            out = evolve_reliabilities(hit, keep_stages=True)
+            ref = recorded_stages(base, numerics.nupga_pair, base == 0.0)
+            out = recorded_stages(hit, numerics.nupga_pair, hit == 0.0)
             for s in range(1, len(ref)):
                 block = np.arange(16) >> s == j >> s
                 np.testing.assert_array_equal(out[s][~block], ref[s][~block])
@@ -232,6 +271,12 @@ class TestSelect:
     def test_deficit_error_names_shortfall(self):
         with pytest.raises(ConstructionError, match="deficit 2"):
             select_information_set([1.0, 0.0, 0.0, 2.0], 4)
+
+    def test_rejects_negative_count(self):
+        # order[:K] with K < 0 would unfreeze N + K positions.
+        for K in (-2, -1):
+            with pytest.raises(ConstructionError, match=f"payload length {K} is negative"):
+                select_information_set(np.arange(1.0, 9.0), K)
 
     def test_rejects_fractional_count(self):
         # Rejected, not truncated to K = 3; a whole float still selects.
@@ -471,7 +516,7 @@ class TestBecConstruct:
     def test_capacity_conserved_every_stage(self):
         rng = np.random.default_rng(11)
         eps = rng.uniform(0.0, 1.0, 64)
-        stages = evolve_bec(eps, keep_stages=True)
+        stages = block_stages(evolve_bec, eps)
         target = np.sum(1.0 - eps)
         for stage in stages:
             assert abs(np.sum(1.0 - stage) - target) < 1e-9
@@ -542,6 +587,10 @@ class TestCodeSpec:
         # A document that is not a JSON object has every key missing.
         with pytest.raises(ConstructionError, match="CodeSpec document: missing keys"):
             CodeSpec.from_json("[]")
+        # A pattern must be a RateMatchPattern, not its document.
+        for pattern in ({"kind": "none", "indices": []}, "NAT_PD", None):
+            with pytest.raises(ConstructionError, match="pattern must be a RateMatchPattern"):
+                CodeSpec(8, 4, 8, np.array([1, 1, 1, 0, 1, 0, 0, 0], dtype=bool), pattern)
 
     @pytest.mark.parametrize("spec, text", [
         (build_shortened_code(8, 6, 3, "NAT_PD"),

@@ -275,7 +275,7 @@ class TestRunPoint:
             frames = bit_errors = frame_errors = 0
             while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
                 count = min(BATCH_FRAMES, cfg.max_frames - frames)
-                payloads, noise = frame_draws(cfg.seed, frames, count, cfg.payload_bits, cfg.M, chan.sigma)
+                payloads, noise = frame_draws(chan, frames, count, cfg.payload_bits, cfg.M)
                 tx = tx_frame(spec, encode(spec, payloads))
                 llr = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
                 errs = sc_decode_batch(spec, llr, rule)[0] != payloads

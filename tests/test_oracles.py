@@ -3,7 +3,7 @@ import pytest
 
 from nupolar.codec import encode
 from nupolar.construction import build_mother_code, build_shortened_code, evolve_reliabilities
-from nupolar.numerics import ga_pair_uniform, phi, phi_inv
+from nupolar.numerics import nupga_pair, phi, phi_inv
 from nupolar.oracles import (
     DENSE_MAX_N,
     dense_cw_pattern,
@@ -116,7 +116,7 @@ class TestKnownBitGa:
     def test_size_four_example_by_hand(self):
         # Known bit at position 3: stage one gives (f(4, 4), 8) and (4, known);
         # stage two gives f(f(4, 4), 4), f(8, known) = 8, f(4, 4) + 4, known.
-        m1, p1 = ga_pair_uniform(4.0)
+        m1, p1 = nupga_pair(4.0, 4.0, "sum")
         means, known = known_bit_ga_channels([4.0, 4.0, 4.0, 4.0], [False, False, False, True])
         arg = 1.0 - (1.0 - phi(m1)) * (1.0 - phi(4.0))
         np.testing.assert_allclose(means, [phi_inv(arg), p1, m1 + 4.0, 0.0], rtol=1e-12)
