@@ -19,7 +19,10 @@ The report gives per workload the median of the per-pair time ratios
 (head / base) and its quartiles, and checks that both sides give equal
 frozen masks and rate-matching patterns (every workload) and error
 counters ``(frames, bit_errors, frame_errors)`` (the simulation
-workloads).
+workloads).  After the timed pairs it runs one more op per side, untimed,
+under ``tracemalloc`` and reports each side's peak traced memory: what
+numpy and Python allocate in this process, so for a multi-worker workload
+the pool's parent process only.
 
 Compare the parent commit with the working tree (``git archive`` output
 unpacked anywhere outside the repository):
@@ -47,6 +50,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +104,16 @@ def timed(op, i: int):
     return time.perf_counter() - t0, out
 
 
+def traced_peak_mb(op, i: int) -> float:
+    """Peak memory traced while op ``i`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        op(i)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def compare(workload, base, head, pairs: int) -> dict:
     cores = sorted(ALLOWED_CORES)[-workload.workers:]
     os.sched_setaffinity(0, cores)
@@ -115,11 +129,14 @@ def compare(workload, base, head, pairs: int) -> dict:
         head_s.append(th)
         if ob != oh:
             diffs.append({"op": i, "base": ob, "head": oh})
+    base_mb, head_mb = traced_peak_mb(base, 0), traced_peak_mb(head, 0)
+    scope = "this process" if workload.workers == 1 else "the parent process only"
     ratios = np.array(head_s) / np.array(base_s)
     q1, med, q3 = np.percentile(ratios, [25, 50, 75])
     print(f"{workload.name:22s} base {statistics.median(base_s) * 1e3:9.2f} ms  head "
           f"{statistics.median(head_s) * 1e3:9.2f} ms  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
-          f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}")
+          f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}"
+          f"  traced peak {base_mb:.2f} -> {head_mb:.2f} MB ({scope})")
     return {
         "op": "build_spec over the seed-0 family" if workload.cfg is None else "one run_point call",
         "workers": workload.workers,
@@ -131,6 +148,9 @@ def compare(workload, base, head, pairs: int) -> dict:
         "ratio_iqr": [q1, q3],
         "speedup_median": 1 / med,
         "head_faster_pairs": int(np.sum(ratios < 1)),
+        "base_peak_traced_mb": base_mb,
+        "head_peak_traced_mb": head_mb,
+        "peak_traced_scope": scope,
         "equal": not diffs,
         "differences": diffs,
         "ratios": ratios.tolist(),

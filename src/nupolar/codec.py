@@ -32,11 +32,19 @@ class CrcConfig:
     without its leading term, of degree ``width``.  The register starts at
     0, the payload is divided high-order bit first and the checksum is
     appended high-order bit first.  The default is CRC-24 (0x864CFB), the
-    only CRC the harness uses.
+    only CRC the harness uses.  Raises ``ValueError`` unless ``width`` is a
+    whole number in [1, 63], which the ``int64`` register holds, and
+    ``poly`` one in [0, 2^width).
     """
 
     poly: int = 0x864CFB
     width: int = 24
+
+    def __post_init__(self):
+        if not isinstance(self.width, numbers.Integral) or not 1 <= self.width <= 63:
+            raise ValueError(f"CRC width must be a whole number in [1, 63], got {self.width!r}")
+        if not isinstance(self.poly, numbers.Integral) or not 0 <= self.poly < 1 << self.width:
+            raise ValueError(f"CRC polynomial must be a whole number in [0, 2^{self.width}), got {self.poly!r}")
 
 
 CRC24 = CrcConfig()
@@ -221,7 +229,15 @@ class _ListDecoder:
     of frame ``i``, so an array has ``B*L`` rows.  Above the first
     information leaf all slots of a frame hold the same values, and the
     arrays there keep one row per frame (``B`` rows) until a re-alignment
-    spreads them over the slots.
+    spreads them over the slots; a ``g`` update against a ``B*L``-row left
+    codeword broadcasts such rows over a ``(B, L, n/2)`` view instead.
+
+    Memory: a node receives its input in a one-element list that it
+    empties, so it alone holds the input, and releases it, with both
+    halves, before its right child runs.  So while a node is walked, only
+    the ancestors it descends from on their left side hold their inputs, at
+    most one per level.  The peak is the root's right child re-aligning its
+    ``B*L x N/2`` input, which holds that input and its gathered copy.
 
     ``origin`` is the one record of the paths: it maps the current rows to
     the rows at the entry of the innermost active tree node, so ancestors
@@ -292,7 +308,7 @@ class _ListDecoder:
             self.pm[:, 0] = 0.0
         # One error state for the walk, not one per node: inf - inf and overflow to inf are meant.
         with np.errstate(invalid="ignore", over="ignore"):
-            x = self._rec(llr, 0, 1)
+            x = self._rec([llr], 0, 1)
         order = self.identity if self.pm is None else (
             np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
         x = self._align(x, order)
@@ -309,7 +325,8 @@ class _ListDecoder:
             return np.repeat(x, self.L, axis=0)
         return np.take(x, to, axis=0)
 
-    def _rec(self, llr, offset, stride):
+    def _rec(self, box, offset, stride):
+        llr = box.pop()  # emptied, so that this node alone holds its input
         kind = self.kinds[stride][offset]
         if kind == RATE0:  # the root only: parents skip their Rate-0 children
             return np.zeros(llr.shape, dtype=np.uint8)
@@ -325,21 +342,26 @@ class _ListDecoder:
         # Adjacent channel positions polarize together (the tree dual to the
         # natural-order construction butterfly): the even/odd F combine yields
         # observations of the encoded even-lattice source bits.
-        a = llr[:, 0::2]
-        b = llr[:, 1::2]
         child = self.kinds[2 * stride]
         x_left = x_right = None
         if child[offset] != RATE0:
-            x_left = self._rec(self.f(a, b), offset, 2 * stride)
+            x_left = self._rec([self.f(llr[:, 0::2], llr[:, 1::2])], offset, 2 * stride)
         left_to_entry = self.origin
-        if left_to_entry is not self.identity:
-            # One gather of whole rows: gathering the two strided halves
-            # separately is up to 13x slower on narrow nodes.
-            llr = self._align(llr, left_to_entry)
-            a = llr[:, 0::2]
-            b = llr[:, 1::2]
         if child[offset + stride] != RATE0:
-            x_right = self._rec(_g(a, b, x_left), offset + stride, 2 * stride)
+            half = llr.shape[1] // 2
+            u = x_left
+            if left_to_entry is not self.identity:
+                if len(llr) < len(left_to_entry):
+                    # One row per frame: g broadcasts it over the frame's slots.
+                    llr = llr[:, None]
+                    u = x_left.reshape(len(llr), self.L, half)
+                else:
+                    # One gather of whole rows: gathering the two strided
+                    # halves separately is up to 13x slower on narrow nodes.
+                    llr = np.take(llr, left_to_entry, axis=0)
+            right = [_g(llr[..., 0::2], llr[..., 1::2], u).reshape(-1, half)]
+            del llr  # only the right child holds its input while it runs
+            x_right = self._rec(right, offset + stride, 2 * stride)
         right_to_left = self.origin
         x_left = self._align(x_left, right_to_left)
         if left_to_entry is not self.identity:

@@ -281,10 +281,12 @@ def select_information_set(rel, K: int) -> np.ndarray:
     """Frozen mask unfreezing the K most reliable positions.
 
     Ties break toward the lower index.  Raises :class:`ConstructionError`
-    when K is negative or fewer than K positions have strictly positive
-    reliability.
+    when ``rel`` is not one-dimensional, K is negative or fewer than K
+    positions have strictly positive reliability.
     """
     rel = np.asarray(rel, dtype=np.float64)
+    if rel.ndim != 1:
+        raise ConstructionError("reliability vector must be one-dimensional")
     K = int(_whole(K, "payload length"))
     if K < 0:
         raise ConstructionError(f"payload length {K} is negative")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from nupolar import codec
 from nupolar.channel import ChannelConfig, frame_draws
 from nupolar.codec import (
     CRC24,
+    CrcConfig,
     ca_scl_decode_batch,
     crc_append,
     crc_check,
@@ -416,6 +418,47 @@ class TestTop:
         assert np.isinf(got_pm).any()
 
 
+class TestListMemory:
+    """The list decoder keeps one node input alive per level: a node releases
+    its LLRs before its right child runs, and a node whose LLRs still have
+    one row per frame broadcasts them over the slots instead of repeating
+    them."""
+
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_broadcast_g_matches_reference(self, L):
+        # Position 0 is the first leaf the walk decides, so every node above
+        # it meets a B*L-row left codeword with one LLR row per frame, the
+        # root's N/2-wide right child included.
+        frozen = build_mother_code(64, 31).frozen_mask.copy()
+        frozen[0] = False
+        spec = CodeSpec(64, 32, 64, frozen, RateMatchPattern())
+        rng = np.random.default_rng(33)
+        msgs = rng.integers(0, 2, (128, spec.payload_len), dtype=np.uint8)
+        frames = awgn_llrs(encode(spec, msgs), 0.9, rng)
+        got_msgs, got_pm = scl_decode_batch(spec, frames, L, 1e-3)
+        ref_msgs, ref_pm = reference_scl_decode_batch(spec, frames, L, 1e-3, "minsum")
+        assert np.array_equal(got_msgs, ref_msgs) and np.array_equal(got_pm, ref_pm)
+
+    def test_traced_peak_is_bounded_by_node_inputs(self):
+        # The floor is the root's right child re-aligning its input: the
+        # B*L x N/2 input and its gathered copy, two node inputs.  Keeping
+        # every ancestor's input alive and repeating per-frame rows measured
+        # 4.3 node inputs.
+        spec = build_shortened_code(512, 280, 128, "NAT_PD")
+        B, L = 64, 16
+        rng = np.random.default_rng(34)
+        msgs = rng.integers(0, 2, (B, spec.payload_len), dtype=np.uint8)
+        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.7, rng))
+        node_input = B * L * (spec.mother_len // 2) * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            scl_decode_batch(spec, frames, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * node_input, f"{peak / node_input:.2f} node inputs"
+
+
 # Salt for frames: both certainties, exact zeros, finite magnitudes whose
 # sums overflow to inf, and the smallest subnormal.
 EXTREME_LLRS = [np.inf, -np.inf, 0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324]
@@ -637,6 +680,23 @@ class TestCrc:
     def test_check_needs_a_payload(self):
         with pytest.raises(ValueError, match="shorter than the checksum"):
             crc_check(np.zeros(24, np.uint8))
+
+    @pytest.mark.parametrize("width", [0, 64, 2.5])
+    def test_rejects_width_outside_the_register(self, width):
+        # width 0 failed on a broadcast and 64 overflowed the int64 register.
+        with pytest.raises(ValueError, match="CRC width"):
+            CrcConfig(poly=1, width=width)
+
+    @pytest.mark.parametrize("poly", [0x1FF, -5, 1.0])
+    def test_rejects_poly_outside_its_width(self, poly):
+        # Both out-of-range polynomials used to return a checksum.
+        with pytest.raises(ValueError, match="CRC polynomial"):
+            CrcConfig(poly=poly, width=8)
+
+    def test_accepts_the_range_ends(self):
+        payload = np.random.default_rng(15).integers(0, 2, (4, 70), dtype=np.uint8)
+        for crc in (CrcConfig(poly=0, width=1), CrcConfig(poly=(1 << 63) - 1, width=63)):
+            assert crc_check(crc_append(payload, crc), crc).all()
 
 
 class TestCaScl:

@@ -278,6 +278,12 @@ class TestSelect:
             with pytest.raises(ConstructionError, match=f"payload length {K} is negative"):
                 select_information_set(np.arange(1.0, 9.0), K)
 
+    def test_rejects_rel_that_is_not_one_dimensional(self):
+        # A 2-D rel would be ranked as one flat vector: K = 1 unfroze 4 of 8.
+        for rel in (np.arange(1.0, 9.0).reshape(2, 4), np.float64(3.0)):
+            with pytest.raises(ConstructionError, match="one-dimensional"):
+                select_information_set(rel, 1)
+
     def test_rejects_fractional_count(self):
         # Rejected, not truncated to K = 3; a whole float still selects.
         with pytest.raises(ConstructionError, match="whole numbers"):
