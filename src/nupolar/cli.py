@@ -20,8 +20,6 @@ import typing
 from .construction import ConstructionError
 from .harness import CHOICES, FIELD_TYPES, ExperimentConfig, build_spec, run_sweep
 
-_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
-
 
 def _coerce(key: str, raw: str):
     if key not in FIELD_TYPES:
@@ -29,11 +27,6 @@ def _coerce(key: str, raw: str):
     kind = FIELD_TYPES[key]
     if kind == tuple[float, ...]:
         return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    if kind is bool:
-        word = raw.strip().lower()
-        if word not in _BOOLS:
-            raise ConstructionError(f"{key} must be one of {', '.join(_BOOLS)}, got {raw!r}")
-        return _BOOLS[word]
     # An optional field (``int | None``) parses as its first member.
     return (typing.get_args(kind) or (kind,))[0](raw)
 
@@ -145,7 +138,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConstructionError, ValueError) as exc:
+    except ValueError as exc:  # ConstructionError included
         print(f"nupolar: configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -18,6 +18,7 @@ All indices in the Python API are 0-based.  The JSON serialization of
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -180,8 +181,11 @@ class CodeSpec:
         if self.pattern.kind == "shorten":
             if not N // 2 < M < N:
                 raise ConstructionError("shortened length must satisfy N/2 < M < N")
-            if not np.all(mask[self.pattern.indices]):
-                raise ConstructionError("every shortened position must map to a frozen input")
+            # Codeword bit j sums the source bits whose index covers j's bits:
+            # it is zero for every message only when all of them are frozen.
+            covered = _butterfly(~mask, lambda a, b: (np.maximum(a, b), b))
+            if np.any(covered[self.pattern.indices]):
+                raise ConstructionError("every source position covering a shortened position must be frozen")
         mask.setflags(write=False)
         tx.setflags(write=False)
         self.mother_len, self.payload_len, self.tx_len = N, K, M
@@ -225,18 +229,21 @@ def _exact_keys(doc, cls) -> dict:
     return doc
 
 
-def _butterfly(v, pair, hold):
+def _butterfly(v, pair, hold=None):
     # The polarization butterfly, in place on v.  Stage s pairs positions
     # that differ in bit s (distance 2^s, smallest first); pair(a, b)
     # returns new (minus, plus) arrays, which land on the lower and the upper
     # index.  A pair with a member in the boolean mask `hold` is not
     # evaluated and keeps its values, so the held set is the same at every
-    # stage.
+    # stage.  Without `hold` every pair is evaluated.
     d = 1
     while d < v.size:
         lo, hi = v.reshape(-1, 2, d).swapaxes(0, 1)
-        live = ~hold.reshape(-1, 2, d).any(axis=1)
-        lo[live], hi[live] = pair(lo[live], hi[live])
+        if hold is None:
+            lo[...], hi[...] = pair(lo, hi)
+        else:
+            live = ~hold.reshape(-1, 2, d).any(axis=1)
+            lo[live], hi[live] = pair(lo[live], hi[live])
         d *= 2
     return v
 
@@ -274,7 +281,7 @@ def evolve_bec(stage0):
     _check_power_of_two(v.size)
     if not np.all((v >= 0) & (v <= 1)):
         raise ConstructionError("erasure probabilities must lie in [0, 1]")
-    return _butterfly(v, bec_pair, hold=np.zeros(v.size, dtype=bool))
+    return _butterfly(v, bec_pair)
 
 
 def select_information_set(rel, K: int) -> np.ndarray:
@@ -302,28 +309,34 @@ def select_information_set(rel, K: int) -> np.ndarray:
 
 
 def design_snr_to_llr_mean(design_snr_db: float) -> float:
-    """Stage-0 LLR mean 4*S for a design point of S = 10^(dB/10)."""
-    return 4.0 * 10.0 ** (design_snr_db / 10.0)
+    """Stage-0 LLR mean 4*S for a design point of S = 10^(dB/10); raises
+    :class:`ConstructionError` unless the mean is finite."""
+    try:
+        mean = 4.0 * 10.0 ** (design_snr_db / 10.0)
+    except OverflowError:
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise ConstructionError(f"design SNR {design_snr_db} dB gives a non-finite LLR mean")
+    return mean
 
 
-def _build_code(N, K, pattern, design_snr_db, g_mode, method, erasure=None) -> CodeSpec:
+def _build_code(N, K, pattern, design_snr_db, g_mode, method) -> CodeSpec:
     # The tail every builder shares.  BEC_oracle evolves the uniform erasure
-    # probability exactly.  The re-polarized methods evolve the design-point
-    # mean times each position's observation count; GA_uniform evolves the
-    # uniform vector and skips the pattern afterwards.
+    # probability exp(-S) exactly.  The re-polarized methods evolve the
+    # design-point mean times each position's observation count; GA_uniform
+    # evolves the uniform vector and skips the pattern afterwards.
     tx = pattern.tx_positions(N)
     if not 0 < K <= min(N, tx.size):
         raise ConstructionError(f"payload length {K} outside (0, {min(N, tx.size)}]")
+    base = design_snr_to_llr_mean(design_snr_db)
     if method == "BEC_oracle":
-        frozen = bec_construct(np.full(N, erasure), K)
-    else:
-        base = design_snr_to_llr_mean(design_snr_db)
-        if method == "GA_uniform":
-            rel = evolve_reliabilities(np.full(N, base), g_mode)
-            rel[pattern.indices] = 0.0
-        else:
-            rel = evolve_reliabilities(base * np.bincount(tx, minlength=N), g_mode)
+        frozen = bec_construct(np.full(N, np.exp(-base / 4)), K)
+    elif method == "GA_uniform":
+        rel = evolve_reliabilities(np.full(N, base), g_mode)
+        rel[pattern.indices] = 0.0
         frozen = select_information_set(rel, K)
+    else:
+        frozen = select_information_set(evolve_reliabilities(base * np.bincount(tx, minlength=N), g_mode), K)
     return CodeSpec(
         mother_len=N,
         payload_len=K,
@@ -450,16 +463,14 @@ def build_extended_code(
     return _build_code(N, K, pattern, design_snr_db, g_mode, "NUPGA_extended")
 
 
-def build_bec_code(N: int, K: int, erasure=None, design_snr_db: float = 0.0, g_mode: str = "sum") -> CodeSpec:
+def build_bec_code(N: int, K: int, design_snr_db: float = 0.0, g_mode: str = "sum") -> CodeSpec:
     """Length-N code with K information bits from exact BEC evolution (see :func:`bec_construct`).
 
-    The erasure probability defaults to the Bhattacharyya parameter
-    ``exp(-S)`` of the design point ``S = 10^(design_snr_db / 10)``.
+    Every position has the erasure probability ``exp(-S)``, the
+    Bhattacharyya parameter of the design point ``S = 10^(design_snr_db / 10)``.
     """
     N = _check_power_of_two(N)
-    if erasure is None:
-        erasure = float(np.exp(-(10.0 ** (design_snr_db / 10.0))))
-    return _build_code(N, K, RateMatchPattern(), design_snr_db, g_mode, "BEC_oracle", erasure)
+    return _build_code(N, K, RateMatchPattern(), design_snr_db, g_mode, "BEC_oracle")
 
 
 def bec_construct(erasures, K: int) -> np.ndarray:

@@ -82,8 +82,6 @@ class ExperimentConfig:
     rule: str = "minsum"
     scl_threshold: float = 0.0
     repeat: str = "tail"
-    bec_erasure: float | None = None
-    rate_excludes_crc: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -122,8 +120,8 @@ class ExperimentConfig:
 
     @property
     def rate(self) -> float:
-        bits = self.payload_bits if self.rate_excludes_crc else self.K
-        return bits / self.M
+        """The code rate K/M, CRC bits included."""
+        return self.K / self.M
 
     def as_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -170,11 +168,7 @@ class SimReport:
         return out.getvalue()
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "library_version": self.library_version,
-            "points": [dataclasses.asdict(p) for p in self.points],
-        }
+        return dataclasses.asdict(self)
 
 
 def build_spec(cfg: ExperimentConfig) -> CodeSpec:
@@ -183,7 +177,7 @@ def build_spec(cfg: ExperimentConfig) -> CodeSpec:
     if cfg.method == "BEC_oracle":
         if M != N:
             raise ConstructionError("BEC_oracle construction supports M = N only")
-        return build_bec_code(N, K, cfg.bec_erasure, cfg.design_snr_db, cfg.g_mode)
+        return build_bec_code(N, K, cfg.design_snr_db, cfg.g_mode)
     extend = cfg.method == "NUPGA_extended"
     if (M > N) != extend:
         raise ConstructionError("extension needs M > N" if extend else f"{cfg.method} supports M <= N only")

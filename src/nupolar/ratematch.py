@@ -24,8 +24,9 @@ class InvalidSpecError(ValueError):
 def tx_frame(spec: CodeSpec, codeword) -> np.ndarray:
     """Rate-match a mother codeword to the transmitted length M.
 
-    The shortened bits must all be zero; a nonzero bit means the frozen set
-    does not cover the pattern and the spec is invalid.
+    The shortened bits must all be zero.  ``encode`` output always is, since
+    :class:`CodeSpec` freezes every source position covering a shortened
+    one; the check is for codewords that come from elsewhere.
     """
     cw = np.asarray(codeword, dtype=np.uint8)
     if cw.shape[-1] != spec.mother_len:

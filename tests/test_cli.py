@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nupolar import cli, harness
-from nupolar.cli import load_config_file, main
+from nupolar.cli import main
 from nupolar.construction import CodeSpec
 from nupolar.harness import CHOICES, ExperimentConfig
 
@@ -16,7 +16,7 @@ FIELD_TEXT = {
     "decoder": "SCL", "list_size": "4", "crc_len": "24", "design_snr_db": "-1.5",
     "ebno_sweep": "1.5, 2 3", "max_frames": "512", "min_frame_errors": "7", "seed": "9",
     "g_mode": "product", "rule": "exact", "scl_threshold": "0.25", "repeat": "weak_info",
-    "bec_erasure": "0.25", "rate_excludes_crc": "on", "label": "nupga",
+    "label": "nupga",
 }
 
 
@@ -117,6 +117,7 @@ class TestSimulate:
         rc = run_cli(["simulate", "--config", str(cfgfile), "--seed", "2", "--out-csv", str(out)])
         assert rc == 0
 
+    # rate_excludes_crc is a retired key: unknown like any other.
     @pytest.mark.parametrize("line", ["rate_excludes_crc = ture", "rule = bogus", "g_mode = bogus",
                                       "repeat = bogus", "list = 4", "seed 4"])
     def test_bad_config_file_value_exits_2(self, tmp_path, capsys, line):
@@ -128,7 +129,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value", [("--ebno", "inf"), ("--ebno", "1,nan"), ("--ebno", "4000"),
                                              ("--ebno", "-4000"), ("--N", "abc"),
-                                             ("--rate-excludes-crc", "ture")])
+                                             ("--design-snr-db", "4000"), ("--design-snr-db", "inf")])
     def test_bad_flag_value_exits_2(self, tmp_path, capsys, flag, value):
         rc = run_cli(["simulate", "--N", "64", "--K", "32", "--max-frames", "256", flag, value,
                       "--out-csv", str(tmp_path / "r.csv")])
@@ -159,13 +160,6 @@ class TestSimulate:
             configs.append(json.loads(out.read_text())["config"])
         assert configs[0] == configs[1]
         assert configs[0][name] != ExperimentConfig(N=64, K=32, max_frames=1).as_dict()[name]
-
-    def test_config_file_booleans(self, tmp_path):
-        cfgfile = tmp_path / "exp.cfg"
-        for word, value in [("1", True), ("Yes", True), ("on", True), ("true", True),
-                            ("0", False), ("No", False), ("off", False), ("false", False)]:
-            cfgfile.write_text(f"rate_excludes_crc = {word}\n")
-            assert load_config_file(str(cfgfile)) == {"rate_excludes_crc": value}
 
     def test_bad_config_exits_2(self, capsys):
         rc = run_cli(["simulate", "--N", "63", "--K", "32", "--ebno", "1.0"])

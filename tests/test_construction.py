@@ -26,7 +26,7 @@ from nupolar.construction import (
     select_information_set,
     shortening_pattern,
 )
-from nupolar.oracles import dense_cw_pattern, exact_bec_channels, known_bit_ga_channels
+from nupolar.oracles import dense_cw_pattern, exact_bec_channels, known_bit_ga_channels, kronecker_generator
 
 
 def info_mask(spec):
@@ -309,6 +309,13 @@ class TestMotherCode:
             build_mother_code(64.5, 32)
         assert build_mother_code(64.0, 32).mother_len == 64
 
+    @pytest.mark.parametrize("design_snr_db", [4000.0, float("inf"), float("nan")], ids=["4000", "inf", "nan"])
+    def test_rejects_non_finite_design_point(self, design_snr_db):
+        # 4000 dB overflows S, inf is infinite and NaN is no point at all.
+        for build in (build_mother_code, build_bec_code):
+            with pytest.raises(ConstructionError, match="non-finite LLR mean"):
+                build(64, 32, design_snr_db)
+
     def test_agrees_with_bec_oracle_at_matched_point(self):
         # Informational cross-check: the GA mask at 0 dB and the exact BEC
         # mask at the matched Bhattacharyya parameter exp(-S) should agree
@@ -422,8 +429,8 @@ class TestBuildShortened:
         np.testing.assert_array_equal(spec.frozen_mask, select_information_set(rel, 24))
 
     def test_index_list_and_mask_agree(self):
-        a = build_shortened_code(8, 6, 3, [0, 1, 1, 1, 1, 1, 0, 1])
-        b = build_shortened_code(8, 6, 3, [0, 6])
+        a = build_shortened_code(8, 6, 3, [1, 1, 1, 0, 1, 1, 1, 0])
+        b = build_shortened_code(8, 6, 3, [3, 7])
         assert np.array_equal(a.frozen_mask, b.frozen_mask)
         assert a.pattern == b.pattern
 
@@ -528,13 +535,11 @@ class TestBecConstruct:
             assert abs(np.sum(1.0 - stage) - target) < 1e-9
 
     def test_build_bec_code(self):
-        # The default erasure matches the design point through exp(-S).
+        # The erasure matches the design point through exp(-S).
         spec = build_bec_code(64, 24, design_snr_db=2.0, g_mode="product")
         expect = bec_construct(np.full(64, np.exp(-(10.0 ** 0.2))), 24)
         np.testing.assert_array_equal(spec.frozen_mask, expect)
         assert (spec.construction_method, spec.g_mode, spec.tx_len) == ("BEC_oracle", "product", 64)
-        given = build_bec_code(64, 24, erasure=0.25)
-        np.testing.assert_array_equal(given.frozen_mask, bec_construct(np.full(64, 0.25), 24))
         for K in (0, 65):
             with pytest.raises(ConstructionError):
                 build_bec_code(64, K)
@@ -582,6 +587,8 @@ class TestCodeSpec:
                             ({"g_mode": "max"}, "unknown g_mode"),
                             ({"tx_len": 7}, "tx length 7 must equal the 8"),
                             ({"tx_len": 4, "pattern": {"kind": "shorten", "indices": [5, 6, 7, 8]}}, "N/2 < M < N"),
+                            # Position 4 (1-based 5) is frozen, but the information positions 5 and 7 cover it.
+                            ({"tx_len": 7, "pattern": {"kind": "shorten", "indices": [5]}}, "covering a shortened"),
                             ({"pattern": {"kind": "none", "indices": "x"}}, "pattern indices must be whole"),
                             ({"pattern": {"kind": "none", "indices": [None, None]}}, "pattern indices must be whole"),
                             ({"pattern": {"kind": "none", "indices": [float("inf")]}}, "pattern indices must be whole"),
@@ -597,6 +604,32 @@ class TestCodeSpec:
         for pattern in ({"kind": "none", "indices": []}, "NAT_PD", None):
             with pytest.raises(ConstructionError, match="pattern must be a RateMatchPattern"):
                 CodeSpec(8, 4, 8, np.array([1, 1, 1, 0, 1, 0, 0, 0], dtype=bool), pattern)
+
+    @pytest.mark.parametrize("N, M, K, removed", [(4, 3, 2, [1]), (8, 6, 3, [1, 2]), (8, 7, 4, [2])])
+    def test_rejects_information_covering_a_shortened_position(self, N, M, K, removed):
+        # Each shortened position is frozen, but an information position
+        # whose index covers its bits would make encode send a one there.
+        with pytest.raises(ConstructionError, match="covering a shortened position must be frozen"):
+            build_shortened_code(N, M, K, removed)
+
+    def test_shortened_spec_builds_exactly_when_encode_sends_zeros(self):
+        # A spec builds exactly when no information row of the generator
+        # has a one at a shortened position, on random masks and patterns.
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            N = int(rng.choice([4, 8, 16]))
+            M = int(rng.integers(N // 2 + 1, N))
+            removed = rng.choice(N, N - M, replace=False)
+            info = rng.choice(np.setdiff1d(np.arange(N), removed), int(rng.integers(0, 4)), replace=False)
+            mask = np.ones(N, dtype=bool)
+            mask[info] = False
+            sendable = not kronecker_generator(N)[np.ix_(info, removed)].any()
+            try:
+                CodeSpec(N, info.size, M, mask, RateMatchPattern("shorten", removed))
+                built = True
+            except ConstructionError:
+                built = False
+            assert built == sendable, (N, removed.tolist(), info.tolist())
 
     @pytest.mark.parametrize("spec, text", [
         (build_shortened_code(8, 6, 3, "NAT_PD"),

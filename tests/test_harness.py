@@ -37,12 +37,10 @@ class TestConfig:
         assert cfg.rate == 0.5
 
     def test_crc_rate_accounting_flag(self):
+        # The Eb/N0 rate counts the CRC bits: K/M, not the payload's 8/48.
         cfg = ExperimentConfig(N=64, K=32, M=48, crc_len=24, decoder="CASCL", list_size=4)
         assert cfg.payload_bits == 8
         assert cfg.rate == 32 / 48
-        cfg2 = ExperimentConfig(N=64, K=32, M=48, crc_len=24, decoder="CASCL",
-                                list_size=4, rate_excludes_crc=True)
-        assert cfg2.rate == 8 / 48
 
     def test_validation(self):
         with pytest.raises(ConstructionError):
@@ -127,14 +125,14 @@ class TestBuildSpec:
         ("NUPGA_shortened", 48): lambda: build_shortened_code(64, 48, 24, "CW", -1.0, "product"),
         ("NUPGA_shortened", 64): lambda: build_shortened_code(64, 64, 24, "CW", -1.0, "product"),
         ("NUPGA_extended", 72): lambda: build_extended_code(64, 8, 24, -1.0, "product", "weak_info"),
-        ("BEC_oracle", 64): lambda: build_bec_code(64, 24, 0.1, -1.0, "product"),
+        ("BEC_oracle", 64): lambda: build_bec_code(64, 24, -1.0, "product"),
     }
 
     @pytest.mark.parametrize("M", [48, 64, 72])
     @pytest.mark.parametrize("method", CONSTRUCTION_METHODS)
     def test_equals_direct_builder(self, method, M):
         cfg = ExperimentConfig(N=64, K=24, M=M, method=method, pattern_method="CW",
-                               design_snr_db=-1.0, g_mode="product", repeat="weak_info", bec_erasure=0.1)
+                               design_snr_db=-1.0, g_mode="product", repeat="weak_info")
         if (method, M) in self.DIRECT:
             assert build_spec(cfg) == self.DIRECT[method, M]()
         else:
