@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import CodeSpec
+from .numerics import KNOWN_ZERO_LLR
 
 
 @dataclass
@@ -237,7 +238,22 @@ class _ListDecoder:
     halves, before its right child runs.  So while a node is walked, only
     the ancestors it descends from on their left side hold their inputs, at
     most one per level.  The peak is the root's right child re-aligning its
-    ``B*L x N/2`` input, which holds that input and its gathered copy.
+    ``B*L x N/2`` input (``B*L x live/2`` on the live-column walk below),
+    which holds that input and its gathered copy.
+
+    Live columns: when a shortened code's channel positions ``[live, N)``
+    are all shortened (NAT_PD's, with ``live = M``) and every frame holds
+    +inf there, :meth:`decode` walks the first ``live`` columns only.  A
+    node's column ``j`` at stride ``s`` observes channel positions
+    ``[j*s, (j+1)*s)``, so its arrays then hold ``ceil(live/s)`` columns.
+    This is exact: :class:`CodeSpec` freezes every source position covering
+    a shortened one, so a dead column's codeword is 0 on every path, and
+    ``f(+inf, +inf)`` and ``g(+inf, +inf, 0)`` are +inf.  REP and Rate-1
+    nodes hold no dead column, since the dead columns are a suffix and such
+    a node's last codeword bit is an information bit.  A node with an odd
+    live width pads once with +inf to its full width; an odd ``live`` keeps
+    the full frame.  A node returns its codeword at the width it received,
+    and :meth:`decode` fills the dead columns with 0.
 
     ``origin`` is the one record of the paths: it maps the current rows to
     the rows at the entry of the innermost active tree node, so ancestors
@@ -297,9 +313,16 @@ class _ListDecoder:
         self.f = RULES[rule]
         self.metric = metric
         self.kinds = _node_kinds(self.frozen, rule, metric)
+        # Channel positions [live, N) are all shortened: the longest dead suffix.
+        self.live = int(spec.tx_positions.max()) + 1
 
     def decode(self, llr):
         B, L = len(llr), self.L
+        N = len(self.frozen)
+        # The live-column walk, on frames that hold known zeros on the whole
+        # dead suffix.  An odd live width would pad straight back at the root.
+        if self.live < N and self.live % 2 == 0 and np.isposinf(llr[:, self.live :]).all():
+            llr = llr[:, : self.live]
         self.rows = np.arange(B)[:, None]
         self.identity = self.origin = np.arange(B * L)
         self.pm = None
@@ -312,9 +335,11 @@ class _ListDecoder:
         order = self.identity if self.pm is None else (
             np.argsort(self.pm, axis=1, kind="stable") + L * self.rows).ravel()
         x = self._align(x, order)
-        u = np.empty((len(self.frozen), B, L), dtype=np.uint8)
+        n = x.shape[1]
+        u = np.empty((N, B, L), dtype=np.uint8)
+        u[n:] = 0  # the dead columns' codeword bits
         for i in range(0, B * L, 64):  # blocks stay in cache: 5x faster at B*L = 4096, N = 512
-            u.reshape(len(u), B * L)[:, i : i + 64] = x[i : i + 64].T
+            u.reshape(N, B * L)[:n, i : i + 64] = x[i : i + 64].T
         msgs = _transform(u)[~self.frozen].transpose(1, 2, 0)
         return msgs, None if self.pm is None else self.pm.ravel()[order].reshape(B, L)
 
@@ -337,8 +362,16 @@ class _ListDecoder:
             return np.repeat(llr < 0, n, axis=1).view(np.uint8)
         if kind == RATE1 and llr.all():
             return (llr < 0).view(np.uint8)
-        if llr.shape[1] == 1:
-            return self._leaf(llr[:, 0], offset)[:, None]
+        n = llr.shape[1]
+        if n % 2:
+            if n == 1:
+                return self._leaf(llr[:, 0], offset)[:, None]
+            # An odd number of live columns: pad them with known zeros to the
+            # full width, once, and hand back the live columns' codeword.
+            full = np.full((len(llr), len(self.frozen) // stride), KNOWN_ZERO_LLR)
+            full[:, :n] = llr
+            del llr
+            return self._rec([full], offset, stride)[:, :n]
         # Adjacent channel positions polarize together (the tree dual to the
         # natural-order construction butterfly): the even/odd F combine yields
         # observations of the encoded even-lattice source bits.
@@ -348,7 +381,7 @@ class _ListDecoder:
             x_left = self._rec([self.f(llr[:, 0::2], llr[:, 1::2])], offset, 2 * stride)
         left_to_entry = self.origin
         if child[offset + stride] != RATE0:
-            half = llr.shape[1] // 2
+            half = n // 2
             u = x_left
             if left_to_entry is not self.identity:
                 if len(llr) < len(left_to_entry):

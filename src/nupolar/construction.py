@@ -117,9 +117,13 @@ def normalize_pattern(pattern, N: int, M: int) -> RateMatchPattern:
 
     Accepted forms: a :class:`RateMatchPattern`, a method name from
     ``PATTERN_METHODS``, a length-N binary keep-mask (1 = transmitted,
-    0 = removed), or a list of removed 0-based positions.  The range of the
-    positions is checked where the pattern is used.
+    0 = removed), or a list of removed 0-based positions.  The removed set
+    must be closed upward (``i`` removed implies ``i | 2^b`` removed):
+    otherwise :class:`ConstructionError` names the first kept position that
+    covers a removed one.  Positions beyond N are a ``ConstructionError``
+    too.
     """
+    N = _check_power_of_two(N)
     if isinstance(pattern, RateMatchPattern):
         out = pattern
     elif isinstance(pattern, str):
@@ -133,6 +137,17 @@ def normalize_pattern(pattern, N: int, M: int) -> RateMatchPattern:
         raise ConstructionError(f"pattern kind {out.kind!r} is not 'shorten'")
     if len(out) != N - M:
         raise ConstructionError(f"pattern has {len(out)} positions, N - M = {N - M}")
+    kept = np.zeros(N, dtype=bool)
+    kept[out.tx_positions(N)] = True
+    # The smallest kept position above a removed one is one bit away from it.
+    idx = out.indices
+    above = idx[:, None] | (1 << np.arange(N.bit_length() - 1))
+    bad = above[kept[above]]
+    if bad.size:
+        k = int(bad.min())
+        raise ConstructionError(
+            f"shortening pattern is not closed upward: kept position {k} covers shortened position "
+            f"{int(idx[(idx & k) == idx][0])}, and every source position covering a shortened position must be frozen")
     return out
 
 

@@ -24,6 +24,7 @@ from nupolar.codec import (
     scl_decode_batch,
 )
 from nupolar.construction import (
+    PATTERN_METHODS,
     CodeSpec,
     RateMatchPattern,
     build_extended_code,
@@ -634,6 +635,141 @@ class TestMetricFreeSc:
                 got = _sc_messages(spec, llr, rule)
                 assert got[:, 0].tolist() == [0, 1, 0, 0]
                 assert np.array_equal(got, sc_decode_batch(spec, llr, rule)[0])
+
+
+def shortened_grid():
+    """Shortened specs over N in {8, 64, 512}, every pattern, several M and
+    both builders, with the pattern's name."""
+    for N in (8, 64, 512):
+        for M in sorted({N // 2 + 1, 5 * N // 8, 3 * N // 4, N - 2, N - 1}):
+            for pattern in PATTERN_METHODS:
+                for repolarize in (True, False):
+                    yield pattern, build_shortened_code(N, M, M // 2, pattern, repolarize=repolarize)
+
+
+def shortened_positions(spec):
+    return np.bincount(spec.tx_positions, minlength=spec.mother_len) == 0
+
+
+class TestLiveColumnFacts:
+    """The structure the live-column walk rests on, over a grid of shortened
+    specs: the dead suffix it cuts, and fast nodes that never hold a dead
+    column."""
+
+    def test_live_width_is_the_dead_suffix(self):
+        for pattern, spec in shortened_grid():
+            N, M = spec.mother_len, spec.tx_len
+            shortened = shortened_positions(spec)
+            live = N
+            while shortened[live - 1]:
+                live -= 1
+            assert _ListDecoder(spec, 1, 0.0, "minsum").live == live, (pattern, N, M)
+            if pattern == "NAT_PD":
+                assert live == M
+        for spec in (build_mother_code(64, 32), build_extended_code(64, 16, 40)):
+            assert _ListDecoder(spec, 1, 0.0, "minsum").live == spec.mother_len
+
+    def test_rep_and_rate1_nodes_hold_no_dead_column(self):
+        fast_nodes = dead_strides = 0
+        for pattern, spec in shortened_grid():
+            shortened = shortened_positions(spec)
+            for stride, kinds in codec._node_kinds(spec.frozen_mask, "minsum", False).items():
+                fast = sum(kind in (codec.REP, codec.RATE1) for kind in kinds)
+                fast_nodes += fast
+                # Column j of a node at this stride observes channel positions [j*stride, (j+1)*stride).
+                if shortened.reshape(-1, stride).all(axis=1).any():
+                    dead_strides += 1
+                    assert fast == 0, (pattern, spec.mother_len, spec.tx_len, stride)
+        assert fast_nodes > 0 and dead_strides > 0
+
+
+class TestLiveColumnWalk:
+    """Frames of a NAT_PD code that hold +inf on the dead suffix decode on the
+    live columns only, bit for bit as the full-width walk and the reference
+    decoder do.  The codes have an odd live width at a wide node (34: 17 at
+    a 32-wide node; 256/150: 75 at a 128-wide node) and at narrow ones (40:
+    5 at an 8-wide node; 48: 3 at a 4-wide node); an odd M keeps the full
+    frame at the root."""
+
+    CASES = [(64, 33), (64, 37), (64, 45), (64, 63), (64, 34), (64, 40), (64, 48), (256, 150)]
+
+    @staticmethod
+    def _batches(spec, rng):
+        msgs = rng.integers(0, 2, (32, spec.payload_len), dtype=np.uint8)
+        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.9, rng))
+        M = spec.tx_len
+        salted = frames.copy()
+        salt = rng.random((len(frames), M)) < 0.05
+        salted[:, :M][salt] = rng.choice(EXTREME_LLRS, size=salt.sum())
+        # One row with a finite LLR in the dead suffix: the batch walks the full width.
+        fallback = salted.copy()
+        fallback[3, -1] = 1.5
+        return {"noisy": frames, "salted": salted, "fallback": fallback}
+
+    @staticmethod
+    def _root_widths(monkeypatch, rule):
+        widths = []
+        f = codec.RULES[rule]
+
+        def spy(a, b):
+            widths.append((a.shape[1], b.shape[1]))
+            return f(a, b)
+        monkeypatch.setitem(codec.RULES, rule, spy)
+        return widths
+
+    @pytest.mark.parametrize("rule", ["minsum", "exact"])
+    @pytest.mark.parametrize("N, M", CASES, ids=lambda v: str(v))
+    def test_sc_matches_the_full_width_walk(self, N, M, rule, monkeypatch):
+        spec = build_shortened_code(N, M, M // 2, "NAT_PD")
+        batches = self._batches(spec, np.random.default_rng(M))
+        narrow = M // 2 if M % 2 == 0 else N // 2
+        widths = self._root_widths(monkeypatch, rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, frames in batches.items():
+                want = N // 2 if name == "fallback" else narrow
+                full = _ListDecoder(spec, 1, 0.0, rule, metric=False)
+                full.live = N  # the full-width walk
+                want_msgs = full.decode(frames)[0][:, 0]
+                del widths[:]
+                assert np.array_equal(_sc_messages(spec, frames, rule), want_msgs), name
+                assert widths[0] == (want, want), name
+                full = _ListDecoder(spec, 1, 0.0, rule)
+                full.live = N
+                want_msgs, want_pm = full.decode(frames)
+                del widths[:]
+                msgs, pm = sc_decode_batch(spec, frames, rule)
+                assert widths[0] == (want, want), name
+                assert np.array_equal(msgs, want_msgs[:, 0]) and np.array_equal(pm, want_pm[:, 0]), name
+                if name == "noisy":
+                    with np.errstate(over="ignore"):
+                        ref_msgs, ref_pm = reference_scl_decode_batch(spec, frames, 1, 0.0, rule)
+                    assert np.array_equal(msgs, ref_msgs[:, 0]) and np.array_equal(pm, ref_pm[:, 0])
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3])
+    @pytest.mark.parametrize("rule", ["minsum", "exact"])
+    @pytest.mark.parametrize("N, M", CASES, ids=lambda v: str(v))
+    def test_list_decoders_match_reference(self, N, M, rule, threshold, monkeypatch):
+        spec = build_shortened_code(N, M, M // 2, "NAT_PD")
+        batches = self._batches(spec, np.random.default_rng(M))
+        crc = CrcConfig(poly=0x21, width=6)
+        narrow = M // 2 if M % 2 == 0 else N // 2
+        widths = self._root_widths(monkeypatch, rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, frames in batches.items():
+                want = N // 2 if name == "fallback" else narrow
+                for L in (2, 4, 8):
+                    with np.errstate(over="ignore"):
+                        ref_msgs, ref_pm = reference_scl_decode_batch(spec, frames, L, threshold, rule)
+                    del widths[:]
+                    msgs, pm = scl_decode_batch(spec, frames, L, threshold, rule)
+                    assert widths[0] == (want, want), f"{name}, L={L}"
+                    assert np.array_equal(msgs, ref_msgs), f"messages, {name}, L={L}"
+                    assert np.array_equal(pm, ref_pm), f"metrics, {name}, L={L}"
+                    got = ca_scl_decode_batch(spec, frames, L, crc, threshold, rule)
+                    for a, b in zip(got, codec._crc_select(ref_msgs, ref_pm, crc)):
+                        assert np.array_equal(a, b), f"CA-SCL, {name}, L={L}"
 
 
 class TestCrc:

@@ -6,7 +6,7 @@ import ga_reference
 import numpy as np
 import pytest
 
-from nupolar import numerics
+from nupolar import construction, numerics
 from nupolar.construction import (
     PATTERN_METHODS,
     CodeSpec,
@@ -437,6 +437,18 @@ class TestBuildShortened:
     def test_rejects_mismatched_pattern(self):
         with pytest.raises(ConstructionError):
             build_shortened_code(8, 6, 3, [1, 2, 3])
+
+    def test_rejects_a_pattern_not_closed_upward(self, monkeypatch):
+        # {0, 6} as a list and as a keep-mask: every kept position covers 0,
+        # and 7 covers 6.  The first kept one is named before anything evolves.
+        monkeypatch.setattr(construction, "evolve_reliabilities", None)
+        for pattern in ([0, 6], [0, 1, 1, 1, 1, 1, 0, 1]):
+            with pytest.raises(ConstructionError, match="kept position 1 covers shortened position 0,"):
+                build_shortened_code(8, 6, 3, pattern)
+        with pytest.raises(ConstructionError, match="kept position 5 covers shortened position 4,"):
+            normalize_pattern([4, 6, 7], np.int64(8), 5)
+        with pytest.raises(ConstructionError, match="power of two"):
+            normalize_pattern([5], 6, 5)
 
 
 class TestBuildExtended:
