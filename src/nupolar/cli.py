@@ -7,7 +7,8 @@ underscores (``--ebno`` is short for ``--ebno-sweep``); a flag's value is
 parsed exactly like the file value and overrides it.  ``simulate`` writes
 a CSV with columns ``ebno_db,frames,bit_errors,frame_errors,ber,fer`` plus
 an optional JSON report; ``compare`` runs two configurations over a shared
-sweep and writes a joint CSV with a leading ``label`` column.
+sweep and writes a joint CSV with a leading ``label`` column, each run's
+label being its configuration file's name without the extension.
 """
 
 from __future__ import annotations
@@ -88,15 +89,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reports = []
-    for path in (args.config_a, args.config_b):
-        cfg = _merged_config(args, path)
-        if not cfg.label:
-            cfg.label = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        reports.append((cfg.label, run_sweep(cfg, workers=args.workers)))
     lines = []
-    for label, report in reports:
+    for path in (args.config_a, args.config_b):
+        report = run_sweep(_merged_config(args, path), workers=args.workers)
         header, *rows = report.csv_text().splitlines(keepends=True)
+        label = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         lines += [f"{label},{row}" for row in rows]
     _write_text(args.out_csv, f"label,{header}" + "".join(lines))
     return 0

@@ -13,7 +13,9 @@ batch of one, and its results are row 0 of each output.  One tree
 walk serves SC, SCL and CRC-aided SCL: the list decoder folds its ``L``
 path slots into the rows of each node array, and SC is its ``L = 1`` case,
 where an information leaf takes the hard decision ``lambda < 0`` and the
-arrays are plain ``(B, n)``.
+arrays are plain ``(B, n)``.  ``sc_decode_batch`` keeps no path metric,
+which lets the walk decode Rate-0, REP and Rate-1 subtrees without
+descending; ``scl_decode_batch(spec, frames, 1)`` is SC with its metric.
 """
 
 from __future__ import annotations
@@ -277,11 +279,11 @@ class _ListDecoder:
     positions ``offset::stride``, reads its kind from :func:`_node_kinds`.
     With ``metric`` every node is ``OTHER``: it splits into ``f`` and ``g``
     children down to the leaves, each decided by :meth:`_leaf`, since the
-    metric needs every leaf's LLR.  Without it (SC only, for callers that
-    read the messages alone; see :func:`_sc_messages`) the decoder keeps no
-    path metric, returns ``None`` for it and never reaches :meth:`_leaf`
-    (``origin`` stays ``identity``), and the table marks three kinds of
-    node that decode without descending, bit for bit as SC does:
+    metric needs every leaf's LLR.  Without it (SC only: the walk of
+    :func:`sc_decode_batch`, which reads the messages alone) the decoder
+    keeps no path metric, returns ``None`` for it and never reaches
+    :meth:`_leaf` (``origin`` stays ``identity``), and the table marks three
+    kinds of node that decode without descending, bit for bit as SC does:
 
     * Rate-0, all frozen: the codeword is all zeros (Alamdar-Yazdi &
       Kschischang 2011), and the parent does not compute the node's input;
@@ -457,22 +459,17 @@ class _ListDecoder:
 
 
 def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):
-    """SC-decode LLR frames ``(B, N)`` or one frame ``(N,)``: the
-    single-path list decode.
+    """SC-decode LLR frames ``(B, N)`` or one frame ``(N,)``.
 
     Frozen positions decode as 0; an LLR of exactly 0 resolves to bit 0.
     ``rule`` selects the check-node update: ``"minsum"`` (default) or
-    ``"exact"``.  Returns ``(messages, metrics)`` where ``messages`` is
-    ``(B, K)`` and ``metrics`` the accumulated path penalties ``(B,)``.
+    ``"exact"``.  Returns ``(messages, None)`` with ``messages`` ``(B, K)``:
+    the walk keeps no path metric, so it decodes Rate-0, REP and Rate-1
+    nodes without descending (see :class:`_ListDecoder`).  SC with its path
+    metric, and the same messages, is ``scl_decode_batch(spec, frames, 1)``.
     """
-    msgs, pm = scl_decode_batch(spec, frames, 1, rule=rule)
-    return msgs[:, 0], pm[:, 0]
-
-
-def _sc_messages(spec: CodeSpec, frames, rule: str) -> np.ndarray:
-    """The messages ``(B, K)`` of :func:`sc_decode_batch`, bit for bit,
-    from the metric-free walk that skips Rate-0 nodes."""
-    return _ListDecoder(spec, 1, 0.0, rule, metric=False).decode(_check_frames(spec, frames))[0][:, 0]
+    msgs, _ = _ListDecoder(spec, 1, 0.0, rule, metric=False).decode(_check_frames(spec, frames))
+    return msgs[:, 0], None
 
 
 def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rule: str = "minsum"):
@@ -484,7 +481,8 @@ def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rul
     (0 disables).  Returns ``(messages, metrics)`` with shapes
     ``(B, L, K)`` and ``(B, L)``, sorted best metric first within each
     frame; never-used or pruned path slots carry an infinite metric.
-    ``L = 1`` is SC decoding, which keeps the hard decision even where the
+    ``L = 1`` is SC decoding with its path metric: the messages of
+    :func:`sc_decode_batch`, with the hard decision kept even where the
     metric absorbs both candidates' penalties (a stable choice would take 0).
     """
     return _ListDecoder(spec, L, threshold, rule).decode(_check_frames(spec, frames))

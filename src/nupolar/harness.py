@@ -33,7 +33,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_draws
-from .codec import CRC24, RULES, _sc_messages, ca_scl_decode_batch, crc_append, encode, scl_decode_batch
+from .codec import CRC24, RULES, ca_scl_decode_batch, crc_append, encode, sc_decode_batch, scl_decode_batch
 from .construction import (
     CONSTRUCTION_METHODS,
     PATTERN_METHODS,
@@ -82,7 +82,6 @@ class ExperimentConfig:
     rule: str = "minsum"
     scl_threshold: float = 0.0
     repeat: str = "tail"
-    label: str = ""
 
     def __post_init__(self):
         if self.M is None:
@@ -230,7 +229,7 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tupl
     rx *= chan.llr_scale
     frames = dematch(spec, rx)
     if cfg.decoder == "SC":
-        decoded = _sc_messages(spec, frames, cfg.rule)
+        decoded = sc_decode_batch(spec, frames, cfg.rule)[0]
     elif cfg.decoder == "CASCL":
         decoded = ca_scl_decode_batch(spec, frames, cfg.list_size, CRC24, cfg.scl_threshold, cfg.rule)[0]
     else:

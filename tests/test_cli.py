@@ -16,7 +16,6 @@ FIELD_TEXT = {
     "decoder": "SCL", "list_size": "4", "crc_len": "24", "design_snr_db": "-1.5",
     "ebno_sweep": "1.5, 2 3", "max_frames": "512", "min_frame_errors": "7", "seed": "9",
     "g_mode": "product", "rule": "exact", "scl_threshold": "0.25", "repeat": "weak_info",
-    "label": "nupga",
 }
 
 
@@ -195,3 +194,10 @@ class TestCompare:
         assert lines[0] == "label,ebno_db,frames,bit_errors,frame_errors,ber,fer"
         labels = {line.split(",")[0] for line in lines[1:]}
         assert labels == {"mother", "bec"}
+
+    def test_label_is_not_a_configuration_key(self, tmp_path, capsys):
+        # A run's label is its configuration file's name, not a field.
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("N = 64\nK = 32\nlabel = nupga\n")
+        assert run_cli(["simulate", "--config", str(cfg), "--max-frames", "1"]) == 2
+        assert "unknown configuration key 'label'" in capsys.readouterr().err

@@ -18,7 +18,6 @@ from nupolar.codec import (
     f_minsum,
     _ListDecoder,
     _penalties,
-    _sc_messages,
     g_node,
     sc_decode_batch,
     scl_decode_batch,
@@ -30,6 +29,7 @@ from nupolar.construction import (
     build_extended_code,
     build_mother_code,
     build_shortened_code,
+    shortening_pattern,
 )
 from nupolar.numerics import KNOWN_ZERO_LLR
 from nupolar.oracles import dense_encode, ml_codeword_scores, ml_decode
@@ -45,12 +45,15 @@ def awgn_llrs(codewords, sigma, rng):
 
 def assert_single_frames_are_batch_rows(decode, llr):
     """Each ``(N,)`` frame of ``llr`` decodes to exactly its row of the
-    batch decode, in every output."""
+    batch decode, in every output that is not ``None``."""
     batch = decode(llr)
     for i, frame in enumerate(llr):
         single = decode(frame)
         assert len(single) == len(batch)
         for got, want in zip(single, batch):
+            if want is None:
+                assert got is None
+                continue
             assert got.shape == (1,) + want.shape[1:]
             assert np.array_equal(got[0], want[i]), f"frame {i}"
 
@@ -252,11 +255,22 @@ class TestScDecode:
         assert lists.shape == (3, 4, 0)
         assert np.isfinite(pm[:, 0]).all() and np.isinf(pm[:, 1:]).all()
 
+    def test_keeps_no_metric(self):
+        # SC with its path metric is the list decoder at L = 1.
+        spec = build_mother_code(16, 8)
+        llr = np.random.default_rng(23).normal(1.0, 2.0, (5, 16))
+        msgs, pm = sc_decode_batch(spec, llr)
+        assert msgs.shape == (5, 8) and pm is None
+        lists, pm = scl_decode_batch(spec, llr, 1)
+        assert np.array_equal(lists[:, 0], msgs) and pm.shape == (5, 1)
+
     def test_single_frame_is_its_batch_row(self):
         rng = np.random.default_rng(21)
         spec = build_mother_code(64, 32)
         llr = awgn_llrs(encode(spec, rng.integers(0, 2, (20, 32), dtype=np.uint8)), 0.9, rng)
         assert_single_frames_are_batch_rows(lambda f: sc_decode_batch(spec, f), llr)
+        # SC with its path metric.
+        assert_single_frames_are_batch_rows(lambda f: scl_decode_batch(spec, f, 1), llr)
 
 
 class TestSclDecode:
@@ -379,10 +393,10 @@ class TestSclBitIdentity:
                 ref_msgs, ref_pm = reference_scl_decode_batch(spec, batch, L, threshold, rule)
                 assert np.array_equal(got_msgs, ref_msgs), f"messages, L={L}, B={len(batch)}"
                 assert np.array_equal(got_pm, ref_pm), f"metrics, L={L}, B={len(batch)}"
-                if L == 1:
+                if L == 1:  # SC: its metric is got_pm, checked above
                     sc_msgs, sc_pm = sc_decode_batch(spec, batch, rule)
                     assert np.array_equal(sc_msgs, ref_msgs[:, 0]), f"SC messages, B={len(batch)}"
-                    assert np.array_equal(sc_pm, ref_pm[:, 0]), f"SC metrics, B={len(batch)}"
+                    assert sc_pm is None
 
 
 class TestTop:
@@ -509,10 +523,16 @@ METRIC_FREE_CODES = dict(
 )
 
 
+def sc_with_metric(spec, frames, rule="minsum"):
+    """The messages ``(B, K)`` of SC with its path metric: the list decoder at
+    ``L = 1``, which ``TestSclBitIdentity`` pins to the reference decoder."""
+    return scl_decode_batch(spec, frames, 1, rule=rule)[0][:, 0]
+
+
 class TestMetricFreeSc:
-    """The metric-free walk that ``run_point`` runs for SC skips the Rate-0
-    nodes and still decodes the messages of ``sc_decode_batch`` bit for bit
-    (which ``TestSclBitIdentity`` pins to the reference decoder)."""
+    """The metric-free walk of ``sc_decode_batch``, which ``run_point`` runs
+    for SC, skips the Rate-0 nodes and still decodes the messages of SC with
+    its path metric bit for bit."""
 
     @pytest.mark.parametrize("rule", ["minsum", "exact"])
     @pytest.mark.parametrize("code", sorted(METRIC_FREE_CODES))
@@ -529,22 +549,56 @@ class TestMetricFreeSc:
         two = np.where(frames < 0, -1.0, 1.0) * rng.choice([1.0, 2.0], size=frames.shape)
         for name, frames in (("salted", salted), ("two magnitudes", two)):
             for batch in (frames[:0], frames[:1], frames):
-                got = _sc_messages(spec, batch, rule)
-                want, _ = sc_decode_batch(spec, batch, rule)
+                got, _ = sc_decode_batch(spec, batch, rule)
+                want = sc_with_metric(spec, batch, rule)
                 assert got.shape == want.shape and np.array_equal(got, want), f"{name}, B={len(batch)}"
 
     @pytest.mark.parametrize("rule", ["minsum", "exact"])
     def test_random_masks_equal_sc_decode(self, rule):
         # Frozen masks no construction gives, so that every mix of node
         # kinds occurs, a Rate-0 right child beside a walked left one too.
+        # Mother codes; shortened codes, whose mask freezes the pattern (closed
+        # upward, so that is every position covering a shortened one), with
+        # frames known-zero on the shortened positions and, in a second
+        # batch, a finite LLR in the dead suffix, which keeps the full
+        # width; and extended codes.
         rng = np.random.default_rng(30)
-        for N in (2, 4, 8, 16, 32) * 8:
+
+        def salt(frames):
+            return np.where(rng.random(frames.shape) < 0.1, rng.choice(EXTREME_LLRS, frames.shape), frames)
+
+        def random_mask(N, pattern, M):
             frozen = rng.random(N) < rng.random()
-            spec = CodeSpec(N, int(N - frozen.sum()), N, frozen, RateMatchPattern())
-            frames = rng.normal(1.0, 2.0, (16, N))
-            frames = np.where(rng.random(frames.shape) < 0.1, rng.choice(EXTREME_LLRS, frames.shape), frames)
-            got = _sc_messages(spec, frames, rule)
-            assert np.array_equal(got, sc_decode_batch(spec, frames, rule)[0]), frozen.astype(int).tolist()
+            if pattern.kind == "shorten":
+                frozen[pattern.indices] = True
+            return CodeSpec(N, int(N - frozen.sum()), M, frozen, pattern)
+
+        cases = []
+        for N in (2, 4, 8, 16, 32) * 8:
+            cases.append((random_mask(N, RateMatchPattern(), N), salt(rng.normal(1.0, 2.0, (16, N)))))
+        for N in (4, 8, 16, 32, 64) * 6:
+            for method in PATTERN_METHODS:
+                M = int(rng.integers(N // 2 + 1, N))
+                spec = random_mask(N, shortening_pattern(method, N, M), M)
+                frames = dematch(spec, salt(rng.normal(1.0, 2.0, (16, M))))
+                assert np.isposinf(frames[:, -1]).all()
+                fallback = frames.copy()
+                fallback[:, -1] = rng.normal(0.0, 2.0, 16)
+                cases += [(spec, frames), (spec, fallback)]
+            delta = int(rng.integers(1, N // 2))
+            for repeat in ("tail", "weak_info", np.sort(rng.choice(N, delta, replace=False))):
+                built = build_extended_code(N, delta, int(rng.integers(delta, N + 1)), repeat=repeat)
+                spec = random_mask(N, built.pattern, N + delta)
+                # Salted after dematch, which would add opposite infinities.
+                cases.append((spec, salt(dematch(spec, rng.normal(1.0, 2.0, (16, N + delta))))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec, frames in cases:
+                got, _ = sc_decode_batch(spec, frames, rule)
+                assert np.array_equal(got, sc_with_metric(spec, frames, rule)), spec.to_json()
+                full = _ListDecoder(spec, 1, 0.0, rule)
+                full.live = spec.mother_len  # the full-width walk
+                assert np.array_equal(got, full.decode(frames)[0][:, 0]), spec.to_json()
 
     @pytest.mark.parametrize("code", sorted(METRIC_FREE_CODES))
     def test_walk_stops_at_rate0_nodes(self, code, monkeypatch):
@@ -581,11 +635,11 @@ class TestMetricFreeSc:
         monkeypatch.setitem(codec.RULES, "minsum", count(1, f_minsum))
         monkeypatch.setattr(codec, "_g", count(2, codec._g))
         frames = np.ones((3, spec.mother_len))
-        _sc_messages(spec, frames, "minsum")
+        sc_decode_batch(spec, frames)
         want = [1, 0, 0] if frozen.all() else walk(0, 1)
         assert calls.tolist() == list(want)
         calls[:] = 0
-        sc_decode_batch(spec, frames)
+        scl_decode_batch(spec, frames, 1)
         N = spec.mother_len
         assert calls.tolist() == [2 * N - 1, N - 1, N - 1]
 
@@ -595,15 +649,15 @@ class TestMetricFreeSc:
         # and every row still decodes as SC does.
         spec = build_mother_code(2, 2)
         llr = np.array([[1.5, -2.0], [0.0, -3.0], [-0.5, 4.0]])
-        got = _sc_messages(spec, llr, "minsum")
+        got, _ = sc_decode_batch(spec, llr)
         assert got[1].tolist() == [0, 1]
-        assert np.array_equal(got, sc_decode_batch(spec, llr)[0])
+        assert np.array_equal(got, sc_with_metric(spec, llr))
         # The same tie below the root of a Rate-1 mother code.
         spec = build_mother_code(64, 64)
         llr = np.random.default_rng(29).normal(1.0, 2.0, (8, 64))
         llr[3, 10] = 0.0
         llr[5, 40:42] = [-0.0, -3.0]
-        assert np.array_equal(_sc_messages(spec, llr, "minsum"), sc_decode_batch(spec, llr)[0])
+        assert np.array_equal(sc_decode_batch(spec, llr)[0], sc_with_metric(spec, llr))
 
     def test_leaf_keeps_the_hard_decision_under_an_absorbing_metric(self):
         # Frozen leaf 2 meets an LLR of -inf, so the metric is inf when the
@@ -613,9 +667,9 @@ class TestMetricFreeSc:
         # a valid spec never meet this: a shortened position's LLR is +inf.
         spec = CodeSpec(4, 2, 4, np.array([False, True, True, False]), RateMatchPattern())
         llr = np.array([[-np.inf, np.inf, 2.0, -np.inf]])
-        msgs, pm = sc_decode_batch(spec, llr)
-        assert msgs.tolist() == [[0, 1]] and pm.tolist() == [np.inf]
-        assert np.array_equal(_sc_messages(spec, llr, "minsum"), msgs)
+        msgs, pm = scl_decode_batch(spec, llr, 1)
+        assert msgs.tolist() == [[[0, 1]]] and pm.tolist() == [[np.inf]]
+        assert np.array_equal(sc_decode_batch(spec, llr)[0], msgs[:, 0])
         assert reference_scl_decode_batch(spec, llr, 1)[0].tolist() == [[[0, 0]]]
 
     def test_rep_levels_meet_opposite_certainties(self):
@@ -632,9 +686,9 @@ class TestMetricFreeSc:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for rule in ("minsum", "exact"):
-                got = _sc_messages(spec, llr, rule)
+                got, _ = sc_decode_batch(spec, llr, rule)
                 assert got[:, 0].tolist() == [0, 1, 0, 0]
-                assert np.array_equal(got, sc_decode_batch(spec, llr, rule)[0])
+                assert np.array_equal(got, sc_with_metric(spec, llr, rule))
 
 
 def shortened_grid():
@@ -732,19 +786,19 @@ class TestLiveColumnWalk:
                 full.live = N  # the full-width walk
                 want_msgs = full.decode(frames)[0][:, 0]
                 del widths[:]
-                assert np.array_equal(_sc_messages(spec, frames, rule), want_msgs), name
+                assert np.array_equal(sc_decode_batch(spec, frames, rule)[0], want_msgs), name
                 assert widths[0] == (want, want), name
                 full = _ListDecoder(spec, 1, 0.0, rule)
                 full.live = N
                 want_msgs, want_pm = full.decode(frames)
                 del widths[:]
-                msgs, pm = sc_decode_batch(spec, frames, rule)
+                msgs, pm = scl_decode_batch(spec, frames, 1, rule=rule)  # SC with its metric
                 assert widths[0] == (want, want), name
-                assert np.array_equal(msgs, want_msgs[:, 0]) and np.array_equal(pm, want_pm[:, 0]), name
+                assert np.array_equal(msgs, want_msgs) and np.array_equal(pm, want_pm), name
                 if name == "noisy":
                     with np.errstate(over="ignore"):
                         ref_msgs, ref_pm = reference_scl_decode_batch(spec, frames, 1, 0.0, rule)
-                    assert np.array_equal(msgs, ref_msgs[:, 0]) and np.array_equal(pm, ref_pm[:, 0])
+                    assert np.array_equal(msgs, ref_msgs) and np.array_equal(pm, ref_pm)
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-3])
     @pytest.mark.parametrize("rule", ["minsum", "exact"])
@@ -876,8 +930,9 @@ class TestSaturatedFrames:
         cw = encode(spec, msgs)
         llr = awgn_llrs(cw, 0.8, rng)
         llr[:, spec.pattern.indices] = KNOWN_ZERO_LLR
-        out, pm = sc_decode_batch(spec, llr)
+        out, pm = scl_decode_batch(spec, llr, L=1)
         assert np.isfinite(pm).all()
+        assert np.array_equal(sc_decode_batch(spec, llr)[0], out[:, 0])
         best, pms = scl_decode_batch(spec, llr, L=4)
         assert np.isfinite(pms[:, 0]).all()
 
@@ -908,7 +963,9 @@ def test_empty_batch_keeps_its_shapes():
     frames = dematch(spec, noise)
     assert frames.shape == (0, N)
     out, pm = sc_decode_batch(spec, frames)
-    assert out.shape == (0, K) and pm.shape == (0,)
+    assert out.shape == (0, K) and pm is None
+    out, pm = scl_decode_batch(spec, frames, 1)
+    assert out.shape == (0, 1, K) and pm.shape == (0, 1)
     out, pm = scl_decode_batch(spec, frames, L)
     assert out.shape == (0, L, K) and pm.shape == (0, L)
     out, pm, ok, rank = ca_scl_decode_batch(spec, frames, L)
