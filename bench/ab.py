@@ -19,10 +19,14 @@ The report gives per workload the median of the per-pair time ratios
 (head / base) and its quartiles, and checks that both sides give equal
 frozen masks and rate-matching patterns (every workload) and error
 counters ``(frames, bit_errors, frame_errors)`` (the simulation
-workloads).  After the timed pairs it runs one more op per side, untimed,
-under ``tracemalloc`` and reports each side's peak traced memory: what
-numpy and Python allocate in this process, so for a multi-worker workload
-the pool's parent process only.
+workloads).  Beside each op's time it counts the minor page faults the op
+took (the ``ru_minflt`` delta of ``RUSAGE_SELF``, plus that of
+``RUSAGE_CHILDREN`` for a multi-worker workload, whose pool is joined
+before the op returns) and reports each side's median.  After the timed
+pairs it runs one more op per side, untimed, under ``tracemalloc`` and
+reports each side's peak traced memory: what numpy and Python allocate in
+this process, so for a multi-worker workload the pool's parent process
+only.
 
 Compare the parent commit with the working tree (``git archive`` output
 unpacked anywhere outside the repository):
@@ -47,6 +51,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -98,10 +103,22 @@ def make_op(lib, workload):
     return op
 
 
-def timed(op, i: int):
+def minor_faults(children: bool) -> int:
+    """Minor page faults of this process so far, plus those of its reaped
+    children when ``children`` is set."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    if children:
+        faults += resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    return faults
+
+
+def timed(op, i: int, children: bool = False):
+    """Op ``i``'s wall time, minor page faults and output."""
+    f0 = minor_faults(children)
     t0 = time.perf_counter()
     out = op(i)
-    return time.perf_counter() - t0, out
+    t = time.perf_counter() - t0
+    return t, minor_faults(children) - f0, out
 
 
 def traced_peak_mb(op, i: int) -> float:
@@ -118,24 +135,29 @@ def compare(workload, base, head, pairs: int) -> dict:
     cores = sorted(ALLOWED_CORES)[-workload.workers:]
     os.sched_setaffinity(0, cores)
     base, head = make_op(base, workload), make_op(head, workload)
+    children = workload.workers > 1
     timed(base, 0), timed(head, 0)  # warm-up
-    base_s, head_s, diffs = [], [], []
+    base_s, head_s, base_f, head_f, diffs = [], [], [], [], []
     for i in range(pairs):
         if i % 2:
-            (th, oh), (tb, ob) = timed(head, i), timed(base, i)
+            (th, fh, oh), (tb, fb, ob) = timed(head, i, children), timed(base, i, children)
         else:
-            (tb, ob), (th, oh) = timed(base, i), timed(head, i)
+            (tb, fb, ob), (th, fh, oh) = timed(base, i, children), timed(head, i, children)
         base_s.append(tb)
         head_s.append(th)
+        base_f.append(fb)
+        head_f.append(fh)
         if ob != oh:
             diffs.append({"op": i, "base": ob, "head": oh})
     base_mb, head_mb = traced_peak_mb(base, 0), traced_peak_mb(head, 0)
     scope = "this process" if workload.workers == 1 else "the parent process only"
+    faults_scope = "this process" if workload.workers == 1 else "this process and its reaped workers"
     ratios = np.array(head_s) / np.array(base_s)
     q1, med, q3 = np.percentile(ratios, [25, 50, 75])
     print(f"{workload.name:22s} base {statistics.median(base_s) * 1e3:9.2f} ms  head "
           f"{statistics.median(head_s) * 1e3:9.2f} ms  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
           f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}"
+          f"  minor faults/op {statistics.median(base_f):.0f} -> {statistics.median(head_f):.0f}"
           f"  traced peak {base_mb:.2f} -> {head_mb:.2f} MB ({scope})")
     return {
         "op": "build_spec over the seed-0 family" if workload.cfg is None else "one run_point call",
@@ -148,12 +170,17 @@ def compare(workload, base, head, pairs: int) -> dict:
         "ratio_iqr": [q1, q3],
         "speedup_median": 1 / med,
         "head_faster_pairs": int(np.sum(ratios < 1)),
+        "base_minor_faults_median": statistics.median(base_f),
+        "head_minor_faults_median": statistics.median(head_f),
+        "minor_faults_scope": faults_scope,
         "base_peak_traced_mb": base_mb,
         "head_peak_traced_mb": head_mb,
         "peak_traced_scope": scope,
         "equal": not diffs,
         "differences": diffs,
         "ratios": ratios.tolist(),
+        "base_minor_faults": base_f,
+        "head_minor_faults": head_f,
     }
 
 

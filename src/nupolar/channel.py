@@ -8,6 +8,8 @@ Philox stream is fully set by its key and counter, one generator re-keyed
 to each frame in turn gives every frame's stream without building a new
 generator per frame, and the payload bits are read straight off the raw
 64-bit words, which is what a range-two ``integers`` draw amounts to.
+The harness has :func:`frame_draws` write the noise into a workspace that
+lives for one Eb/N0 point and is overwritten by each work unit.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_noise: int):
+def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_noise: int, out=None):
     """Payload bits and noise of frames ``start .. start + count - 1``.
 
     Frame ``j`` draws ``integers(0, 2, n_bits, dtype=uint8)`` and then
@@ -76,7 +78,11 @@ def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_nois
     returns the bits ``(count, n_bits)`` and the noise ``(count, n_noise)``.
     This is the one noise path: the harness's frame ``j`` is
     ``frame_draws(chan, j, 1, payload_bits, M)``, and with ``n_bits = 0``
-    the noise alone is the first draw of frame ``j``'s stream.
+    the noise alone is the first draw of frame ``j``'s stream.  The noise
+    is written into ``out``, a C-contiguous float64 array of that shape,
+    when one is given (the harness passes the rows of a workspace it reuses
+    for every work unit of a point), else into a new array; the noise
+    returned is ``out`` itself.
 
     The bits are taken from ``random_raw`` words instead, bit for bit the
     same:
@@ -100,7 +106,9 @@ def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_nois
     """
     words = -(-n_bits // 8)
     raw = []
-    noise = np.empty((count, n_noise))
+    noise = np.empty((count, n_noise)) if out is None else out
+    if noise.shape != (count, n_noise):
+        raise ValueError(f"noise output must have shape {(count, n_noise)}, got {noise.shape}")
     rng = frame_rng(chan.seed, start)
     bitgen = rng.bit_generator
     # The fresh state in plain ints, which the state setter reads twice as

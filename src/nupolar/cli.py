@@ -8,7 +8,8 @@ parsed exactly like the file value and overrides it.  ``simulate`` writes
 a CSV with columns ``ebno_db,frames,bit_errors,frame_errors,ber,fer`` plus
 an optional JSON report; ``compare`` runs two configurations over a shared
 sweep and writes a joint CSV with a leading ``label`` column, each run's
-label being its configuration file's name without the extension.
+label being its configuration file's name without the extension, or its
+path as given when the two names are the same.
 """
 
 from __future__ import annotations
@@ -89,11 +90,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    paths = (args.config_a, args.config_b)
+    labels = [path.rsplit("/", 1)[-1].rsplit(".", 1)[0] for path in paths]
+    if labels[0] == labels[1]:
+        labels = paths
     lines = []
-    for path in (args.config_a, args.config_b):
+    for path, label in zip(paths, labels):
         report = run_sweep(_merged_config(args, path), workers=args.workers)
         header, *rows = report.csv_text().splitlines(keepends=True)
-        label = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         lines += [f"{label},{row}" for row in rows]
     _write_text(args.out_csv, f"label,{header}" + "".join(lines))
     return 0

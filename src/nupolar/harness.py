@@ -12,6 +12,9 @@ pipe, a few ahead of the commit, and the workers are terminated at the
 stopping point.  Every frame depends only on its index and every decoder
 step is row-wise, and the units do not depend on the worker count, so the
 counters are bit-for-bit the same for any worker count and any unit size.
+Each point's channel stage runs in one workspace (the noise, then received
+LLRs, and the de-matched frames) that lives from the point's first unit in
+a process until ``run_point`` returns; the decoders only read its frames.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ BATCH_FRAMES = 256
 # at least one batch and at most UNIT_BATCHES.
 UNIT_LLRS = 1 << 18
 UNIT_BATCHES = 4
+# BPSK symbols are made in row blocks of about this many (64 KB of float64).
+BPSK_BLOCK = 1 << 13
 FER_Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
 
 DECODERS = ("SC", "SCL", "CASCL")
@@ -195,14 +200,19 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return max(0.0, (centre - half) / scale), min(1.0, (centre + half) / scale)
 
 
+def _unit_batches(cfg: ExperimentConfig) -> int:
+    """The most whole batches in one work unit: those whose decoder holds at
+    most ``UNIT_LLRS`` LLRs, at least one and at most ``UNIT_BATCHES`` (4 for
+    SC at N = 64, 2 for SC at N = 512, 1 for a list of 16 at N = 512)."""
+    L = 1 if cfg.decoder == "SC" else cfg.list_size
+    return min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N)))
+
+
 def _work_units(cfg: ExperimentConfig):
     """The ``(start, count)`` work units of a point, in frame order: 1, 2, 4,
-    ... batches, doubling up to the most whole batches whose decoder holds
-    at most ``UNIT_LLRS`` LLRs, at least one and at most ``UNIT_BATCHES``
-    (4 for SC at N = 64, 2 for SC at N = 512, 1 for a list of 16 at
-    N = 512); the last unit ends at ``max_frames``."""
-    L = 1 if cfg.decoder == "SC" else cfg.list_size
-    cap = min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N)))
+    ... batches, doubling up to :func:`_unit_batches`; the last unit ends at
+    ``max_frames``."""
+    cap = _unit_batches(cfg)
     start, batches = 0, 1
     while start < cfg.max_frames:
         count = min(batches * BATCH_FRAMES, cfg.max_frames - start)
@@ -211,23 +221,50 @@ def _work_units(cfg: ExperimentConfig):
         batches = min(2 * batches, cap)
 
 
-def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tuple[int, int]):
+@dataclass
+class _Workspace:
+    """The channel stage's arrays for work units of up to ``rows`` frames:
+    the noise, which becomes the received LLRs in place, ``(rows, M)``, and
+    the de-matched frames ``(rows, N)``.  A unit of ``count`` frames uses
+    their leading rows.  They are allocated on the first unit, in the
+    process that runs it (so each forked worker has its own), reused by
+    every later unit, and freed with the workspace."""
+
+    rows: int
+    M: int
+    N: int
+
+    @functools.cached_property
+    def arrays(self):
+        return np.empty((self.rows, self.M)), np.empty((self.rows, self.N))
+
+
+def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tuple[int, int],
+               ws: _Workspace | None = None):
     """Simulate the frames of one ``(start, count)`` work unit in one pass;
     returns the integer error counters ``(frames, bit_errors, frame_errors)``
-    of each ``BATCH_FRAMES`` batch in it, in order.
+    of each ``BATCH_FRAMES`` batch in it, in order.  The channel stage runs
+    in the workspace ``ws``, or in a new one of ``count`` rows.
 
     The received LLRs are ``llr_demod(bpsk_modulate(tx) + noise)``, bit for
     bit, computed in place on the noise array: IEEE addition and
-    multiplication commute exactly."""
+    multiplication commute exactly.  The symbols are made in row blocks of
+    about ``BPSK_BLOCK`` symbols, so no unit-sized symbol array is held.
+    The decoders read the frames and never write them."""
     start, count = unit
+    if ws is None:
+        ws = _Workspace(count, cfg.M, cfg.N)
+    rx, frames = (a[:count] for a in ws.arrays)
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     pay_bits = cfg.payload_bits
-    payloads, rx = frame_draws(chan, start, count, pay_bits, cfg.M)
+    payloads, _ = frame_draws(chan, start, count, pay_bits, cfg.M, out=rx)
     msgs = crc_append(payloads, CRC24) if cfg.crc_len else payloads
     tx = tx_frame(spec, encode(spec, msgs))
-    rx += bpsk_modulate(tx)
+    step = max(1, BPSK_BLOCK // cfg.M)
+    for row in range(0, count, step):
+        rx[row:row + step] += bpsk_modulate(tx[row:row + step])
     rx *= chan.llr_scale
-    frames = dematch(spec, rx)
+    dematch(spec, rx, out=frames)
     if cfg.decoder == "SC":
         decoded = sc_decode_batch(spec, frames, cfg.rule)[0]
     elif cfg.decoder == "CASCL":
@@ -326,7 +363,8 @@ def run_point(
     """
     if spec is None:
         spec = build_spec(cfg)
-    unit = functools.partial(_sim_chunk, spec, cfg, ebno_db)
+    ws = _Workspace(min(_unit_batches(cfg) * BATCH_FRAMES, cfg.max_frames), cfg.M, cfg.N)
+    unit = functools.partial(_sim_chunk, spec, cfg, ebno_db, ws=ws)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     with _pool(unit, workers) as run:

@@ -6,7 +6,9 @@ ascending, then the repeated ones).  A shortened position is never sent:
 its bit is structurally zero, and the receiver re-inserts it with the
 saturated known-zero LLR.  A repeated position is sent twice, and the
 receiver adds the two observations.  Both transforms accept a single frame
-or a batch with a leading dimension.
+or a batch with a leading dimension.  The harness has :func:`dematch`
+write into a workspace that lives for one Eb/N0 point and is overwritten by
+each work unit; the decoders only read those frames.
 """
 
 from __future__ import annotations
@@ -36,22 +38,26 @@ def tx_frame(spec: CodeSpec, codeword) -> np.ndarray:
     return cw[..., spec.tx_positions]
 
 
-def dematch(spec: CodeSpec, rx_llr) -> np.ndarray:
+def dematch(spec: CodeSpec, rx_llr, out=None) -> np.ndarray:
     """Inverse of :func:`tx_frame` on LLRs.
 
     Positions never sent get the known-zero LLR; the observations of a
-    repeated position are added.
+    repeated position are added.  The frames are gathered straight into
+    ``out`` when it is given (a float64 array of the frames' shape, as the
+    harness reuses one for every work unit of a point), else into a new
+    array; either way the result is returned.
     """
     rx = np.asarray(rx_llr, dtype=np.float64)
     if rx.shape[-1] != spec.tx_len:
         raise ValueError(f"received length must be M = {spec.tx_len}")
     N, pos = spec.mother_len, spec.tx_positions
     first = pos[:N]
-    # Gather from the first observations plus one known-zero column, which
-    # every position never sent reads: faster than scattering into a frame.
-    padded = np.concatenate([rx[..., :N], np.full(rx.shape[:-1] + (1,), KNOWN_ZERO_LLR)], axis=-1)
-    source = np.full(N, len(first))
+    source = np.full(N, -1)
     source[first] = np.arange(len(first))
-    out = np.take(padded, source, axis=-1)
+    # "clip" has the positions never sent (-1) read column 0 until they are
+    # overwritten, and unlike the default "raise" it writes into ``out``
+    # without a buffer.
+    out = np.take(rx, source, axis=-1, out=out, mode="clip")
+    out[..., source < 0] = KNOWN_ZERO_LLR
     out[..., pos[N:]] += rx[..., N:]
     return out

@@ -195,6 +195,25 @@ class TestCompare:
         labels = {line.split(",")[0] for line in lines[1:]}
         assert labels == {"mother", "bec"}
 
+    def test_same_stems_are_labelled_by_path(self, tmp_path, monkeypatch):
+        # a/x.cfg and b/x.cfg share the name x: each run is labelled by its
+        # path as given, so the joint rows can be told apart.
+        monkeypatch.chdir(tmp_path)
+        for d, extra in (("a", ""), ("b", "method = BEC_oracle\n")):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "x.cfg").write_text("N = 64\nK = 32\n" + extra)
+        rc = run_cli(["compare", "a/x.cfg", "b/x.cfg", "--ebno", "2.0,3.0", "--max-frames", "256",
+                      "--seed", "4", "--out-csv", "joint.csv"])
+        assert rc == 0
+        rows = (tmp_path / "joint.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a/x.cfg"] * 2 + ["b/x.cfg"] * 2
+        # The rows are each run's own CSV rows, as for distinct names.
+        for path, got in (("a/x.cfg", rows[:2]), ("b/x.cfg", rows[2:])):
+            assert run_cli(["simulate", "--config", path, "--ebno", "2.0,3.0", "--max-frames", "256",
+                            "--seed", "4", "--out-csv", "one.csv"]) == 0
+            want = (tmp_path / "one.csv").read_text().splitlines()[1:]
+            assert [row.split(",", 1)[1] for row in got] == want
+
     def test_label_is_not_a_configuration_key(self, tmp_path, capsys):
         # A run's label is its configuration file's name, not a field.
         cfg = tmp_path / "old.cfg"

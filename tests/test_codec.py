@@ -950,6 +950,34 @@ class TestSaturatedFrames:
         assert np.geterr() == before
 
 
+class TestFramesAreReadOnly:
+    # The harness de-matches every work unit of a point into one reused
+    # buffer, so a decoder must only read its frames.
+    @pytest.mark.parametrize("spec", [
+        build_mother_code(64, 32, 2.0),
+        build_shortened_code(128, 80, 40, "NAT_PD"),
+        build_shortened_code(128, 100, 50, "RQUP"),
+        build_extended_code(64, 16, 40, 3.0),
+    ], ids=["mother", "nat-pd", "rqup", "extended"])
+    def test_decoders_leave_their_frames_unchanged(self, spec):
+        rng = np.random.default_rng(23)
+        rx = rng.normal(0.5, 2.0, (48, spec.tx_len))
+        rx[::4, ::3] = rng.choice([0.0, -0.0, 1e308, -1e308], size=rx[::4, ::3].shape)
+        frames = dematch(spec, rx)
+        before = frames.copy()
+        frames.flags.writeable = False  # an in-place write raises
+        K = spec.payload_len
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule in ("minsum", "exact"):
+                sc_decode_batch(spec, frames, rule)
+                scl_decode_batch(spec, frames, 4, 1e-3, rule)
+                if K > CRC24.width:
+                    ca_scl_decode_batch(spec, frames, 4, CRC24, 0.0, rule)
+                sc_decode_batch(spec, frames[7], rule)
+        assert np.array_equal(frames.view(np.uint64), before.view(np.uint64))
+
+
 def test_empty_batch_keeps_its_shapes():
     spec = build_extended_code(64, 16, 40, 3.0)
     N, M, K, L = 64, 80, 40, 4

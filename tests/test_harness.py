@@ -30,6 +30,23 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def replay_sc(cfg, spec, ebno):
+    """The counters ``(frames, bit_errors, frame_errors)`` of an SC point,
+    batch by batch through the public functions, with fresh arrays."""
+    chan = ChannelConfig(ebno, cfg.rate, cfg.seed)
+    frames = bit_errors = frame_errors = 0
+    while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
+        count = min(BATCH_FRAMES, cfg.max_frames - frames)
+        payloads, noise = frame_draws(chan, frames, count, cfg.payload_bits, cfg.M)
+        tx = tx_frame(spec, encode(spec, payloads))
+        llr = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
+        errs = sc_decode_batch(spec, llr, cfg.rule)[0] != payloads
+        frames += count
+        bit_errors += int(errs.sum())
+        frame_errors += int(errs.any(axis=1).sum())
+    return frames, bit_errors, frame_errors
+
+
 class TestConfig:
     def test_defaults_fill_m(self):
         cfg = ExperimentConfig(N=64, K=32)
@@ -199,7 +216,7 @@ class TestRunPoint:
         assert multiprocessing.active_children() == []
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        def failing(spec, cfg, ebno_db, unit):
+        def failing(spec, cfg, ebno_db, unit, ws=None):
             raise ValueError(f"unit {unit}")
 
         monkeypatch.setattr(harness, "_sim_chunk", failing)
@@ -269,19 +286,24 @@ class TestRunPoint:
         spec = build_spec(cfg)
         for ebno in (2.0, 3.0):
             p = run_point(cfg, ebno, workers=1, spec=spec)
-            chan = ChannelConfig(ebno, cfg.rate, cfg.seed)
-            frames = bit_errors = frame_errors = 0
-            while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
-                count = min(BATCH_FRAMES, cfg.max_frames - frames)
-                payloads, noise = frame_draws(chan, frames, count, cfg.payload_bits, cfg.M)
-                tx = tx_frame(spec, encode(spec, payloads))
-                llr = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
-                errs = sc_decode_batch(spec, llr, rule)[0] != payloads
-                frames += count
-                bit_errors += int(errs.sum())
-                frame_errors += int(errs.any(axis=1).sum())
-            assert (p.frames, p.bit_errors, p.frame_errors) == (frames, bit_errors, frame_errors), ebno
+            assert (p.frames, p.bit_errors, p.frame_errors) == replay_sc(cfg, spec, ebno), ebno
             assert p.stop == ("errors" if ebno == 2.0 else "frames")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_workspace_replays_the_public_chain(self, workers):
+        # 1000 frames at N = 512 run in units of 256, 512 and 232 frames:
+        # the channel workspace is sized for 512 rows, the first and last
+        # units use its leading rows, and RQUP leaves scattered positions
+        # never sent, which dematch must refill in every unit.
+        cfg = ExperimentConfig(N=512, M=400, K=200, method="NUPGA_shortened", pattern_method="RQUP",
+                               decoder="SC", max_frames=1000, min_frame_errors=10**6, seed=8)
+        assert [count for _, count in _work_units(cfg)] == [256, 512, 232]
+        spec = build_spec(cfg)
+        assert np.diff(spec.pattern.indices).max() > 1
+        for ebno in (1.5, 2.5):
+            p = run_point(cfg, ebno, workers=workers, spec=spec)
+            assert (p.frames, p.bit_errors, p.frame_errors) == replay_sc(cfg, spec, ebno), ebno
+            assert p.frames == 1000 and p.frame_errors > 0
 
 
 class TestSimChunk:
@@ -303,8 +325,8 @@ class TestSimChunk:
         rng = np.random.default_rng(12)
         drawn, decoded = [], []
 
-        def salted_draws(*args):
-            payloads, noise = frame_draws(*args)
+        def salted_draws(*args, **kwargs):
+            payloads, noise = frame_draws(*args, **kwargs)
             noise[...] = np.where(rng.random(noise.shape) < 0.2, rng.choice(self.SALT, noise.shape), noise)
             drawn.append((payloads, noise.copy()))
             return payloads, noise

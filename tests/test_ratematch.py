@@ -137,6 +137,16 @@ class TestExtend:
         assert bers[280] <= bers[256]
 
 
+DISPATCH_SPECS = [
+    build_mother_code(64, 32),
+    build_shortened_code(512, 320, 160, "NAT_PD"),
+    build_shortened_code(128, 100, 50, "RQUP"),
+    build_shortened_code(128, 90, 40, "CW"),
+    build_extended_code(64, 16, 40),
+]
+DISPATCH_IDS = ["mother", "nat-pd", "rqup", "cw", "extended"]
+
+
 class TestDispatch:
     def test_tx_frame_and_dematch_follow_pattern_kind(self):
         rng = np.random.default_rng(6)
@@ -156,17 +166,7 @@ class TestDispatch:
             counts = np.bincount(spec.tx_positions, minlength=spec.mother_len)
             assert counts.tolist() == [1] * 12 + [tail_count] * 4
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            build_mother_code(64, 32),
-            build_shortened_code(512, 320, 160, "NAT_PD"),
-            build_shortened_code(128, 100, 50, "RQUP"),
-            build_shortened_code(128, 90, 40, "CW"),
-            build_extended_code(64, 16, 40),
-        ],
-        ids=["mother", "nat-pd", "rqup", "cw", "extended"],
-    )
+    @pytest.mark.parametrize("spec", DISPATCH_SPECS, ids=DISPATCH_IDS)
     def test_dematch_equals_the_scatter_formula(self, spec):
         # Each position's first observation scattered into a known-zero
         # frame, then the repeated observations added: the same bits as
@@ -187,3 +187,22 @@ class TestDispatch:
                 got, want = dematch(spec, frames), scatter(frames)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("spec", DISPATCH_SPECS, ids=DISPATCH_IDS)
+    def test_dematch_into_a_reused_buffer(self, spec):
+        # The harness de-matches each work unit into the leading rows of one
+        # buffer: whatever it held before, NaN or an earlier unit's frames,
+        # the result is the fresh dematch bit for bit.
+        rng = np.random.default_rng(8)
+        earlier, rx = (rng.normal(0.0, 3.0, (32, spec.tx_len)) for _ in range(2))
+        rx[::3, ::5] = np.where(rng.random(rx[::3, ::5].shape) < 0.5, -0.0, np.inf)
+        want = dematch(spec, rx)
+        for fill in (np.full((40, spec.mother_len), np.nan), dematch(spec, np.vstack([earlier, earlier[:8]]))):
+            rest = fill[32:].copy()
+            got = dematch(spec, rx, out=fill[:32])
+            assert np.shares_memory(got, fill)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(fill[32:].view(np.uint64), rest.view(np.uint64))
+        one = np.full(spec.mother_len, np.nan)
+        dematch(spec, rx[5], out=one)
+        assert np.array_equal(one.view(np.uint64), want[5].view(np.uint64))
