@@ -22,7 +22,15 @@ counters ``(frames, bit_errors, frame_errors)`` (the simulation
 workloads).  Beside each op's time it counts the minor page faults the op
 took (the ``ru_minflt`` delta of ``RUSAGE_SELF``, plus that of
 ``RUSAGE_CHILDREN`` for a multi-worker workload, whose pool is joined
-before the op returns) and reports each side's median.  After the timed
+before the op returns) and reports each side's median.  The faults per op
+describe the pair, not one tree: both sides share this process's heap, so
+what one side frees moves glibc's mmap and trim thresholds for the other
+(a tree's faults per op can differ severalfold beside two different
+partners).  For a multi-worker workload it also reports each side's
+median CPU seconds of the op's workers: the delta of ``RUSAGE_CHILDREN``'s
+user plus system time, the figure ``os.times()`` gives as
+``children_user + children_system`` but in microseconds, not in clock
+ticks of 10 ms.  After the timed
 pairs it runs one more op per side, untimed, under ``tracemalloc`` and
 reports each side's peak traced memory: what numpy and Python allocate in
 this process, so for a multi-worker workload the pool's parent process
@@ -103,22 +111,25 @@ def make_op(lib, workload):
     return op
 
 
-def minor_faults(children: bool) -> int:
+def usage(children: bool) -> np.ndarray:
     """Minor page faults of this process so far, plus those of its reaped
-    children when ``children`` is set."""
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    children when ``children`` is set, and those children's CPU seconds
+    (user plus system; 0 unless ``children`` is set)."""
+    faults, cpu = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, 0.0
     if children:
-        faults += resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    return faults
+        ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+        faults, cpu = faults + ru.ru_minflt, ru.ru_utime + ru.ru_stime
+    return np.array([faults, cpu])
 
 
 def timed(op, i: int, children: bool = False):
-    """Op ``i``'s wall time, minor page faults and output."""
-    f0 = minor_faults(children)
+    """Op ``i``'s wall time, minor page faults, workers' CPU seconds and output."""
+    u0 = usage(children)
     t0 = time.perf_counter()
     out = op(i)
     t = time.perf_counter() - t0
-    return t, minor_faults(children) - f0, out
+    faults, cpu = usage(children) - u0
+    return t, int(faults), float(cpu), out
 
 
 def traced_peak_mb(op, i: int) -> float:
@@ -137,16 +148,18 @@ def compare(workload, base, head, pairs: int) -> dict:
     base, head = make_op(base, workload), make_op(head, workload)
     children = workload.workers > 1
     timed(base, 0), timed(head, 0)  # warm-up
-    base_s, head_s, base_f, head_f, diffs = [], [], [], [], []
+    base_s, head_s, base_f, head_f, base_c, head_c, diffs = [], [], [], [], [], [], []
     for i in range(pairs):
         if i % 2:
-            (th, fh, oh), (tb, fb, ob) = timed(head, i, children), timed(base, i, children)
+            (th, fh, ch, oh), (tb, fb, cb, ob) = timed(head, i, children), timed(base, i, children)
         else:
-            (tb, fb, ob), (th, fh, oh) = timed(base, i, children), timed(head, i, children)
+            (tb, fb, cb, ob), (th, fh, ch, oh) = timed(base, i, children), timed(head, i, children)
         base_s.append(tb)
         head_s.append(th)
         base_f.append(fb)
         head_f.append(fh)
+        base_c.append(cb)
+        head_c.append(ch)
         if ob != oh:
             diffs.append({"op": i, "base": ob, "head": oh})
     base_mb, head_mb = traced_peak_mb(base, 0), traced_peak_mb(head, 0)
@@ -154,10 +167,12 @@ def compare(workload, base, head, pairs: int) -> dict:
     faults_scope = "this process" if workload.workers == 1 else "this process and its reaped workers"
     ratios = np.array(head_s) / np.array(base_s)
     q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+    workers_cpu = (f"  workers' CPU/op {statistics.median(base_c) * 1e3:.1f} -> "
+                   f"{statistics.median(head_c) * 1e3:.1f} ms" if children else "")
     print(f"{workload.name:22s} base {statistics.median(base_s) * 1e3:9.2f} ms  head "
           f"{statistics.median(head_s) * 1e3:9.2f} ms  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
           f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}"
-          f"  minor faults/op {statistics.median(base_f):.0f} -> {statistics.median(head_f):.0f}"
+          f"  minor faults/op {statistics.median(base_f):.0f} -> {statistics.median(head_f):.0f}{workers_cpu}"
           f"  traced peak {base_mb:.2f} -> {head_mb:.2f} MB ({scope})")
     return {
         "op": "build_spec over the seed-0 family" if workload.cfg is None else "one run_point call",
@@ -173,6 +188,8 @@ def compare(workload, base, head, pairs: int) -> dict:
         "base_minor_faults_median": statistics.median(base_f),
         "head_minor_faults_median": statistics.median(head_f),
         "minor_faults_scope": faults_scope,
+        "base_workers_cpu_s_median": statistics.median(base_c) if children else None,
+        "head_workers_cpu_s_median": statistics.median(head_c) if children else None,
         "base_peak_traced_mb": base_mb,
         "head_peak_traced_mb": head_mb,
         "peak_traced_scope": scope,
@@ -181,6 +198,8 @@ def compare(workload, base, head, pairs: int) -> dict:
         "ratios": ratios.tolist(),
         "base_minor_faults": base_f,
         "head_minor_faults": head_f,
+        "base_workers_cpu_s": base_c if children else None,
+        "head_workers_cpu_s": head_c if children else None,
     }
 
 

@@ -12,9 +12,10 @@ pipe, a few ahead of the commit, and the workers are terminated at the
 stopping point.  Every frame depends only on its index and every decoder
 step is row-wise, and the units do not depend on the worker count, so the
 counters are bit-for-bit the same for any worker count and any unit size.
-Each point's channel stage runs in one workspace (the noise, then received
-LLRs, and the de-matched frames) that lives from the point's first unit in
-a process until ``run_point`` returns; the decoders only read its frames.
+Each point's channel stage runs in two buffers (the noise, then received
+LLRs, and the de-matched frames) that ``run_point`` allocates before any
+worker is forked and every unit reuses; each forked worker writes its own
+pages of them, and the decoders only read the frames.
 """
 
 from __future__ import annotations
@@ -156,6 +157,14 @@ class PointReport:
     fer_ci95: tuple[float, float]
 
 
+def _ebno_label(ebno_db: float) -> str:
+    """The CSV's ``ebno_db``: the short ``g`` form (``1``, ``1.5``, ``-5``)
+    when it reads back as the same float, else the shortest ``repr`` that
+    does, so distinct sweep points never share a label."""
+    short = f"{ebno_db:g}"
+    return short if float(short) == ebno_db else repr(ebno_db)
+
+
 @dataclass
 class SimReport:
     config: dict
@@ -167,7 +176,7 @@ class SimReport:
         out.write("ebno_db,frames,bit_errors,frame_errors,ber,fer\n")
         for p in self.points:
             out.write(
-                f"{p.ebno_db:g},{p.frames},{p.bit_errors},{p.frame_errors},{p.ber:.12e},{p.fer:.12e}\n"
+                f"{_ebno_label(p.ebno_db)},{p.frames},{p.bit_errors},{p.frame_errors},{p.ber:.12e},{p.fer:.12e}\n"
             )
         return out.getvalue()
 
@@ -221,30 +230,14 @@ def _work_units(cfg: ExperimentConfig):
         batches = min(2 * batches, cap)
 
 
-@dataclass
-class _Workspace:
-    """The channel stage's arrays for work units of up to ``rows`` frames:
-    the noise, which becomes the received LLRs in place, ``(rows, M)``, and
-    the de-matched frames ``(rows, N)``.  A unit of ``count`` frames uses
-    their leading rows.  They are allocated on the first unit, in the
-    process that runs it (so each forked worker has its own), reused by
-    every later unit, and freed with the workspace."""
-
-    rows: int
-    M: int
-    N: int
-
-    @functools.cached_property
-    def arrays(self):
-        return np.empty((self.rows, self.M)), np.empty((self.rows, self.N))
-
-
-def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tuple[int, int],
-               ws: _Workspace | None = None):
+def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, chan: ChannelConfig,
+               buffers: tuple[np.ndarray, np.ndarray], unit: tuple[int, int]):
     """Simulate the frames of one ``(start, count)`` work unit in one pass;
     returns the integer error counters ``(frames, bit_errors, frame_errors)``
     of each ``BATCH_FRAMES`` batch in it, in order.  The channel stage runs
-    in the workspace ``ws``, or in a new one of ``count`` rows.
+    in the leading ``count`` rows of ``buffers``: the noise, which becomes
+    the received LLRs in place, ``(rows, M)``, and the de-matched frames
+    ``(rows, N)``.
 
     The received LLRs are ``llr_demod(bpsk_modulate(tx) + noise)``, bit for
     bit, computed in place on the noise array: IEEE addition and
@@ -252,10 +245,7 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, ebno_db: float, unit: tupl
     about ``BPSK_BLOCK`` symbols, so no unit-sized symbol array is held.
     The decoders read the frames and never write them."""
     start, count = unit
-    if ws is None:
-        ws = _Workspace(count, cfg.M, cfg.N)
-    rx, frames = (a[:count] for a in ws.arrays)
-    chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
+    rx, frames = (a[:count] for a in buffers)
     pay_bits = cfg.payload_bits
     payloads, _ = frame_draws(chan, start, count, pay_bits, cfg.M, out=rx)
     msgs = crc_append(payloads, CRC24) if cfg.crc_len else payloads
@@ -354,8 +344,12 @@ def run_point(
     decoded in the work units of :func:`_work_units`, in this process when
     ``workers`` is 1 or less (the default).  With ``workers`` > 1 each
     worker of a fork pool owned by this call (:func:`_pool`) takes whole
-    units.  Each worker inherits ``(spec, cfg, ebno_db)`` through the fork,
-    so a unit is sent as its ``(start, count)`` alone.  At most
+    units.  The point's channel and its two buffers, sized for its largest
+    unit, are made here before the pool forks, so a bad ``ebno_db`` raises
+    ``ValueError`` before any unit runs.  Each worker inherits ``spec``,
+    ``cfg``, the channel and the buffers through the fork, so a unit is sent
+    as its ``(start, count)`` alone; the buffers' pages are first written,
+    and so made private, in the process that runs the unit.  At most
     ``workers + 1`` units are in flight, and their counters are committed
     in batch order; at the stopping point no further unit is sent, and the
     workers are terminated and joined, which drops the few units still in
@@ -363,8 +357,10 @@ def run_point(
     """
     if spec is None:
         spec = build_spec(cfg)
-    ws = _Workspace(min(_unit_batches(cfg) * BATCH_FRAMES, cfg.max_frames), cfg.M, cfg.N)
-    unit = functools.partial(_sim_chunk, spec, cfg, ebno_db, ws=ws)
+    chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
+    rows = min(_unit_batches(cfg) * BATCH_FRAMES, cfg.max_frames)
+    buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N))
+    unit = functools.partial(_sim_chunk, spec, cfg, chan, buffers)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     with _pool(unit, workers) as run:

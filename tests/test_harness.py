@@ -189,6 +189,12 @@ class TestRunPoint:
         assert rep.points[1].frame_errors >= 30
         assert all(len(row.split(",")) == 6 for row in rep.csv_text().splitlines())
 
+    @pytest.mark.parametrize("ebno", [float("nan"), 4000.0])
+    def test_bad_ebno_is_rejected_before_the_pool_starts(self, monkeypatch, ebno):
+        monkeypatch.setattr(harness, "_pool", None)  # reaching the pool would raise TypeError
+        with pytest.raises(ValueError):
+            run_point(small_cfg(), ebno, workers=2)
+
     def test_pool_is_gone_after_return(self):
         run_point(small_cfg(max_frames=100_000, min_frame_errors=300), 0.0, workers=2)
         assert multiprocessing.active_children() == []
@@ -216,7 +222,7 @@ class TestRunPoint:
         assert multiprocessing.active_children() == []
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        def failing(spec, cfg, ebno_db, unit, ws=None):
+        def failing(spec, cfg, chan, buffers, unit):
             raise ValueError(f"unit {unit}")
 
         monkeypatch.setattr(harness, "_sim_chunk", failing)
@@ -339,7 +345,8 @@ class TestSimChunk:
         monkeypatch.setattr(harness, "sc_decode_batch", decoder)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            harness._sim_chunk(spec, cfg, ebno, (BATCH_FRAMES, 2 * BATCH_FRAMES))
+            buffers = np.empty((2 * BATCH_FRAMES, cfg.M)), np.empty((2 * BATCH_FRAMES, cfg.N))
+            harness._sim_chunk(spec, cfg, chan, buffers, (BATCH_FRAMES, 2 * BATCH_FRAMES))
             payloads, noise = drawn[0]
             tx = tx_frame(spec, encode(spec, payloads))
             want = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
@@ -424,6 +431,14 @@ class TestRunSweep:
     def test_empty_sweep_gives_header_only_csv(self):
         rep = run_sweep(small_cfg(ebno_sweep=()))
         assert rep.csv_text() == "ebno_db,frames,bit_errors,frame_errors,ber,fer\n"
+
+    def test_distinct_sweep_points_have_distinct_labels(self):
+        # Six significant digits would print 1, 1 and 2.12346.
+        sweep = (1.0000001, 1.0000002, 2.1234567, 1.5, -5.0)
+        rep = run_sweep(small_cfg(ebno_sweep=sweep, max_frames=256))
+        labels = [row.split(",")[0] for row in rep.csv_text().splitlines()[1:]]
+        assert [float(label) for label in labels] == list(sweep)
+        assert labels[3:] == ["1.5", "-5"]
 
     def test_same_seed_reproduces_csv(self):
         cfg = small_cfg(ebno_sweep=(1.0, 2.0))
