@@ -8,8 +8,8 @@ Philox stream is fully set by its key and counter, one generator re-keyed
 to each frame in turn gives every frame's stream without building a new
 generator per frame, and the payload bits are read straight off the raw
 64-bit words, which is what a range-two ``integers`` draw amounts to.
-The harness has :func:`frame_draws` write the noise into a workspace that
-lives for one Eb/N0 point and is overwritten by each work unit.
+The harness has :func:`frame_draws` write the noise into the point's buffers
+that ``run_point`` allocates, which every work unit of the point overwrites.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_nois
     ``frame_draws(chan, j, 1, payload_bits, M)``, and with ``n_bits = 0``
     the noise alone is the first draw of frame ``j``'s stream.  The noise
     is written into ``out``, a C-contiguous float64 array of that shape,
-    when one is given (the harness passes the rows of a workspace it reuses
-    for every work unit of a point), else into a new array; the noise
-    returned is ``out`` itself.
+    when one is given (the harness passes the leading rows of the point's
+    buffers that ``run_point`` allocates, which every work unit reuses),
+    else into a new array; the noise returned is ``out`` itself.
 
     The bits are taken from ``random_raw`` words instead, bit for bit the
     same:

@@ -9,7 +9,9 @@ a CSV with columns ``ebno_db,frames,bit_errors,frame_errors,ber,fer`` plus
 an optional JSON report; ``compare`` runs two configurations over a shared
 sweep and writes a joint CSV with a leading ``label`` column, each run's
 label being its configuration file's name without the extension, or its
-path as given when the two names are the same.
+path as given when the two names are the same.  A label that holds a comma,
+a double quote, CR or LF is quoted as RFC 4180 says; any other is written
+as it is.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ def cmd_compare(args) -> int:
         labels = paths
     lines = []
     for path, label in zip(paths, labels):
+        if any(c in label for c in ',"\r\n'):  # an RFC 4180 quoted field
+            label = '"' + label.replace('"', '""') + '"'
         report = run_sweep(_merged_config(args, path), workers=args.workers)
         header, *rows = report.csv_text().splitlines(keepends=True)
         lines += [f"{label},{row}" for row in rows]

@@ -4,8 +4,8 @@ A run sweeps Eb/N0 points for one code/decoder configuration.  Each frame
 draws its payload and noise from a counter-based stream keyed by
 ``(seed, frame index)`` (payload bits first, then noise samples).  Counters
 are committed per batch of ``BATCH_FRAMES`` frames, in batch order, with the
-stopping rule checked after each one.  The frames are decoded in larger work
-units of 1, 2, 4, ... whole batches (doubling up to a size cap), each in one
+stopping rule checked after each one.  The frames are decoded in work units
+of one size, in whole batches (the last ends at ``max_frames``), each in one
 pass through the numpy pipeline; a unit returns the counters of every batch
 in it.  With several workers, each forked worker is sent units down its own
 pipe, a few ahead of the commit, and the workers are terminated at the
@@ -209,25 +209,15 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return max(0.0, (centre - half) / scale), min(1.0, (centre + half) / scale)
 
 
-def _unit_batches(cfg: ExperimentConfig) -> int:
-    """The most whole batches in one work unit: those whose decoder holds at
-    most ``UNIT_LLRS`` LLRs, at least one and at most ``UNIT_BATCHES`` (4 for
-    SC at N = 64, 2 for SC at N = 512, 1 for a list of 16 at N = 512)."""
-    L = 1 if cfg.decoder == "SC" else cfg.list_size
-    return min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N)))
-
-
 def _work_units(cfg: ExperimentConfig):
-    """The ``(start, count)`` work units of a point, in frame order: 1, 2, 4,
-    ... batches, doubling up to :func:`_unit_batches`; the last unit ends at
-    ``max_frames``."""
-    cap = _unit_batches(cfg)
-    start, batches = 0, 1
-    while start < cfg.max_frames:
-        count = min(batches * BATCH_FRAMES, cfg.max_frames - start)
-        yield start, count
-        start += count
-        batches = min(2 * batches, cap)
+    """The ``(start, count)`` work units of a point, in frame order.  Each holds
+    the most whole batches whose decoder holds at most ``UNIT_LLRS`` LLRs, at
+    least one and at most ``UNIT_BATCHES`` (4 for SC at N = 64, 2 for SC at
+    N = 512, 1 for a list of 16 at N = 512); the last ends at ``max_frames``."""
+    L = 1 if cfg.decoder == "SC" else cfg.list_size
+    size = BATCH_FRAMES * min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N)))
+    for start in range(0, cfg.max_frames, size):
+        yield start, min(size, cfg.max_frames - start)
 
 
 def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, chan: ChannelConfig,
@@ -344,21 +334,21 @@ def run_point(
     decoded in the work units of :func:`_work_units`, in this process when
     ``workers`` is 1 or less (the default).  With ``workers`` > 1 each
     worker of a fork pool owned by this call (:func:`_pool`) takes whole
-    units.  The point's channel and its two buffers, sized for its largest
-    unit, are made here before the pool forks, so a bad ``ebno_db`` raises
-    ``ValueError`` before any unit runs.  Each worker inherits ``spec``,
-    ``cfg``, the channel and the buffers through the fork, so a unit is sent
-    as its ``(start, count)`` alone; the buffers' pages are first written,
-    and so made private, in the process that runs the unit.  At most
-    ``workers + 1`` units are in flight, and their counters are committed
-    in batch order; at the stopping point no further unit is sent, and the
-    workers are terminated and joined, which drops the few units still in
-    flight.
+    units.  The point's channel and its two buffers, sized for its first
+    (largest) unit, are made here before the pool forks, so a bad
+    ``ebno_db`` raises ``ValueError`` before any unit runs.  Each worker
+    inherits ``spec``, ``cfg``, the channel and the buffers through the
+    fork, so a unit is sent as its ``(start, count)`` alone; the buffers'
+    pages are first written, and so made private, in the process that runs
+    the unit.  At most ``workers + 1`` units are in flight, and their
+    counters are committed in batch order; at the stopping point no further
+    unit is sent, and the workers are terminated and joined, which drops the
+    few units still in flight.
     """
     if spec is None:
         spec = build_spec(cfg)
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
-    rows = min(_unit_batches(cfg) * BATCH_FRAMES, cfg.max_frames)
+    rows = next(_work_units(cfg))[1]
     buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N))
     unit = functools.partial(_sim_chunk, spec, cfg, chan, buffers)
     t0 = time.perf_counter()

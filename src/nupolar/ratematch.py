@@ -7,8 +7,8 @@ its bit is structurally zero, and the receiver re-inserts it with the
 saturated known-zero LLR.  A repeated position is sent twice, and the
 receiver adds the two observations.  Both transforms accept a single frame
 or a batch with a leading dimension.  The harness has :func:`dematch`
-write into a workspace that lives for one Eb/N0 point and is overwritten by
-each work unit; the decoders only read those frames.
+write into the point's buffers that ``run_point`` allocates, which every
+work unit of the point overwrites; the decoders only read those frames.
 """
 
 from __future__ import annotations

@@ -125,18 +125,18 @@ class TestFrameDraws:
 
     @pytest.mark.parametrize("count", [0, 1, 100, 256])
     def test_out_equals_the_fresh_draw(self, count):
-        # The harness draws into the leading rows of a workspace that holds
-        # an earlier unit's values; the rows after them stay untouched.
+        # The harness draws into the leading rows of a point's noise buffer,
+        # which holds an earlier unit's values; the rows after them stay untouched.
         chan = ChannelConfig(ebno_db=2.5, rate=0.5, seed=21)
-        workspace = np.random.default_rng(4).normal(size=(256, 320))
-        workspace[: count // 2] = np.nan
-        rest = workspace[count:].copy()
-        bits, noise = frame_draws(chan, 512, count, 160, 320, out=workspace[:count])
+        buffer = np.random.default_rng(4).normal(size=(256, 320))
+        buffer[: count // 2] = np.nan
+        rest = buffer[count:].copy()
+        bits, noise = frame_draws(chan, 512, count, 160, 320, out=buffer[:count])
         want_bits, want_noise = frame_draws(chan, 512, count, 160, 320)
-        assert np.shares_memory(noise, workspace) or count == 0
+        assert np.shares_memory(noise, buffer) or count == 0
         np.testing.assert_array_equal(bits, want_bits)
         assert np.array_equal(noise.view(np.uint64), want_noise.view(np.uint64))
-        assert np.array_equal(workspace[count:].view(np.uint64), rest.view(np.uint64))
+        assert np.array_equal(buffer[count:].view(np.uint64), rest.view(np.uint64))
 
     def test_out_of_the_wrong_shape_is_rejected(self):
         chan = ChannelConfig(ebno_db=2.5, rate=0.5)

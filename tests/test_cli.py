@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -213,6 +214,21 @@ class TestCompare:
                             "--seed", "4", "--out-csv", "one.csv"]) == 0
             want = (tmp_path / "one.csv").read_text().splitlines()[1:]
             assert [row.split(",", 1)[1] for row in got] == want
+
+    @pytest.mark.parametrize("names", [("a,b.cfg", "c.cfg"), ('say "hi".cfg', "line\r\nbreak.cfg")],
+                             ids=["comma", "quote-crlf"])
+    def test_labels_are_csv_fields(self, tmp_path, monkeypatch, names):
+        # Labels holding a comma, a quote or a line break are quoted, so
+        # every row keeps the header's width and each label reads back.
+        monkeypatch.chdir(tmp_path)
+        for name in names:
+            (tmp_path / name).write_text("N = 16\nK = 8\nmax_frames = 256\n")
+        assert run_cli(["compare", *names, "--ebno", "1", "--out-csv", "joint.csv"]) == 0
+        with open(tmp_path / "joint.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["label", "ebno_db", "frames", "bit_errors", "frame_errors", "ber", "fer"]
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert [row[0] for row in rows] == [name.rsplit(".", 1)[0] for name in names]
 
     def test_label_is_not_a_configuration_key(self, tmp_path, capsys):
         # A run's label is its configuration file's name, not a field.

@@ -29,12 +29,12 @@ from nupolar.construction import (
     build_extended_code,
     build_mother_code,
     build_shortened_code,
-    shortening_pattern,
 )
 from nupolar.numerics import KNOWN_ZERO_LLR
 from nupolar.oracles import dense_encode, ml_codeword_scores, ml_decode
 from nupolar.ratematch import dematch, tx_frame
 from scl_reference import reference_scl_decode_batch
+from random_codes import EXTREME_LLRS, random_cases
 
 
 def awgn_llrs(codewords, sigma, rng):
@@ -474,11 +474,6 @@ class TestListMemory:
         assert peak < 2.5 * node_input, f"{peak / node_input:.2f} node inputs"
 
 
-# Salt for frames: both certainties, exact zeros, finite magnitudes whose
-# sums overflow to inf, and the smallest subnormal.
-EXTREME_LLRS = [np.inf, -np.inf, 0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324, -5e-324]
-
-
 class TestSclFastPaths:
     """Inputs that reach the list decoder's shortcuts, against the reference
     decoder bit for bit: candidate metrics that tie, which the unstable sort
@@ -555,42 +550,8 @@ class TestMetricFreeSc:
 
     @pytest.mark.parametrize("rule", ["minsum", "exact"])
     def test_random_masks_equal_sc_decode(self, rule):
-        # Frozen masks no construction gives, so that every mix of node
-        # kinds occurs, a Rate-0 right child beside a walked left one too.
-        # Mother codes; shortened codes, whose mask freezes the pattern (closed
-        # upward, so that is every position covering a shortened one), with
-        # frames known-zero on the shortened positions and, in a second
-        # batch, a finite LLR in the dead suffix, which keeps the full
-        # width; and extended codes.
-        rng = np.random.default_rng(30)
-
-        def salt(frames):
-            return np.where(rng.random(frames.shape) < 0.1, rng.choice(EXTREME_LLRS, frames.shape), frames)
-
-        def random_mask(N, pattern, M):
-            frozen = rng.random(N) < rng.random()
-            if pattern.kind == "shorten":
-                frozen[pattern.indices] = True
-            return CodeSpec(N, int(N - frozen.sum()), M, frozen, pattern)
-
-        cases = []
-        for N in (2, 4, 8, 16, 32) * 8:
-            cases.append((random_mask(N, RateMatchPattern(), N), salt(rng.normal(1.0, 2.0, (16, N)))))
-        for N in (4, 8, 16, 32, 64) * 6:
-            for method in PATTERN_METHODS:
-                M = int(rng.integers(N // 2 + 1, N))
-                spec = random_mask(N, shortening_pattern(method, N, M), M)
-                frames = dematch(spec, salt(rng.normal(1.0, 2.0, (16, M))))
-                assert np.isposinf(frames[:, -1]).all()
-                fallback = frames.copy()
-                fallback[:, -1] = rng.normal(0.0, 2.0, 16)
-                cases += [(spec, frames), (spec, fallback)]
-            delta = int(rng.integers(1, N // 2))
-            for repeat in ("tail", "weak_info", np.sort(rng.choice(N, delta, replace=False))):
-                built = build_extended_code(N, delta, int(rng.integers(delta, N + 1)), repeat=repeat)
-                spec = random_mask(N, built.pattern, N + delta)
-                # Salted after dematch, which would add opposite infinities.
-                cases.append((spec, salt(dematch(spec, rng.normal(1.0, 2.0, (16, N + delta))))))
+        # Random masks of mother, shortened and extended codes, salted.
+        cases = random_cases(np.random.default_rng(30))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for spec, frames in cases:

@@ -226,7 +226,7 @@ class TestRunPoint:
             raise ValueError(f"unit {unit}")
 
         monkeypatch.setattr(harness, "_sim_chunk", failing)
-        with pytest.raises(ValueError, match=r"unit \(0, 256\)"):
+        with pytest.raises(ValueError, match=r"unit \(0, 1024\)"):
             run_point(small_cfg(), 2.0, workers=2)
         assert multiprocessing.active_children() == []
 
@@ -297,13 +297,13 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reused_workspace_replays_the_public_chain(self, workers):
-        # 1000 frames at N = 512 run in units of 256, 512 and 232 frames:
-        # the channel workspace is sized for 512 rows, the first and last
-        # units use its leading rows, and RQUP leaves scattered positions
-        # never sent, which dematch must refill in every unit.
+        # 1000 frames at N = 512 run in units of 512 and 488 frames: the
+        # point's buffers hold 512 rows, the last unit uses their leading
+        # rows, and RQUP leaves scattered positions never sent, which
+        # dematch must refill in every unit.
         cfg = ExperimentConfig(N=512, M=400, K=200, method="NUPGA_shortened", pattern_method="RQUP",
                                decoder="SC", max_frames=1000, min_frame_errors=10**6, seed=8)
-        assert [count for _, count in _work_units(cfg)] == [256, 512, 232]
+        assert [count for _, count in _work_units(cfg)] == [512, 488]
         spec = build_spec(cfg)
         assert np.diff(spec.pattern.indices).max() > 1
         for ebno in (1.5, 2.5):
@@ -369,21 +369,16 @@ class TestWorkUnits:
         assert all(start % BATCH_FRAMES == 0 for start in starts)
 
     @pytest.mark.parametrize("N, L, batches", [
-        (16, 1, [1, 2, 4, 4, 4]),
-        (32, 1, [1, 2, 4, 4, 4]),
-        (64, 1, [1, 2, 4, 4, 4]),
-        (64, 2, [1, 2, 4, 4, 1]),
-        (128, 1, [1, 2, 4, 4]),
-        (256, 1, [1, 2, 4, 4]),
-        (512, 1, [1, 2, 2, 2]),
-        (64, 8, [1, 2, 2, 2, 1]),
-        (1024, 1, [1, 1, 1]),
+        (16, 1, 4), (32, 1, 4), (64, 1, 4), (64, 2, 4), (128, 1, 4),
+        (256, 1, 4), (512, 1, 2), (64, 8, 2), (1024, 1, 1),
     ])
-    def test_sizes_double_up_to_the_cap(self, N, L, batches):
+    def test_units_have_the_cap_size(self, N, L, batches):
+        # The cap is the most whole batches with frames * L * N <= 2^18, at
+        # most 4.  Every unit but the last holds it; the last ends at max_frames.
         cfg = small_cfg(N=N, K=N // 2, decoder="SCL" if L > 1 else "SC", list_size=L,
-                        max_frames=sum(batches) * BATCH_FRAMES)
-        # The cap is the most whole batches with frames * L * N <= 2^18, at most 4.
-        assert [count // BATCH_FRAMES for _, count in _work_units(cfg)] == batches
+                        max_frames=3 * batches * BATCH_FRAMES + 100)
+        size = batches * BATCH_FRAMES
+        assert list(_work_units(cfg)) == [(0, size), (size, size), (2 * size, size), (3 * size, 100)]
 
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(N=1024, K=512, max_frames=8192),
@@ -398,22 +393,24 @@ class TestWorkUnits:
     def test_unit_size_does_not_change_results(self, monkeypatch, workers):
         cfgs = [small_cfg(ebno_sweep=(2.0,), max_frames=100_000, min_frame_errors=300),
                 small_cfg(N=512, M=320, K=160, method="NUPGA_shortened", pattern_method="NAT_PD",
-                          ebno_sweep=(1.5,), max_frames=8192, min_frame_errors=300)]
-        ramped = [run_sweep(cfg, workers=workers) for cfg in cfgs]
-        for cfg, rep in zip(cfgs, ramped):
-            # The error target is met inside a unit of several batches (of 2
-            # at N = 512), so the batches after it in that unit must be dropped.
+                          ebno_sweep=(2.0,), max_frames=8192, min_frame_errors=300)]
+        multi = [run_sweep(cfg, workers=workers) for cfg in cfgs]
+        for cfg, rep in zip(cfgs, multi):
+            # The error target is met inside a unit of several batches (4 at
+            # N = 64, 2 at N = 512), so the batches after it in that unit
+            # must be dropped.
             ends = list(itertools.accumulate(count for _, count in _work_units(cfg)))
             assert rep.points[0].stop == "errors" and rep.points[0].frames not in ends
         monkeypatch.setattr(harness, "UNIT_LLRS", 0)
         strip = lambda p: {k: v for k, v in vars(p).items() if k != "wall_time_s"}  # noqa: E731
-        for cfg, rep in zip(cfgs, ramped):
+        for cfg, rep in zip(cfgs, multi):
             assert max(count for _, count in _work_units(cfg)) == BATCH_FRAMES
             single = run_sweep(cfg, workers=workers)
             assert strip(single.points[0]) == strip(rep.points[0])
             assert single.csv_text() == rep.csv_text()
 
-    def test_first_batch_stop_decodes_one_batch(self, monkeypatch):
+    def test_first_batch_stop_commits_one_batch(self, monkeypatch):
+        # The unit decodes all four of its batches; only the first is committed.
         rows = []
         decode = harness.sc_decode_batch
 
@@ -422,9 +419,25 @@ class TestWorkUnits:
             return decode(spec, frames, *args)
 
         monkeypatch.setattr(harness, "sc_decode_batch", counted)
-        p = run_point(small_cfg(max_frames=100_000, min_frame_errors=10), -5.0, workers=1)
+        cfg = small_cfg(max_frames=100_000, min_frame_errors=10)
+        p = run_point(cfg, -5.0, workers=1)
         assert p.frames == BATCH_FRAMES and p.stop == "errors"
-        assert rows == [BATCH_FRAMES]
+        assert (p.frames, p.bit_errors, p.frame_errors) == replay_sc(cfg, build_spec(cfg), -5.0)
+        assert rows == [4 * BATCH_FRAMES]
+
+    @pytest.mark.parametrize("max_frames", [100, 5000])
+    def test_buffers_hold_the_first_unit(self, monkeypatch, max_frames):
+        shapes = set()
+
+        def recorded(spec, cfg, chan, buffers, unit):
+            shapes.add(tuple(a.shape for a in buffers))
+            return [(unit[1], 0, 0)]
+
+        monkeypatch.setattr(harness, "_sim_chunk", recorded)
+        cfg = small_cfg(N=64, M=80, K=40, method="NUPGA_extended", max_frames=max_frames)
+        run_point(cfg, 2.0, workers=1)
+        rows = min(4 * BATCH_FRAMES, max_frames)
+        assert shapes == {((rows, 80), (rows, 64))}
 
 
 class TestRunSweep:
