@@ -15,7 +15,6 @@ from .codec import (
     encode,
     f_exact,
     f_minsum,
-    g_node,
     sc_decode_batch,
     scl_decode_batch,
 )

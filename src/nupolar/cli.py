@@ -80,11 +80,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merged_config(args, args.config)
-    spec = build_spec(cfg)
-    if args.emit_spec:
-        _write_text(args.emit_spec, spec.to_json(indent=2) + "\n")
-    report = run_sweep(cfg, workers=args.workers, spec=spec)
+    report = run_sweep(_merged_config(args, args.config), workers=args.workers)
     _write_text(args.out_csv, report.csv_text())
     if args.out_json:
         _write_text(args.out_json, json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -126,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", help="key=value configuration file")
     p_sim.add_argument("--out-csv", default="-", help="CSV output path (default stdout)")
     p_sim.add_argument("--out-json", help="JSON report output path")
-    p_sim.add_argument("--emit-spec", help="also write the constructed CodeSpec JSON here")
     p_sim.add_argument("--workers", type=int, default=1, help="worker processes (default 1: run in this process)")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -131,21 +131,17 @@ def f_exact(a, b):
 RULES = {"minsum": f_minsum, "exact": f_exact}
 
 
-def g_node(a, b, u_sum):
-    """Variable-node update b + (-1)^u_sum * a.
-
-    Opposite saturated certainties would meet as inf - inf; that
-    contradiction is resolved to an erasure (LLR 0).
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _g(*np.broadcast_arrays(a, b, u_sum))
-
-
 def _g(a, b, u_sum):
-    """:func:`g_node`'s arithmetic on arrays of one shape, in place on the
-    sign ``1 - 2 u_sum``, for callers that already ignore invalid and
-    overflowing floating-point operations.  ``u_sum=None`` stands for all
-    zeros, where the update is ``b + a``."""
+    """Variable-node update ``b + (-1)^u_sum * a``, in place on the sign
+    ``1 - 2 u_sum``.  Opposite saturated certainties would meet as
+    ``inf - inf``; that contradiction resolves to an erasure (LLR 0).
+
+    The output has the shape of the array ``u_sum``, and ``a`` and ``b``
+    broadcast to it: the walk passes a frame's one row, ``(B, 1, n/2)``,
+    against the ``(B, L, n/2)`` partial codewords of its ``L`` paths.
+    ``u_sum=None`` stands for all zeros, where the update is ``b + a`` on
+    arrays of one shape.  The caller ignores invalid and overflowing
+    floating-point operations, as the walk's ``np.errstate`` does."""
     if u_sum is None:
         out = b + a
     else:

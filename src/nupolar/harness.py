@@ -374,10 +374,9 @@ def run_point(
     )
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1, spec: CodeSpec | None = None) -> SimReport:
-    """Map :func:`run_point` over the configured Eb/N0 sweep (on ``spec``, else
-    the code ``build_spec(cfg)`` describes)."""
-    if spec is None:
-        spec = build_spec(cfg)
+def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> SimReport:
+    """Map :func:`run_point` over the configured Eb/N0 sweep, on the code
+    ``build_spec(cfg)`` describes, built once for every point."""
+    spec = build_spec(cfg)
     points = [run_point(cfg, ebno, workers, spec) for ebno in cfg.ebno_sweep]
     return SimReport(config=cfg.as_dict(), library_version=_version, points=points)

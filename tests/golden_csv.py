@@ -52,6 +52,10 @@ RUNS = {
     # the fourth (frame 1792), 1.5 dB at the end of the second.
     "short512-sc-unit-stop": "--N 512 --M 320 --K 160 --method NUPGA_shortened --pattern-method NAT_PD "
                              "--ebno-sweep 1.5,2 --min-frame-errors 300 --max-frames 8192",
+    # The same shortened code with SCL at L = 1, SC with its path metric:
+    # test_golden.py checks that the metric-free SC walk writes these bytes too.
+    "short512-scl1": "--N 512 --M 320 --K 160 --method NUPGA_shortened --pattern-method NAT_PD "
+                     "--ebno-sweep 1.5,2,3 --max-frames 2048 --decoder SCL --list-size 1",
     # The same shortened SC code with the exact check-node rule.
     "short512-sc-exact": "--N 512 --M 320 --K 160 --method NUPGA_shortened --pattern-method NAT_PD "
                          "--ebno-sweep 2,3 --rule exact --max-frames 1024",

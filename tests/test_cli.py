@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nupolar import cli, harness
+from nupolar import harness
 from nupolar.cli import main
 from nupolar.construction import CodeSpec
 from nupolar.harness import CHOICES, ExperimentConfig
@@ -56,11 +56,10 @@ class TestSimulate:
     def test_writes_csv_and_json(self, tmp_path):
         csv = tmp_path / "r.csv"
         js = tmp_path / "r.json"
-        spec = tmp_path / "s.json"
         rc = run_cli([
             "simulate", "--N", "64", "--K", "32", "--ebno", "2.0",
             "--max-frames", "256", "--min-frame-errors", "10", "--seed", "5",
-            "--out-csv", str(csv), "--out-json", str(js), "--emit-spec", str(spec),
+            "--out-csv", str(csv), "--out-json", str(js),
         ])
         assert rc == 0
         lines = csv.read_text().splitlines()
@@ -68,17 +67,6 @@ class TestSimulate:
         assert len(lines) == 2
         doc = json.loads(js.read_text())
         assert doc["config"]["N"] == 64
-        CodeSpec.from_json(spec.read_text())
-
-    def test_emit_spec_builds_the_spec_once(self, tmp_path, monkeypatch):
-        calls = []
-        build = cli.build_spec
-        monkeypatch.setattr(cli, "build_spec", lambda cfg: calls.append(cfg) or build(cfg))
-        monkeypatch.setattr(harness, "build_spec", cli.build_spec)
-        rc = run_cli(["simulate", "--N", "64", "--K", "32", "--ebno", "2.0", "--max-frames", "256",
-                      "--out-csv", str(tmp_path / "r.csv"), "--emit-spec", str(tmp_path / "s.json")])
-        assert rc == 0
-        assert len(calls) == 1
 
     def test_extreme_sweep_entry_fails_before_any_point(self, tmp_path, monkeypatch, capsys):
         points = []

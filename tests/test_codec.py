@@ -17,8 +17,8 @@ from nupolar.codec import (
     f_exact,
     f_minsum,
     _ListDecoder,
+    _g,
     _penalties,
-    g_node,
     sc_decode_batch,
     scl_decode_batch,
 )
@@ -128,12 +128,18 @@ class TestEncode:
             encode(build_mother_code(8, 4), np.array(msg))
 
 
+def walk_g(a, b, u_sum):
+    """``_g`` under the error state the decoder walk runs it in."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _g(a, b, u_sum)
+
+
 class TestNodeFunctions:
     def test_minsum_example(self):
         assert f_minsum(np.array(2.0), np.array(-3.0)) == -2.0
 
     def test_g_example(self):
-        assert g_node(np.array(1.5), np.array(2.0), np.array(1, dtype=np.uint8)) == 0.5
+        assert walk_g(np.array(1.5), np.array(2.0), np.array(1, dtype=np.uint8)) == 0.5
 
     def test_exact_matches_tanh_formula(self):
         rng = np.random.default_rng(2)
@@ -149,16 +155,18 @@ class TestNodeFunctions:
             assert f(np.array(inf), np.array(-3.5)) == -3.5
             assert f(np.array(inf), np.array(inf)) == inf
             assert np.isfinite(f(np.array(-inf), np.array(2.0)))
-        assert g_node(np.array(inf), np.array(1.0), np.array(0, np.uint8)) == inf
-        assert g_node(np.array(inf), np.array(1.0), np.array(1, np.uint8)) == -inf
+        assert walk_g(np.array(inf), np.array(1.0), np.array(0, np.uint8)) == inf
+        assert walk_g(np.array(inf), np.array(1.0), np.array(1, np.uint8)) == -inf
         # contradictory certainties resolve to an erasure, never NaN
-        assert g_node(np.array(inf), np.array(inf), np.array(1, np.uint8)) == 0.0
+        assert walk_g(np.array(inf), np.array(inf), np.array(1, np.uint8)) == 0.0
 
     def test_bit_identical_to_the_reference_formulas(self):
         # The in-place node updates give the bits of the plain formulas that
         # scl_reference keeps, the sign of zero included, on every pair of
         # edge values (signed zeros, infinities, subnormals, near-overflow
-        # magnitudes), on random values salted with them, and on 0-d inputs.
+        # magnitudes), on random values salted with them, on 0-d inputs,
+        # and on the walk's broadcast of a frame's one row (B, 1, n/2)
+        # against the partial codewords of its L paths (B, L, n/2).
         edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2e-310, -2e-310,
                          1.0, -2.5, 1e308, -1e308])
         rng = np.random.default_rng(28)
@@ -167,13 +175,16 @@ class TestNodeFunctions:
         a = np.concatenate([np.repeat(edge, edge.size), noise[0]])
         b = np.concatenate([np.tile(edge, edge.size), noise[1]])
         u = rng.integers(0, 2, a.shape, dtype=np.uint8)
-        pairs = [(a, b, u)] + [(np.array(x), np.array(y), np.array(v, np.uint8))
-                               for x, y in zip(edge, edge[::-1]) for v in (0, 1)]
+        rows = rng.choice(edge, (6, 1, 64))  # B = 6 frames, n = 64
+        paths = rng.integers(0, 2, (6, 8, 32), dtype=np.uint8)  # L = 8
+        pairs = [(a, b, u), (rows[..., 0::2], rows[..., 1::2], paths)]
+        pairs += [(np.array(x), np.array(y), np.array(v, np.uint8))
+                  for x, y in zip(edge, edge[::-1]) for v in (0, 1)]
         for x, y, v in pairs:
             with np.errstate(over="ignore"):  # sums near 1e308 overflow to inf on both sides
                 results = ((f_minsum(x, y), scl_reference.f_minsum(x, y)),
                            (f_exact(x, y), scl_reference.f_exact(x, y)),
-                           (g_node(x, y, v), scl_reference.g_node(x, y, v)))
+                           (walk_g(x, y, v), scl_reference.g_node(x, y, v)))
             for got, want in results:
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))

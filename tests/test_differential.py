@@ -1,4 +1,5 @@
-"""Seeded differential tests of the list decoders on random codes.
+"""Seeded differential tests of the list decoders, the encoder and rate
+matching on random codes.
 
 Each case is a random frozen mask of a mother, shortened (NAT_PD, RQUP,
 CW) or extended code at N <= 64, with frames salted with ``EXTREME_LLRS``
@@ -6,8 +7,11 @@ CW) or extended code at N <= 64, with frames salted with ``EXTREME_LLRS``
 reference decoder of ``scl_reference`` bit for bit, messages, metrics and
 order, and ``ca_scl_decode_batch`` must make the choice its rule states,
 recounted candidate by candidate.  Each list size draws codes of its own
-from a fixed seed, which every rule and threshold decodes.  A failing draw
-is a decoder bug.
+from a fixed seed, which every rule and threshold decodes.  On codes of
+their own, ``encode`` must equal the GF(2) matrix product of
+``oracles.dense_encode``, and a noiseless frame must come out of
+``tx_frame``, BPSK and ``dematch`` as its codeword's LLRs.  A failing draw
+is a program bug.
 """
 
 import functools
@@ -17,7 +21,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nupolar.codec import CrcConfig, ca_scl_decode_batch, crc_check, scl_decode_batch
+from nupolar.channel import bpsk_modulate
+from nupolar.codec import CrcConfig, ca_scl_decode_batch, crc_check, encode, scl_decode_batch
+from nupolar.oracles import dense_encode
+from nupolar.ratematch import dematch, tx_frame
 from random_codes import random_cases
 from scl_reference import reference_scl_decode_batch
 
@@ -67,3 +74,32 @@ def test_scl_equals_reference_and_ca_scl_its_rule(L, rule, threshold):
     # The draws reach every branch of the rule: no candidate passes, the
     # best one passes, and a later one passes.
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def random_messages(seed):
+    """``(spec, msgs)`` pairs: a batch of random messages for each random code."""
+    rng = np.random.default_rng(seed)
+    for spec, frames in random_cases(rng, mother_rounds=2, matched_rounds=1):
+        yield spec, rng.integers(0, 2, (len(frames), spec.payload_len), dtype=np.uint8)
+
+
+def test_encode_equals_dense_encode():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, msgs in random_messages(2000):
+            assert np.array_equal(encode(spec, msgs), dense_encode(spec, msgs)), spec.to_json()
+
+
+def test_noiseless_frames_dematch_to_their_codewords():
+    # A BPSK symbol is its bit's noiseless LLR: dematch gives +inf where a
+    # position is never sent, the bit's sign where it is sent once, and
+    # twice that where it is repeated.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, msgs in random_messages(2001):
+            cw = encode(spec, msgs)
+            sent = np.ones(spec.mother_len)  # observations of each position
+            sent[spec.pattern.indices] = {"shorten": 0, "extend": 2}.get(spec.pattern.kind, 1)
+            want = np.where(sent == 0, np.inf, sent * (1.0 - 2.0 * cw))
+            got = dematch(spec, bpsk_modulate(tx_frame(spec, cw)))
+            assert np.array_equal(got, want), spec.to_json()

@@ -14,6 +14,13 @@ def test_csv_bytes_equal_the_golden_file(name):
     assert simulate_csv(RUNS[name]).encode() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def test_sc_walk_equals_scl_at_list_size_one():
+    # The metric-free SC walk decodes as SC with its path metric, byte for byte.
+    args = RUNS["short512-scl1"].replace("--decoder SCL --list-size 1", "--decoder SC")
+    assert args != RUNS["short512-scl1"]
+    assert simulate_csv(args).encode() == (GOLDEN / "short512-scl1.csv").read_bytes()
+
+
 def test_list_prints_every_run():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
