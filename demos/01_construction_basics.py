@@ -36,10 +36,11 @@ spec = npl.build_mother_code(4, 2)
 print("mother info mask (1=data):", (~spec.frozen_mask).astype(int))
 
 # Zeroing the last entry models a shortened position; re-evolving moves the
-# information set:
+# information set.  NAT_PD shortening from 4 to 3 removes that position:
 penalized = npl.evolve_reliabilities([4.0, 4.0, 4.0, 0.0])
 print("evolved penalized profile:", np.round(penalized, 4))
-short = npl.build_shortened_code(4, 3, 2, [1, 1, 1, 0])
+short = npl.build_shortened_code(4, 3, 2, "NAT_PD")
+print("NAT_PD keep-mask (1=sent):", np.bincount(short.tx_positions, minlength=4))
 print("shortened info mask      :", (~short.frozen_mask).astype(int))
 
 # The erasure-channel oracle ------------------------------------------------

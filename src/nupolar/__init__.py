@@ -31,7 +31,6 @@ from .construction import (
     design_snr_to_llr_mean,
     evolve_bec,
     evolve_reliabilities,
-    normalize_pattern,
     select_information_set,
     shortening_pattern,
 )

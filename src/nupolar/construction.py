@@ -112,45 +112,6 @@ class RateMatchPattern:
         )
 
 
-def normalize_pattern(pattern, N: int, M: int) -> RateMatchPattern:
-    """Coerce a user-supplied shortening pattern into a :class:`RateMatchPattern`.
-
-    Accepted forms: a :class:`RateMatchPattern`, a method name from
-    ``PATTERN_METHODS``, a length-N binary keep-mask (1 = transmitted,
-    0 = removed), or a list of removed 0-based positions.  The removed set
-    must be closed upward (``i`` removed implies ``i | 2^b`` removed):
-    otherwise :class:`ConstructionError` names the first kept position that
-    covers a removed one.  Positions beyond N are a ``ConstructionError``
-    too.
-    """
-    N = _check_power_of_two(N)
-    if isinstance(pattern, RateMatchPattern):
-        out = pattern
-    elif isinstance(pattern, str):
-        out = shortening_pattern(pattern, N, M)
-    else:
-        arr = np.asarray(pattern)
-        if arr.size == N and np.all((arr == 0) | (arr == 1)):
-            arr = np.flatnonzero(arr == 0)
-        out = RateMatchPattern("shorten", arr)
-    if out.kind != "shorten":
-        raise ConstructionError(f"pattern kind {out.kind!r} is not 'shorten'")
-    if len(out) != N - M:
-        raise ConstructionError(f"pattern has {len(out)} positions, N - M = {N - M}")
-    kept = np.zeros(N, dtype=bool)
-    kept[out.tx_positions(N)] = True
-    # The smallest kept position above a removed one is one bit away from it.
-    idx = out.indices
-    above = idx[:, None] | (1 << np.arange(N.bit_length() - 1))
-    bad = above[kept[above]]
-    if bad.size:
-        k = int(bad.min())
-        raise ConstructionError(
-            f"shortening pattern is not closed upward: kept position {k} covers shortened position "
-            f"{int(idx[(idx & k) == idx][0])}, and every source position covering a shortened position must be frozen")
-    return out
-
-
 @dataclass
 class CodeSpec:
     """Complete description of one code instance.
@@ -420,7 +381,9 @@ def build_shortened_code(
 ) -> CodeSpec:
     """Shortened code of transmitted length M from a length-N mother code.
 
-    With ``repolarize`` (the default) the stage-0 reliabilities of the
+    ``pattern`` names the removed positions, one of ``PATTERN_METHODS``
+    (see :func:`shortening_pattern`); M = N gives the mother code.  With
+    ``repolarize`` (the default) the stage-0 reliabilities of the
     inputs matched to shortened positions are zeroed and the whole vector
     is re-evolved before selecting the information set (the NUPGA scheme).
     With ``repolarize=False`` the information set keeps the mother code's
@@ -428,10 +391,12 @@ def build_shortened_code(
     of the CW / RQUP / PD baselines).
     """
     N = _check_power_of_two(N)
+    if not (isinstance(pattern, str) and pattern in PATTERN_METHODS):
+        raise ConstructionError(f"unknown shortening method {pattern!r}")
     if M == N:
         return build_mother_code(N, K, design_snr_db, g_mode)
     method = "NUPGA_shortened" if repolarize else "GA_uniform"
-    return _build_code(N, K, normalize_pattern(pattern, N, M), design_snr_db, g_mode, method)
+    return _build_code(N, K, shortening_pattern(pattern, N, M), design_snr_db, g_mode, method)
 
 
 def build_extended_code(
@@ -447,35 +412,27 @@ def build_extended_code(
     Each repeated position is observed twice at the receiver, so its
     stage-0 LLR mean doubles (8*S instead of 4*S); the vector is then
     evolved and the information set re-selected.  ``repeat`` chooses the
-    repeated positions: ``"tail"`` (default) repeats the last ``delta_M``
-    positions, ``"weak_info"`` repeats the positions of the mother code's
-    least reliable information bits, and an explicit index array is used
-    as given.
+    repeated positions, one of ``REPEAT_RULES``: ``"tail"`` (default)
+    repeats the last ``delta_M`` positions, ``"weak_info"`` the positions
+    of the mother code's least reliable information bits.
     """
     N = _check_power_of_two(N)
     delta_M = int(_whole(delta_M, "extension length"))
-    if delta_M == 0:
-        return build_mother_code(N, K, design_snr_db, g_mode)
     if not 0 < delta_M < N // 2:
         raise ConstructionError(f"extension length must satisfy 0 < delta_M < N/2, got {delta_M}")
     if not 0 < K <= N:
         raise ConstructionError(f"payload length {K} outside (0, {N}]")
-    if isinstance(repeat, str) and repeat == "tail":
+    if not (isinstance(repeat, str) and repeat in REPEAT_RULES):
+        raise ConstructionError(f"unknown repeat rule {repeat!r}")
+    if repeat == "tail":
         positions = np.arange(N - delta_M, N)
-    elif isinstance(repeat, str) and repeat == "weak_info":
+    else:
         rel = evolve_reliabilities(np.full(N, design_snr_to_llr_mean(design_snr_db)), g_mode)
         info = np.flatnonzero(~select_information_set(rel, K))
         if delta_M > info.size:
             raise ConstructionError("weak_info extension needs delta_M <= K")
         positions = np.sort(info[np.argsort(rel[info], kind="stable")[:delta_M]])
-    elif isinstance(repeat, str):
-        raise ConstructionError(f"unknown repeat rule {repeat!r}")
-    else:
-        positions = _whole(repeat, "repeat positions")
-        if positions.size != delta_M:
-            raise ConstructionError("explicit repeat positions must have length delta_M")
-    pattern = RateMatchPattern("extend", positions)
-    return _build_code(N, K, pattern, design_snr_db, g_mode, "NUPGA_extended")
+    return _build_code(N, K, RateMatchPattern("extend", positions), design_snr_db, g_mode, "NUPGA_extended")
 
 
 def build_bec_code(N: int, K: int, design_snr_db: float = 0.0, g_mode: str = "sum") -> CodeSpec:

@@ -6,8 +6,8 @@ codes are mother codes; shortened codes (every pattern method), whose mask
 freezes the pattern (closed upward, so that is every position covering a
 shortened one), with frames known-zero on the shortened positions and, in
 a second batch, a finite LLR in the dead suffix, which keeps the full
-width; and extended codes (``tail``, ``weak_info`` and explicit
-positions).  A tenth of the received values are replaced by
+width; and extended codes (the ``tail`` and ``weak_info`` rules and a
+random ``RateMatchPattern``).  A tenth of the received values are replaced by
 ``EXTREME_LLRS``.
 """
 
@@ -55,9 +55,11 @@ def random_cases(rng, mother_rounds: int = 8, matched_rounds: int = 6, batch: in
             fallback[:, -1] = rng.normal(0.0, 2.0, batch)
             cases += [(spec, frames), (spec, fallback)]
         delta = int(rng.integers(1, N // 2))
-        for repeat in ("tail", "weak_info", np.sort(rng.choice(N, delta, replace=False))):
-            built = build_extended_code(N, delta, int(rng.integers(delta, N + 1)), repeat=repeat)
-            spec = random_mask(N, built.pattern, N + delta)
+        explicit = RateMatchPattern("extend", np.sort(rng.choice(N, delta, replace=False)))
+        for repeat in ("tail", "weak_info", explicit):
+            K = int(rng.integers(delta, N + 1))  # drawn for each rule, used by the named ones
+            pattern = explicit if repeat is explicit else build_extended_code(N, delta, K, repeat=repeat).pattern
+            spec = random_mask(N, pattern, N + delta)
             # Salted after dematch, which would add opposite infinities.
             cases.append((spec, salt(dematch(spec, rng.normal(1.0, 2.0, (batch, N + delta))))))
     return cases

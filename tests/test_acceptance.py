@@ -91,7 +91,8 @@ def test_criterion_04_worked_example_masks():
     """The size-4 information sets: {0,1,0,1} mother, {0,1,1,0} shortened."""
     mother = npl.build_mother_code(4, 2, design_snr_db=0.0)
     assert (~mother.frozen_mask).astype(int).tolist() == [0, 1, 0, 1]
-    short = npl.build_shortened_code(4, 3, 2, [1, 1, 1, 0], design_snr_db=0.0)
+    short = npl.build_shortened_code(4, 3, 2, "NAT_PD", design_snr_db=0.0)
+    assert short.pattern.indices.tolist() == [3]  # the keep-mask [1, 1, 1, 0]
     assert (~short.frozen_mask).astype(int).tolist() == [0, 1, 1, 0]
     assert short.info_positions.tolist() == [1, 2]
     # Reference fixture, non-gating: the originally reported evolved values

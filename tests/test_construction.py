@@ -6,7 +6,7 @@ import ga_reference
 import numpy as np
 import pytest
 
-from nupolar import construction, numerics
+from nupolar import numerics
 from nupolar.construction import (
     PATTERN_METHODS,
     CodeSpec,
@@ -22,7 +22,6 @@ from nupolar.construction import (
     design_snr_to_llr_mean,
     evolve_bec,
     evolve_reliabilities,
-    normalize_pattern,
     select_information_set,
     shortening_pattern,
 )
@@ -238,9 +237,8 @@ class TestKnownBitReference:
 
     @staticmethod
     def _compare(N, M, pattern, design_snr_db, g_mode):
-        pat = normalize_pattern(pattern, N, M)
         shortened = np.zeros(N, dtype=bool)
-        shortened[pat.indices] = True
+        shortened[shortening_pattern(pattern, N, M).indices if isinstance(pattern, str) else pattern] = True
         stage0 = np.full(N, design_snr_to_llr_mean(design_snr_db))
         stage0[shortened] = 0.0
         ref, known = known_bit_ga_channels(stage0, shortened, g_mode)
@@ -405,12 +403,14 @@ class TestShorteningPattern:
 
 class TestBuildShortened:
     def test_worked_example_keep_mask(self):
-        spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
+        # The worked example's keep-mask [1, 1, 1, 0] is NAT_PD at 4 -> 3.
+        spec = build_shortened_code(4, 3, 2, "NAT_PD")
         assert info_mask(spec) == [0, 1, 1, 0]
         assert spec.pattern.indices.tolist() == [3]
+        assert np.bincount(spec.tx_positions, minlength=4).tolist() == [1, 1, 1, 0]
 
     def test_full_length_collapses_to_mother(self):
-        a = build_shortened_code(8, 8, 4, RateMatchPattern())
+        a = build_shortened_code(8, 8, 4, "CW")
         b = build_mother_code(8, 4)
         assert np.array_equal(a.frozen_mask, b.frozen_mask)
         assert a.pattern.kind == "none"
@@ -428,35 +428,19 @@ class TestBuildShortened:
         rel[48:] = 0.0
         np.testing.assert_array_equal(spec.frozen_mask, select_information_set(rel, 24))
 
-    def test_index_list_and_mask_agree(self):
-        a = build_shortened_code(8, 6, 3, [1, 1, 1, 0, 1, 1, 1, 0])
-        b = build_shortened_code(8, 6, 3, [3, 7])
-        assert np.array_equal(a.frozen_mask, b.frozen_mask)
-        assert a.pattern == b.pattern
-
     def test_rejects_mismatched_pattern(self):
+        # Only a name from PATTERN_METHODS builds, at every M: the full
+        # length, which builds the mother code, checks the name too.
         with pytest.raises(ConstructionError):
             build_shortened_code(8, 6, 3, [1, 2, 3])
-
-    def test_rejects_a_pattern_not_closed_upward(self, monkeypatch):
-        # {0, 6} as a list and as a keep-mask: every kept position covers 0,
-        # and 7 covers 6.  The first kept one is named before anything evolves.
-        monkeypatch.setattr(construction, "evolve_reliabilities", None)
-        for pattern in ([0, 6], [0, 1, 1, 1, 1, 1, 0, 1]):
-            with pytest.raises(ConstructionError, match="kept position 1 covers shortened position 0,"):
-                build_shortened_code(8, 6, 3, pattern)
-        with pytest.raises(ConstructionError, match="kept position 5 covers shortened position 4,"):
-            normalize_pattern([4, 6, 7], np.int64(8), 5)
-        with pytest.raises(ConstructionError, match="power of two"):
-            normalize_pattern([5], 6, 5)
+        for M in (40, 63, 64):
+            for pattern in ("BOGUS", "nat_pd", ["NAT_PD"], [1] * M + [0] * (64 - M), np.arange(M, 64),
+                            RateMatchPattern("shorten", np.arange(M, 64)), None):
+                with pytest.raises(ConstructionError, match="unknown shortening method"):
+                    build_shortened_code(64, M, 32, pattern)
 
 
 class TestBuildExtended:
-    def test_zero_extension_is_mother(self):
-        a = build_extended_code(8, 0, 4)
-        b = build_mother_code(8, 4)
-        assert np.array_equal(a.frozen_mask, b.frozen_mask)
-
     def test_fig11_shape(self):
         spec = build_extended_code(256, 24, 128)
         assert spec.tx_len == 280
@@ -503,20 +487,23 @@ class TestBuildExtended:
     def test_range_checks(self):
         with pytest.raises(ConstructionError):
             build_extended_code(8, 4, 4)  # delta_M must stay below N/2
+        with pytest.raises(ConstructionError, match="0 < delta_M < N/2, got 0"):
+            build_extended_code(8, 0, 4)  # and above 0: build_mother_code makes M = N
         with pytest.raises(ConstructionError):
             build_extended_code(8, 3, 0)
         # Rejected, not truncated to delta_M = 16 or to positions 60, 61, 62.
         with pytest.raises(ConstructionError, match="whole numbers"):
             build_extended_code(64, 16.7, 40)
         with pytest.raises(ConstructionError, match="whole numbers"):
-            build_extended_code(64, 3, 40, repeat=[60.5, 61.5, 62.9])
+            RateMatchPattern("extend", [60.5, 61.5, 62.9])
         assert build_extended_code(64, 16.0, 40).tx_len == 80
-        assert build_extended_code(64, 3, 40, repeat=[60.0, 61.0, 62.0]).pattern.indices.tolist() == [60, 61, 62]
+        assert RateMatchPattern("extend", [60.0, 61.0, 62.0]).indices.tolist() == [60, 61, 62]
         with pytest.raises(ConstructionError, match="delta_M <= K"):
             build_extended_code(8, 3, 2, repeat="weak_info")
         with pytest.raises(ConstructionError, match="unknown repeat rule"):
             build_extended_code(8, 1, 3, repeat="head")
-        with pytest.raises(ConstructionError, match="length delta_M"):
+        # Only a name from REPEAT_RULES builds, not explicit positions.
+        with pytest.raises(ConstructionError, match="unknown repeat rule"):
             build_extended_code(8, 2, 3, repeat=[7])
 
 
@@ -620,9 +607,12 @@ class TestCodeSpec:
     @pytest.mark.parametrize("N, M, K, removed", [(4, 3, 2, [1]), (8, 6, 3, [1, 2]), (8, 7, 4, [2])])
     def test_rejects_information_covering_a_shortened_position(self, N, M, K, removed):
         # Each shortened position is frozen, but an information position
-        # whose index covers its bits would make encode send a one there.
+        # whose index covers its bits would make encode send a one there:
+        # the mother code's order skipping the pattern unfreezes N - 1.
+        rel = evolve_reliabilities(np.full(N, 4.0))
+        rel[removed] = 0.0
         with pytest.raises(ConstructionError, match="covering a shortened position must be frozen"):
-            build_shortened_code(N, M, K, removed)
+            CodeSpec(N, K, M, select_information_set(rel, K), RateMatchPattern("shorten", removed))
 
     def test_shortened_spec_builds_exactly_when_encode_sends_zeros(self):
         # A spec builds exactly when no information row of the generator
@@ -716,18 +706,19 @@ class TestCodeSpec:
             CodeSpec.from_json(json.dumps(doc))
 
     def test_out_of_range_pattern_positions(self):
-        # One range check serves every path into a spec: the JSON reader for
-        # both kinds, and the builders before they evolve anything.
+        # One range check serves every path into a spec, for both kinds:
+        # the JSON reader and a direct construction.
         for kind, tx_len in (("shorten", 7), ("extend", 9)):
             doc = json.loads(build_mother_code(8, 3).to_json())
             doc["tx_len"] = tx_len
             doc["pattern"] = {"kind": kind, "indices": [9]}
             with pytest.raises(ConstructionError, match="exceed the mother length"):
                 CodeSpec.from_json(json.dumps(doc))
+        mask = build_mother_code(8, 3).frozen_mask
         with pytest.raises(ConstructionError, match="exceed the mother length"):
-            build_shortened_code(8, 7, 3, [8])
+            CodeSpec(8, 3, 7, mask, RateMatchPattern("shorten", [8]))
         with pytest.raises(ConstructionError, match="exceed the mother length"):
-            build_extended_code(8, 1, 3, repeat=[8])
+            CodeSpec(8, 3, 9, mask, RateMatchPattern("extend", [8]))
 
     @pytest.mark.parametrize("key, value", [
         ("indices", [7.9]), ("frozen_mask", [2, 1, 1, 0, 1, 0, 1, 0]), ("mother_len", 8.7),
@@ -753,8 +744,3 @@ class TestCodeSpec:
         spec = build_mother_code(8, 4)
         with pytest.raises(ValueError):
             spec.frozen_mask[0] = False
-
-    def test_normalize_pattern_rejects_wrong_kind(self):
-        pat = RateMatchPattern("extend", [7])
-        with pytest.raises(ConstructionError):
-            normalize_pattern(pat, 8, 7)

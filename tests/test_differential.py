@@ -10,8 +10,9 @@ recounted candidate by candidate.  Each list size draws codes of its own
 from a fixed seed, which every rule and threshold decodes.  On codes of
 their own, ``encode`` must equal the GF(2) matrix product of
 ``oracles.dense_encode``, and a noiseless frame must come out of
-``tx_frame``, BPSK and ``dematch`` as its codeword's LLRs.  A failing draw
-is a program bug.
+``tx_frame``, BPSK and ``dematch`` as its codeword's LLRs.  At the codes'
+payload and transmitted lengths, ``frame_draws`` must equal the frame
+stream written out from numpy's Philox.  A failing draw is a program bug.
 """
 
 import functools
@@ -21,7 +22,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nupolar.channel import bpsk_modulate
+from nupolar.channel import ChannelConfig, bpsk_modulate, frame_draws
 from nupolar.codec import CrcConfig, ca_scl_decode_batch, crc_check, encode, scl_decode_batch
 from nupolar.oracles import dense_encode
 from nupolar.ratematch import dematch, tx_frame
@@ -103,3 +104,22 @@ def test_noiseless_frames_dematch_to_their_codewords():
             want = np.where(sent == 0, np.inf, sent * (1.0 - 2.0 * cw))
             got = dematch(spec, bpsk_modulate(tx_frame(spec, cw)))
             assert np.array_equal(got, want), spec.to_json()
+
+
+def test_frame_draws_equal_the_written_out_stream():
+    # Frame j of seed s draws from Philox keyed by the words (s mod 2^64, j):
+    # integers(0, 2, n_bits, uint8), then normal(0, sigma, n_noise).
+    shapes = sorted({(spec.payload_len, spec.tx_len) for spec, _ in list_size_cases(2)})
+    count = 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 7, -3, 2**64 - 1):
+            chan = ChannelConfig(1.0, 0.5, seed)
+            for start in (0, 255, 2**63 + 9, 2**64 - count):
+                for n_bits, n_noise in shapes:
+                    bits, noise = frame_draws(chan, start, count, n_bits, n_noise)
+                    for j in range(count):
+                        key = np.array([seed % 2**64, start + j], dtype=np.uint64)
+                        rng = np.random.Generator(np.random.Philox(key=key))
+                        assert np.array_equal(bits[j], rng.integers(0, 2, n_bits, np.uint8)), (seed, start + j)
+                        assert np.array_equal(noise[j], rng.normal(0, chan.sigma, n_noise)), (seed, start + j)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nupolar import harness
+from nupolar import construction, harness
 from nupolar.channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
 from nupolar.codec import encode, sc_decode_batch
 from nupolar.construction import (
@@ -155,6 +155,32 @@ class TestBuildSpec:
         else:
             with pytest.raises(ConstructionError):
                 build_spec(cfg)
+
+    # build_spec's calls (pattern, evolve, select) to the construction
+    # functions that perfbench's traced build wraps in the construction
+    # module, one code per rule: a call that stopped going through the
+    # module would leave that stage's time at zero.
+    @pytest.mark.parametrize("kw, counts", [
+        (dict(M=48, method="NUPGA_shortened", pattern_method="RQUP"), (1, 1, 1)),
+        (dict(M=48, method="GA_uniform", pattern_method="CW"), (1, 1, 1)),
+        (dict(), (0, 1, 1)),
+        (dict(M=80, method="NUPGA_extended"), (0, 1, 1)),
+        (dict(M=80, method="NUPGA_extended", repeat="weak_info"), (0, 2, 2)),
+        (dict(method="BEC_oracle"), (0, 0, 0)),
+    ], ids=["shortened", "shortened_baseline", "mother", "tail", "weak_info", "bec"])
+    def test_calls_through_the_construction_module(self, kw, counts, monkeypatch):
+        calls = {name: 0 for name in ("shortening_pattern", "evolve_reliabilities", "select_information_set")}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(construction, name, counted(name, getattr(construction, name)))
+        build_spec(ExperimentConfig(N=64, K=32, **kw))
+        assert tuple(calls.values()) == counts
 
     def test_bec_oracle_rejects_empty_payload(self):
         with pytest.raises(ConstructionError):

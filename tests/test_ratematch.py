@@ -19,7 +19,8 @@ def all_messages(K):
 
 class TestShorten:
     def test_positional_removal(self):
-        spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
+        spec = build_shortened_code(4, 3, 2, "NAT_PD")
+        assert spec.pattern.indices.tolist() == [3]
         out = tx_frame(spec, np.array([1, 0, 1, 0], np.uint8))
         assert out.tolist() == [1, 0, 1]
 
@@ -29,7 +30,8 @@ class TestShorten:
         np.testing.assert_array_equal(tx_frame(spec, cw), cw)
 
     def test_nonzero_shortened_bit_flags_invalid_spec(self):
-        spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
+        spec = build_shortened_code(4, 3, 2, "NAT_PD")
+        assert spec.pattern.indices.tolist() == [3]
         with pytest.raises(InvalidSpecError):
             tx_frame(spec, np.array([1, 0, 1, 1], np.uint8))
         with pytest.raises(ValueError, match="codeword length"):
@@ -51,7 +53,8 @@ class TestShorten:
 
 class TestDematchShortened:
     def test_saturation_positions(self):
-        spec = build_shortened_code(4, 3, 2, [1, 1, 1, 0])
+        spec = build_shortened_code(4, 3, 2, "NAT_PD")
+        assert spec.pattern.indices.tolist() == [3]
         out = dematch(spec, np.array([1.5, -2.0, 0.25]))
         assert out.tolist() == [1.5, -2.0, 0.25, KNOWN_ZERO_LLR]
 

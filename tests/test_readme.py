@@ -1,5 +1,5 @@
-"""The README's quick tour runs against the current API, and its command
-lines parse."""
+"""The README's quick tour and custom-pattern example run against the
+current API, and its command lines parse."""
 
 import contextlib
 import io
@@ -18,11 +18,20 @@ def code_block(heading: str, lang: str) -> str:
     return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
 
 
-def test_quick_tour_runs():
+def printed(heading: str) -> str:
+    """What the Python block under ``heading`` prints."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(code_block("## Quick tour", "python"), str(README), "exec"), {})
-    assert out.getvalue() == "True\n"
+        exec(compile(code_block(heading, "python"), str(README), "exec"), {})
+    return out.getvalue()
+
+
+def test_quick_tour_runs():
+    assert printed("## Quick tour") == "True\n"
+
+
+def test_custom_pattern_equals_the_named_builder():
+    assert printed("## Custom patterns") == "True\n"
 
 
 def test_command_lines_parse():
