@@ -41,7 +41,11 @@ unpacked anywhere outside the repository):
 
     git archive <parent> src | tar -x -C /tmp/parent
     python3 bench/ab.py --base /tmp/parent/src --head src \\
+        --base-label "$(git rev-parse --short <parent>)" --head-label <head> \\
         --pairs 30 --out bench/BENCH_<n>.json
+
+where ``<head>`` names the working tree, for example the head commit's
+short sha, or that sha with "+ working tree" while the change is uncommitted.
 
 Run the tree against itself for a few pairs, as a quick check that the
 script works (no report unless ``--out`` is given):

@@ -200,7 +200,7 @@ def _combine(x_left, x_right) -> np.ndarray:
 
 
 # Node kinds of the decoder walk (see :class:`_ListDecoder`).
-RATE0, REP, RATE1, OTHER = range(4)
+RATE0, REP, RATE1, PAIR, OTHER = range(5)
 
 
 def _node_kinds(frozen, rule: str, metric: bool) -> dict:
@@ -214,6 +214,8 @@ def _node_kinds(frozen, rule: str, metric: bool) -> dict:
         if not metric:
             if rule == "minsum":
                 kind[~sub.any(axis=0)] = RATE1
+            if len(sub) == 2:
+                kind[~sub[0] & sub[1]] = PAIR
             kind[sub[:-1].all(axis=0)] = REP
             kind[sub.all(axis=0)] = RATE0
         kinds[s] = kind.tolist()
@@ -278,7 +280,7 @@ class _ListDecoder:
     metric needs every leaf's LLR.  Without it (SC only: the walk of
     :func:`sc_decode_batch`, which reads the messages alone) the decoder
     keeps no path metric, returns ``None`` for it and never reaches
-    :meth:`_leaf` (``origin`` stays ``identity``), and the table marks three
+    :meth:`_leaf` (``origin`` stays ``identity``), and the table marks four
     kinds of node that decode without descending, bit for bit as SC does:
 
     * Rate-0, all frozen: the codeword is all zeros (Alamdar-Yazdi &
@@ -292,7 +294,12 @@ class _ListDecoder:
       An LLR of 0 meets SC's tie rule on the source bits
       (``test_rate1_tie_is_not_the_hard_decision``), so the node is walked;
       under the exact rule, whose ``f`` can round to 0 or flip its sign on
-      tiny inputs, every Rate-1 node is walked.
+      tiny inputs, every Rate-1 node is walked;
+    * [information, frozen] pairs, width-2 nodes whose right leaf is frozen
+      (shortening freezes many): the left leaf is REP, so the codeword is
+      ``[u, 0]`` with ``u = f(a, b) < 0``, the walk's own ``f`` and decision
+      without the recursion into the leaf and the ``_combine``.  An odd
+      live width pads to the full two columns first, as every node does.
 
     SPC nodes are walked: their Wagner decision is not shown to equal SC's.
     """
@@ -370,6 +377,8 @@ class _ListDecoder:
             full[:, :n] = llr
             del llr
             return self._rec([full], offset, stride)[:, :n]
+        if kind == PAIR:  # each row's [f < 0, 0] as one little-endian uint16
+            return (self.f(llr[:, 0::2], llr[:, 1::2]) < 0).astype("<u2").view(np.uint8)
         # Adjacent channel positions polarize together (the tree dual to the
         # natural-order construction butterfly): the even/odd F combine yields
         # observations of the encoded even-lattice source bits.

@@ -6,9 +6,12 @@ ascending, then the repeated ones).  A shortened position is never sent:
 its bit is structurally zero, and the receiver re-inserts it with the
 saturated known-zero LLR.  A repeated position is sent twice, and the
 receiver adds the two observations.  Both transforms accept a single frame
-or a batch with a leading dimension.  The harness has :func:`dematch`
-write into the point's buffers that ``run_point`` allocates, which every
-work unit of the point overwrites; the decoders only read those frames.
+or a batch with a leading dimension.  When the kept positions are a
+prefix (NAT_PD shortening, extension, mother codes), :func:`dematch`
+copies and fills slices instead of gathering columns.  The harness has
+:func:`dematch` write into the point's buffers that ``run_point``
+allocates, which every work unit of the point overwrites; the decoders
+only read those frames.
 """
 
 from __future__ import annotations
@@ -42,22 +45,32 @@ def dematch(spec: CodeSpec, rx_llr, out=None) -> np.ndarray:
     """Inverse of :func:`tx_frame` on LLRs.
 
     Positions never sent get the known-zero LLR; the observations of a
-    repeated position are added.  The frames are gathered straight into
+    repeated position are added.  The frames are written straight into
     ``out`` when it is given (a float64 array of the frames' shape, as the
     harness reuses one for every work unit of a point), else into a new
-    array; either way the result is returned.
+    array; either way the result is returned.  When the kept positions are
+    a prefix ``0..n-1``, the first ``n`` columns are one slice copy and the
+    rest one fill; otherwise (RQUP, CW) each column is gathered from its
+    first observation.
     """
     rx = np.asarray(rx_llr, dtype=np.float64)
     if rx.shape[-1] != spec.tx_len:
         raise ValueError(f"received length must be M = {spec.tx_len}")
     N, pos = spec.mother_len, spec.tx_positions
     first = pos[:N]
-    source = np.full(N, -1)
-    source[first] = np.arange(len(first))
-    # "clip" has the positions never sent (-1) read column 0 until they are
-    # overwritten, and unlike the default "raise" it writes into ``out``
-    # without a buffer.
-    out = np.take(rx, source, axis=-1, out=out, mode="clip")
-    out[..., source < 0] = KNOWN_ZERO_LLR
+    n = len(first)
+    if first[-1] == n - 1:  # ascending, so the kept positions are 0..n-1
+        if out is None:
+            out = np.empty(rx.shape[:-1] + (N,))
+        out[..., :n] = rx[..., :n]
+        out[..., n:] = KNOWN_ZERO_LLR
+    else:
+        source = np.full(N, -1)
+        source[first] = np.arange(n)
+        # "clip" has the positions never sent (-1) read column 0 until they
+        # are overwritten, and unlike the default "raise" it writes into
+        # ``out`` without a buffer.
+        out = np.take(rx, source, axis=-1, out=out, mode="clip")
+        out[..., source < 0] = KNOWN_ZERO_LLR
     out[..., pos[N:]] += rx[..., N:]
     return out

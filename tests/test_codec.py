@@ -577,8 +577,9 @@ class TestMetricFreeSc:
         # No f or g input is computed for a Rate-0 child, and REP nodes
         # (leaves included) and, with no LLR of 0, Rate-1 nodes decode
         # without descending: a REP node of n positions runs log2(n) g's.
-        # The same walk with the metric has no fast node: it visits all
-        # 2N - 1 nodes and runs N - 1 f's and N - 1 g's.
+        # An [information, frozen] pair runs its one f and stops.  The same
+        # walk with the metric has no fast node: it visits all 2N - 1 nodes
+        # and runs N - 1 f's and N - 1 g's.
         spec = METRIC_FREE_CODES[code]()
         frozen = spec.frozen_mask
 
@@ -588,6 +589,8 @@ class TestMetricFreeSc:
                 return np.array([1, 0, len(sub).bit_length() - 1])
             if not sub.any():
                 return np.array([1, 0, 0])
+            if len(sub) == 2 and sub[1]:
+                return np.array([1, 1, 0])
             total = np.array([1, 0, 0])
             for child, update in ((offset, 1), (offset + stride, 2)):
                 if not frozen[child::2 * stride].all():

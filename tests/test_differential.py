@@ -12,7 +12,9 @@ their own, ``encode`` must equal the GF(2) matrix product of
 ``oracles.dense_encode``, and a noiseless frame must come out of
 ``tx_frame``, BPSK and ``dematch`` as its codeword's LLRs.  At the codes'
 payload and transmitted lengths, ``frame_draws`` must equal the frame
-stream written out from numpy's Philox.  A failing draw is a program bug.
+stream written out from numpy's Philox.  On shortened codes with
+[information, frozen] pairs, ``sc_decode_batch`` must equal the full-width
+walk, with and without the metric.  A failing draw is a program bug.
 """
 
 import functools
@@ -23,7 +25,16 @@ import numpy as np
 import pytest
 
 from nupolar.channel import ChannelConfig, bpsk_modulate, frame_draws
-from nupolar.codec import CrcConfig, ca_scl_decode_batch, crc_check, encode, scl_decode_batch
+from nupolar.codec import (
+    CrcConfig,
+    _ListDecoder,
+    ca_scl_decode_batch,
+    crc_check,
+    encode,
+    sc_decode_batch,
+    scl_decode_batch,
+)
+from nupolar.construction import PATTERN_METHODS, shortening_pattern
 from nupolar.oracles import dense_encode
 from nupolar.ratematch import dematch, tx_frame
 from random_codes import random_cases
@@ -123,3 +134,30 @@ def test_frame_draws_equal_the_written_out_stream():
                         rng = np.random.Generator(np.random.Philox(key=key))
                         assert np.array_equal(bits[j], rng.integers(0, 2, n_bits, np.uint8)), (seed, start + j)
                         assert np.array_equal(noise[j], rng.normal(0, chan.sigma, n_noise)), (seed, start + j)
+
+
+@pytest.mark.parametrize("rule", ["minsum", "exact"])
+def test_live_column_walk_equals_the_full_width_walk(rule):
+    # random_cases salts the live columns of each shortened code and gives
+    # it a second batch with a finite LLR in the dead suffix, which keeps the
+    # full width.  Both walks at live = N decide every node at full width,
+    # the metric-free one through the same fast nodes, the metric one
+    # through none.
+    methods, live_walks = set(), 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, frames in random_cases(np.random.default_rng(2003), mother_rounds=0, matched_rounds=4):
+            N, frozen = spec.mother_len, spec.frozen_mask
+            if spec.pattern.kind != "shorten" or not (~frozen[: N // 2] & frozen[N // 2 :]).any():
+                continue
+            methods |= {m for m in PATTERN_METHODS if shortening_pattern(m, N, spec.tx_len) == spec.pattern}
+            live = int(spec.tx_positions.max()) + 1
+            live_walks += live % 2 == 0 and np.isposinf(frames[:, live:]).all()
+            got, _ = sc_decode_batch(spec, frames, rule)
+            for metric in (False, True):
+                full = _ListDecoder(spec, 1, 0.0, rule, metric)
+                full.live = N
+                assert np.array_equal(got, full.decode(frames)[0][:, 0]), (metric, spec.to_json())
+    # Codes of every method have an [information, frozen] pair, and some
+    # decode on their live columns.
+    assert methods == set(PATTERN_METHODS) and live_walks >= 3

@@ -3,6 +3,8 @@ import pytest
 
 from nupolar.codec import encode, sc_decode_batch
 from nupolar.construction import (
+    PATTERN_METHODS,
+    REPEAT_RULES,
     CodeSpec,
     RateMatchPattern,
     build_extended_code,
@@ -11,6 +13,7 @@ from nupolar.construction import (
 )
 from nupolar.numerics import KNOWN_ZERO_LLR
 from nupolar.ratematch import InvalidSpecError, dematch, tx_frame
+from random_codes import EXTREME_LLRS
 
 
 def all_messages(K):
@@ -209,3 +212,59 @@ class TestDispatch:
         one = np.full(spec.mother_len, np.nan)
         dematch(spec, rx[5], out=one)
         assert np.array_equal(one.view(np.uint64), want[5].view(np.uint64))
+
+
+def written_out_dematch(spec, rx):
+    """dematch's rule, one transmitted symbol at a time: a position never
+    sent reads +inf, a position's first observation is copied and each
+    later one added."""
+    out = np.full(rx.shape[:-1] + (spec.mother_len,), np.inf)
+    seen = set()
+    for t, p in enumerate(spec.tx_positions.tolist()):
+        out[..., p] = out[..., p] + rx[..., t] if p in seen else rx[..., t]
+        seen.add(p)
+    return out
+
+
+REFERENCE_SPECS = {
+    **{f"{method}-64-{M}": (lambda m=method, M=M: build_shortened_code(64, M, M // 2, m))
+       for method in PATTERN_METHODS for M in (33, 40, 48, 63)},
+    **{f"{rule}-64-{64 + d}": (lambda r=rule, d=d: build_extended_code(64, d, 40, repeat=r))
+       for rule in REPEAT_RULES for d in (1, 16, 31)},
+    "mother-64": lambda: build_mother_code(64, 32),
+    # Positions 5 and 7 shortened: the kept ones are no prefix.
+    "hand-shortened-8-6": lambda: CodeSpec(8, 5, 6, np.isin(np.arange(8), [0, 5, 7]),
+                                           RateMatchPattern("shorten", [5, 7])),
+    "hand-extended-8-10": lambda: CodeSpec(8, 4, 10, np.arange(8) < 4, RateMatchPattern("extend", [1, 6])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_dematch_equals_its_written_out_rule(name):
+    # Bit for bit, salted with extreme LLRs, whose repeated observations may
+    # overflow or meet opposite infinities; for one frame and a batch, into
+    # a new array and into a buffer full of NaN.
+    spec = REFERENCE_SPECS[name]()
+    rng = np.random.default_rng(9)
+    rx = rng.normal(0.0, 3.0, (16, spec.tx_len))
+    rx = np.where(rng.random(rx.shape) < 0.2, rng.choice(EXTREME_LLRS, rx.shape), rx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for frames in (rx, rx[3]):
+            want = written_out_dematch(spec, frames).view(np.int64)
+            assert np.array_equal(dematch(spec, frames).view(np.int64), want)
+            buf = np.full(want.shape, np.nan)
+            assert dematch(spec, frames, out=buf) is buf
+            assert np.array_equal(buf.view(np.int64), want)
+
+
+def test_reference_specs_take_both_dematch_paths():
+    # NAT_PD, the extension rules and the mother code keep a prefix of the
+    # positions (dematch copies a slice); RQUP, CW and the hand-made
+    # shortening do not (dematch gathers), but for M = 63, where every
+    # method shortens position 63 alone.
+    def keeps_a_prefix(spec):
+        kept = spec.tx_positions[: spec.mother_len]
+        return kept[-1] == len(kept) - 1
+
+    gathered = {name for name, make in REFERENCE_SPECS.items() if not keeps_a_prefix(make())}
+    assert gathered == {f"{m}-64-{M}" for m in ("RQUP", "CW") for M in (33, 40, 48)} | {"hand-shortened-8-6"}
