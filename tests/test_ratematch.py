@@ -241,15 +241,16 @@ REFERENCE_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
 def test_dematch_equals_its_written_out_rule(name):
-    # Bit for bit, salted with extreme LLRs, whose repeated observations may
-    # overflow or meet opposite infinities; for one frame and a batch, into
-    # a new array and into a buffer full of NaN.
+    # Bit for bit, salted with extreme LLRs and -0.0, whose repeated
+    # observations may overflow or meet opposite infinities; for one frame,
+    # a batch and an empty batch, into a new array and into a buffer full
+    # of NaN.
     spec = REFERENCE_SPECS[name]()
     rng = np.random.default_rng(9)
     rx = rng.normal(0.0, 3.0, (16, spec.tx_len))
-    rx = np.where(rng.random(rx.shape) < 0.2, rng.choice(EXTREME_LLRS, rx.shape), rx)
+    rx = np.where(rng.random(rx.shape) < 0.2, rng.choice(EXTREME_LLRS + [-0.0], rx.shape), rx)
     with np.errstate(over="ignore", invalid="ignore"):
-        for frames in (rx, rx[3]):
+        for frames in (rx, rx[3], rx[:0]):
             want = written_out_dematch(spec, frames).view(np.int64)
             assert np.array_equal(dematch(spec, frames).view(np.int64), want)
             buf = np.full(want.shape, np.nan)
