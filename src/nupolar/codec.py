@@ -14,8 +14,9 @@ walk serves SC, SCL and CRC-aided SCL: the list decoder folds its ``L``
 path slots into the rows of each node array, and SC is its ``L = 1`` case,
 where an information leaf takes the hard decision ``lambda < 0`` and the
 arrays are plain ``(B, n)``.  ``sc_decode_batch`` keeps no path metric,
-which lets the walk decode Rate-0, REP and Rate-1 subtrees without
-descending; ``scl_decode_batch(spec, frames, 1)`` is SC with its metric.
+which lets the walk decode Rate-0, REP, Rate-1 and [information, frozen]
+pair subtrees without descending; ``scl_decode_batch(spec, frames, 1)``
+is SC with its metric.
 """
 
 from __future__ import annotations
@@ -469,9 +470,10 @@ def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):
     Frozen positions decode as 0; an LLR of exactly 0 resolves to bit 0.
     ``rule`` selects the check-node update: ``"minsum"`` (default) or
     ``"exact"``.  Returns ``(messages, None)`` with ``messages`` ``(B, K)``:
-    the walk keeps no path metric, so it decodes Rate-0, REP and Rate-1
-    nodes without descending (see :class:`_ListDecoder`).  SC with its path
-    metric, and the same messages, is ``scl_decode_batch(spec, frames, 1)``.
+    the walk keeps no path metric, so it decodes Rate-0, REP, Rate-1 and
+    [information, frozen] pair nodes without descending (see
+    :class:`_ListDecoder`).  SC with its path metric, and the same
+    messages, is ``scl_decode_batch(spec, frames, 1)``.
     """
     msgs, _ = _ListDecoder(spec, 1, 0.0, rule, metric=False).decode(_check_frames(spec, frames))
     return msgs[:, 0], None
