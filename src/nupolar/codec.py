@@ -16,7 +16,9 @@ where an information leaf takes the hard decision ``lambda < 0`` and the
 arrays are plain ``(B, n)``.  ``sc_decode_batch`` keeps no path metric,
 which lets the walk decode Rate-0, REP, Rate-1 and [information, frozen]
 pair subtrees without descending; ``scl_decode_batch(spec, frames, 1)``
-is SC with its metric.
+is SC with its metric.  Each of the three builds its walk per call;
+``message_decoder`` builds one for any number of batches and returns the
+message each of them picks.
 """
 
 from __future__ import annotations
@@ -475,8 +477,7 @@ def sc_decode_batch(spec: CodeSpec, frames, rule: str = "minsum"):
     :class:`_ListDecoder`).  SC with its path metric, and the same
     messages, is ``scl_decode_batch(spec, frames, 1)``.
     """
-    msgs, _ = _ListDecoder(spec, 1, 0.0, rule, metric=False).decode(_check_frames(spec, frames))
-    return msgs[:, 0], None
+    return message_decoder(spec, "SC", 1, 0.0, rule)(frames), None
 
 
 def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rule: str = "minsum"):
@@ -558,3 +559,34 @@ def ca_scl_decode_batch(
     include the CRC bits.
     """
     return _crc_select(*scl_decode_batch(spec, frames, L, threshold, rule), crc)
+
+
+# ---------------------------------------------------------------------------
+# one decoder per experiment
+
+# The decoders an experiment names (``ExperimentConfig.decoder``).
+DECODERS = ("SC", "SCL", "CASCL")
+
+
+def message_decoder(spec: CodeSpec, decoder: str, L: int, threshold: float = 0.0, rule: str = "minsum"):
+    """A function from LLR frames ``(B, N)``, or one frame ``(N,)``, to each
+    frame's decided message ``(B, K)``, for any number of calls.
+
+    ``decoder`` is one of ``DECODERS``: ``"SC"`` is the metric-free walk of
+    :func:`sc_decode_batch` (``L`` unused; one path is never pruned),
+    ``"SCL"`` the best-metric path of :func:`scl_decode_batch` and
+    ``"CASCL"`` the CRC-24 choice of :func:`ca_scl_decode_batch`, bit for
+    bit.  The walk's node table and live width are made here, once, so that
+    ``run_point`` builds one decoder per point.  Every call checks its
+    frames and tests their dead suffix anew, and :meth:`_ListDecoder.decode`
+    resets the rest of its state, so no call depends on the ones before it.
+    """
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    walk = _ListDecoder(spec, 1 if decoder == "SC" else L, threshold, rule, metric=decoder != "SC")
+
+    def decode(frames):
+        msgs, pm = walk.decode(_check_frames(spec, frames))
+        return _crc_select(msgs, pm, CRC24)[0] if decoder == "CASCL" else msgs[:, 0]
+
+    return decode

@@ -15,7 +15,9 @@ counters are bit-for-bit the same for any worker count and any unit size.
 Each point's channel stage runs in two buffers (the noise, then received
 LLRs, and the de-matched frames) that ``run_point`` allocates before any
 worker is forked and every unit reuses; each forked worker writes its own
-pages of them, and the decoders only read the frames.
+pages of them, and the decoder only reads the frames.  The decoder, too, is
+built once per point, by ``codec.message_decoder`` before any worker is
+forked, and decodes every unit of the point in whichever process runs it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_draws
-from .codec import CRC24, RULES, ca_scl_decode_batch, crc_append, encode, sc_decode_batch, scl_decode_batch
+from .codec import CRC24, DECODERS, RULES, crc_append, encode, message_decoder
 from .construction import (
     CONSTRUCTION_METHODS,
     PATTERN_METHODS,
@@ -59,8 +61,6 @@ UNIT_BATCHES = 4
 # BPSK symbols are made in row blocks of about this many (64 KB of float64).
 BPSK_BLOCK = 1 << 13
 FER_Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
-
-DECODERS = ("SC", "SCL", "CASCL")
 
 # The allowed values of each enumerated ExperimentConfig field.
 CHOICES = {"method": CONSTRUCTION_METHODS, "pattern_method": PATTERN_METHODS,
@@ -221,8 +221,9 @@ def _work_units(cfg: ExperimentConfig):
 
 
 def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, chan: ChannelConfig,
-               buffers: tuple[np.ndarray, np.ndarray], unit: tuple[int, int]):
-    """Simulate the frames of one ``(start, count)`` work unit in one pass;
+               buffers: tuple[np.ndarray, np.ndarray], decode, unit: tuple[int, int]):
+    """Simulate the frames of one ``(start, count)`` work unit in one pass,
+    decoding them with the point's ``decode`` (see ``codec.message_decoder``);
     returns the integer error counters ``(frames, bit_errors, frame_errors)``
     of each ``BATCH_FRAMES`` batch in it, in order.  The channel stage runs
     in the leading ``count`` rows of ``buffers``: the noise, which becomes
@@ -233,7 +234,7 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, chan: ChannelConfig,
     bit, computed in place on the noise array: IEEE addition and
     multiplication commute exactly.  The symbols are made in row blocks of
     about ``BPSK_BLOCK`` symbols, so no unit-sized symbol array is held.
-    The decoders read the frames and never write them."""
+    The decoder reads the frames and never writes them."""
     start, count = unit
     rx, frames = (a[:count] for a in buffers)
     pay_bits = cfg.payload_bits
@@ -245,13 +246,7 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, chan: ChannelConfig,
         rx[row:row + step] += bpsk_modulate(tx[row:row + step])
     rx *= chan.llr_scale
     dematch(spec, rx, out=frames)
-    if cfg.decoder == "SC":
-        decoded = sc_decode_batch(spec, frames, cfg.rule)[0]
-    elif cfg.decoder == "CASCL":
-        decoded = ca_scl_decode_batch(spec, frames, cfg.list_size, CRC24, cfg.scl_threshold, cfg.rule)[0]
-    else:
-        decoded = scl_decode_batch(spec, frames, cfg.list_size, cfg.scl_threshold, cfg.rule)[0][:, 0]
-    errs = decoded[:, :pay_bits] != payloads
+    errs = decode(frames)[:, :pay_bits] != payloads
     return [(len(e), int(e.sum()), int(e.any(axis=1).sum()))
             for e in np.split(errs, range(BATCH_FRAMES, count, BATCH_FRAMES))]
 
@@ -334,13 +329,13 @@ def run_point(
     decoded in the work units of :func:`_work_units`, in this process when
     ``workers`` is 1 or less (the default).  With ``workers`` > 1 each
     worker of a fork pool owned by this call (:func:`_pool`) takes whole
-    units.  The point's channel and its two buffers, sized for its first
-    (largest) unit, are made here before the pool forks, so a bad
-    ``ebno_db`` raises ``ValueError`` before any unit runs.  Each worker
-    inherits ``spec``, ``cfg``, the channel and the buffers through the
-    fork, so a unit is sent as its ``(start, count)`` alone; the buffers'
-    pages are first written, and so made private, in the process that runs
-    the unit.  At most ``workers + 1`` units are in flight, and their
+    units.  The point's channel, its two buffers, sized for its first
+    (largest) unit, and its one decoder (``codec.message_decoder``) are made
+    here before the pool forks, so a bad ``ebno_db`` raises ``ValueError``
+    before any unit runs.  Each worker inherits ``spec``, ``cfg``, the
+    channel, the buffers and the decoder through the fork, so a unit is
+    sent as its ``(start, count)`` alone; the buffers' pages are first
+    written, and so made private, in the process that runs the unit.  At most ``workers + 1`` units are in flight, and their
     counters are committed in batch order; at the stopping point no further
     unit is sent, and the workers are terminated and joined, which drops the
     few units still in flight.
@@ -350,7 +345,8 @@ def run_point(
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     rows = next(_work_units(cfg))[1]
     buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N))
-    unit = functools.partial(_sim_chunk, spec, cfg, chan, buffers)
+    decode = message_decoder(spec, cfg.decoder, cfg.list_size, cfg.scl_threshold, cfg.rule)
+    unit = functools.partial(_sim_chunk, spec, cfg, chan, buffers, decode)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     with _pool(unit, workers) as run:

@@ -5,6 +5,10 @@ domain of every midpoint and solves every entry of its input, repeated
 targets included, and the original single-mean pair update with its own
 copy of the check-node expression.  ``nupolar.numerics`` must reproduce all
 three bit for bit.
+
+``phi_exact`` is the function the closed form approximates, for tests of
+its accuracy: phi(x) = 1 - E[tanh(u/2)] with u ~ N(x, 2x), by the
+trapezoid rule.
 """
 
 import numpy as np
@@ -59,3 +63,19 @@ def ga_pair_uniform(m):
     if m.ndim == 0:
         return float(minus), float(plus)
     return minus, plus
+
+
+def phi_exact(x, points=20_001, width=12.0):
+    """1 - E[tanh(u/2)], u ~ N(x, 2x), for each ``x`` in (0, 200]: the
+    trapezoid rule over ``width`` standard deviations either side of the
+    mean, ``points`` points, on ``2 / (1 + exp(u))`` (1 - tanh(u/2) without
+    cancellation), divided by the rule's weight sum so that a constant
+    integrand comes out exact.  Above x = 200, exp(u) nears overflow."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.all((x > 0) & (x <= 200)):
+        raise ValueError("phi_exact is defined on (0, 200] here")
+    t = np.linspace(-width, width, points)
+    w = np.exp(-0.5 * t * t)
+    w[[0, -1]] *= 0.5
+    out = np.array([np.dot(w, 2.0 / (1.0 + np.exp(m + np.sqrt(2.0 * m) * t))) for m in x]) / w.sum()
+    return out

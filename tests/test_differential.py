@@ -14,7 +14,10 @@ their own, ``encode`` must equal the GF(2) matrix product of
 payload and transmitted lengths, ``frame_draws`` must equal the frame
 stream written out from numpy's Philox.  On shortened codes with
 [information, frozen] pairs, ``sc_decode_batch`` must equal the full-width
-walk, with and without the metric.  A failing draw is a program bug.
+walk, with and without the metric.  One ``message_decoder``, as
+``run_point`` builds it per point, must decode batch after batch of a
+shortened code exactly as a fresh one and the public functions do.  A
+failing draw is a program bug.
 """
 
 import functools
@@ -26,18 +29,20 @@ import pytest
 
 from nupolar.channel import ChannelConfig, bpsk_modulate, frame_draws
 from nupolar.codec import (
+    CRC24,
     CrcConfig,
     _ListDecoder,
     ca_scl_decode_batch,
     crc_check,
     encode,
+    message_decoder,
     sc_decode_batch,
     scl_decode_batch,
 )
-from nupolar.construction import PATTERN_METHODS, shortening_pattern
+from nupolar.construction import PATTERN_METHODS, CodeSpec, shortening_pattern
 from nupolar.oracles import dense_encode
 from nupolar.ratematch import dematch, tx_frame
-from random_codes import random_cases
+from random_codes import EXTREME_LLRS, random_cases
 from scl_reference import reference_scl_decode_batch
 
 COMBOS = list(itertools.product((2, 4, 8), ("minsum", "exact"), (0.0, 1e-3, 1.0)))
@@ -161,3 +166,54 @@ def test_live_column_walk_equals_the_full_width_walk(rule):
     # Codes of every method have an [information, frozen] pair, and some
     # decode on their live columns.
     assert methods == set(PATTERN_METHODS) and live_walks >= 3
+
+
+# Each (decoder, L) of message_decoder, with the message its public function picks.
+PUBLIC_PICKS = {
+    ("SC", 1): lambda spec, frames, thr, rule: sc_decode_batch(spec, frames, rule)[0],
+    ("SCL", 1): lambda spec, frames, thr, rule: scl_decode_batch(spec, frames, 1, thr, rule)[0][:, 0],
+    ("SCL", 4): lambda spec, frames, thr, rule: scl_decode_batch(spec, frames, 4, thr, rule)[0][:, 0],
+    ("CASCL", 4): lambda spec, frames, thr, rule: ca_scl_decode_batch(spec, frames, 4, CRC24, thr, rule)[0],
+}
+
+
+def unit_batches(rng, method, M):
+    """A random shortened code at N = 64, K > 24, and the read-only batches
+    one point's decoder meets in turn: a full unit, one with a finite LLR
+    in the dead suffix (the full-width walk), a short last unit, an empty
+    batch, a short full-width one and a full unit again."""
+    pattern = shortening_pattern(method, 64, M)
+    frozen = rng.random(64) < 0.25
+    frozen[pattern.indices] = True
+    spec = CodeSpec(64, int(64 - frozen.sum()), M, frozen, pattern)
+    assert spec.payload_len > CRC24.width
+
+    def batch(count, dead_known):
+        rx = rng.normal(1.0, 2.0, (count, M))
+        frames = dematch(spec, np.where(rng.random(rx.shape) < 0.1, rng.choice(EXTREME_LLRS, rx.shape), rx))
+        if not dead_known:
+            frames[:, -1] = rng.normal(0.0, 2.0, count)
+        frames.flags.writeable = False
+        return frames
+
+    return spec, [batch(16, True), batch(16, False), batch(5, True), batch(0, True), batch(3, False),
+                  batch(16, True)]
+
+
+@pytest.mark.parametrize("rule", ["minsum", "exact"])
+def test_one_decoder_decodes_every_unit_as_a_fresh_one(rule):
+    rng = np.random.default_rng(3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in PATTERN_METHODS:
+            # An even M gives NAT_PD the live-column walk; an odd one keeps the full width.
+            for M in (48 + 2 * int(rng.integers(8)), 49 + 2 * int(rng.integers(7))):
+                spec, batches = unit_batches(rng, method, M)
+                for (decoder, L), pick in PUBLIC_PICKS.items():
+                    decode = message_decoder(spec, decoder, L, 1e-3, rule)
+                    for frames in batches:
+                        got = decode(frames)
+                        where = (decoder, L, len(frames), spec.to_json())
+                        assert got.dtype == np.uint8 and got.shape == (len(frames), spec.payload_len), where
+                        assert np.array_equal(got, message_decoder(spec, decoder, L, 1e-3, rule)(frames)), where
+                        assert np.array_equal(got, pick(spec, frames, 1e-3, rule)), where

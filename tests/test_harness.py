@@ -3,13 +3,14 @@ import itertools
 import json
 import multiprocessing
 import multiprocessing.connection
+import os
 import statistics
 import warnings
 
 import numpy as np
 import pytest
 
-from nupolar import construction, harness
+from nupolar import codec, construction, harness
 from nupolar.channel import ChannelConfig, bpsk_modulate, frame_draws, llr_demod
 from nupolar.codec import encode, sc_decode_batch
 from nupolar.construction import (
@@ -248,7 +249,7 @@ class TestRunPoint:
         assert multiprocessing.active_children() == []
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        def failing(spec, cfg, chan, buffers, unit):
+        def failing(spec, cfg, chan, buffers, decode, unit):
             raise ValueError(f"unit {unit}")
 
         monkeypatch.setattr(harness, "_sim_chunk", failing)
@@ -363,16 +364,15 @@ class TestSimChunk:
             drawn.append((payloads, noise.copy()))
             return payloads, noise
 
-        def decoder(spec, frames, rule):
+        def decoder(frames):
             decoded.append(frames.copy())
-            return np.zeros((len(frames), spec.payload_len), dtype=np.uint8), None
+            return np.zeros((len(frames), spec.payload_len), dtype=np.uint8)
 
         monkeypatch.setattr(harness, "frame_draws", salted_draws)
-        monkeypatch.setattr(harness, "sc_decode_batch", decoder)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             buffers = np.empty((2 * BATCH_FRAMES, cfg.M)), np.empty((2 * BATCH_FRAMES, cfg.N))
-            harness._sim_chunk(spec, cfg, chan, buffers, (BATCH_FRAMES, 2 * BATCH_FRAMES))
+            harness._sim_chunk(spec, cfg, chan, buffers, decoder, (BATCH_FRAMES, 2 * BATCH_FRAMES))
             payloads, noise = drawn[0]
             tx = tx_frame(spec, encode(spec, payloads))
             want = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
@@ -381,6 +381,30 @@ class TestSimChunk:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # The salt reached the frames: exact zeros and finite extremes.
         assert (got == 0).any() and (np.isfinite(got) & (np.abs(got) > 1e307)).any()
+
+
+class TestPointDecoder:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("decoder", ["SC", "SCL", "CASCL"])
+    def test_one_decoder_per_point(self, monkeypatch, decoder, workers):
+        # Four units of up to four batches: the parent builds the point's
+        # one decoder before the pool forks, and no worker builds another
+        # (one that tried would raise in the caller).
+        parent, built = os.getpid(), []
+        init = codec._ListDecoder.__init__
+
+        def counted(self, *args, **kwargs):
+            assert os.getpid() == parent, "a worker built a decoder"
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(codec._ListDecoder, "__init__", counted)
+        cfg = small_cfg(decoder=decoder, list_size=4, crc_len=24 if decoder == "CASCL" else 0,
+                        max_frames=3 * 4 * BATCH_FRAMES + 100, min_frame_errors=10**6)
+        assert len(list(_work_units(cfg))) == 4
+        p = run_point(cfg, 2.0, workers=workers)
+        assert p.frames == cfg.max_frames and len(built) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestWorkUnits:
@@ -438,13 +462,17 @@ class TestWorkUnits:
     def test_first_batch_stop_commits_one_batch(self, monkeypatch):
         # The unit decodes all four of its batches; only the first is committed.
         rows = []
-        decode = harness.sc_decode_batch
+        build = harness.message_decoder
 
-        def counted(spec, frames, *args):
-            rows.append(len(frames))
-            return decode(spec, frames, *args)
+        def counted(*args):
+            decode = build(*args)
 
-        monkeypatch.setattr(harness, "sc_decode_batch", counted)
+            def decode_counted(frames):
+                rows.append(len(frames))
+                return decode(frames)
+            return decode_counted
+
+        monkeypatch.setattr(harness, "message_decoder", counted)
         cfg = small_cfg(max_frames=100_000, min_frame_errors=10)
         p = run_point(cfg, -5.0, workers=1)
         assert p.frames == BATCH_FRAMES and p.stop == "errors"
@@ -455,7 +483,7 @@ class TestWorkUnits:
     def test_buffers_hold_the_first_unit(self, monkeypatch, max_frames):
         shapes = set()
 
-        def recorded(spec, cfg, chan, buffers, unit):
+        def recorded(spec, cfg, chan, buffers, decode, unit):
             shapes.add(tuple(a.shape for a in buffers))
             return [(unit[1], 0, 0)]
 

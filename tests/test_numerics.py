@@ -46,6 +46,45 @@ class TestPhi:
         np.testing.assert_allclose(phi(xs), [1.0, phi(4.0), phi(16.0)])
 
 
+class TestPhiAccuracy:
+    """How far the closed form is from the exact phi(x) = 1 - E[tanh(u/2)],
+    u ~ N(x, 2x) (``ga_reference.phi_exact``).  Each range pins the largest
+    and the mean relative error on 101 log-spaced points, to 1e-6 of their
+    values, so that any change to ``phi`` must restate its accuracy here."""
+
+    # 0.0293896: at and below it the small branch is at least 1.
+    CLAMP_EDGE = (0.0218 / 0.4527) ** (1 / 0.86)
+    ENVELOPE = [  # (lo, hi, largest, mean)
+        (CLAMP_EDGE, 0.254, 1.46968053e-2, 8.97072235e-3),
+        (0.254, 1.0, 2.95896110e-3, 9.16983303e-4),
+        (1.0, 10.0, 6.93891032e-3, 2.76529666e-3),
+        (10.0, 20.0, 3.01225762e-2, 2.87523743e-2),
+        (20.0, 60.0, 2.83689268e-2, 2.13072754e-2),
+        (60.0, 200.0, 1.41966898e-2, 8.85691469e-3),
+    ]
+
+    @pytest.mark.parametrize("lo, hi, largest, mean", ENVELOPE)
+    def test_relative_error_envelope(self, lo, hi, largest, mean):
+        xs = np.geomspace(lo, hi, 101)
+        err = np.abs(phi(xs) / ga_reference.phi_exact(xs) - 1.0)
+        assert err.max() == pytest.approx(largest, rel=1e-6)
+        assert err.mean() == pytest.approx(mean, rel=1e-6)
+
+    def test_below_the_clamp_edge_phi_reads_one(self):
+        # The exact function is 1 - x/2 + x^2/4 there to within 5.1e-6, so a
+        # live channel's phi of 1 says it carries nothing.
+        xs = np.geomspace(1e-4, self.CLAMP_EDGE, 50)
+        exact = ga_reference.phi_exact(xs)
+        assert np.all(phi(xs) == 1.0)
+        assert np.abs(exact - (1 - xs / 2 + xs * xs / 4)).max() < 5.1e-6
+        assert exact[-1] == pytest.approx(0.985516, abs=1e-6)
+
+    def test_reference_agrees_with_a_finer_grid(self):
+        xs = np.array([1e-4, self.CLAMP_EDGE, 1.0, 10.0, 60.0, 200.0])
+        fine = ga_reference.phi_exact(xs, points=80_001)
+        np.testing.assert_allclose(ga_reference.phi_exact(xs), fine, rtol=1e-14, atol=0)
+
+
 class TestPhiInv:
     def test_boundary(self):
         assert phi_inv(1.0) == 0.0
