@@ -335,10 +335,11 @@ def run_point(
     before any unit runs.  Each worker inherits ``spec``, ``cfg``, the
     channel, the buffers and the decoder through the fork, so a unit is
     sent as its ``(start, count)`` alone; the buffers' pages are first
-    written, and so made private, in the process that runs the unit.  At most ``workers + 1`` units are in flight, and their
-    counters are committed in batch order; at the stopping point no further
-    unit is sent, and the workers are terminated and joined, which drops the
-    few units still in flight.
+    written, and so made private, in the process that runs the unit.  At
+    most ``workers + 1`` units are in flight, and their counters are
+    committed in batch order; at the stopping point no further unit is
+    sent, and the workers are terminated and joined, which drops the few
+    units still in flight.
     """
     if spec is None:
         spec = build_spec(cfg)

@@ -77,5 +77,4 @@ def phi_exact(x, points=20_001, width=12.0):
     t = np.linspace(-width, width, points)
     w = np.exp(-0.5 * t * t)
     w[[0, -1]] *= 0.5
-    out = np.array([np.dot(w, 2.0 / (1.0 + np.exp(m + np.sqrt(2.0 * m) * t))) for m in x]) / w.sum()
-    return out
+    return np.array([np.dot(w, 2.0 / (1.0 + np.exp(m + np.sqrt(2.0 * m) * t))) for m in x]) / w.sum()
