@@ -8,8 +8,6 @@ Philox stream is fully set by its key and counter, one generator re-keyed
 to each frame in turn gives every frame's stream without building a new
 generator per frame, and the payload bits are read straight off the raw
 64-bit words, which is what a range-two ``integers`` draw amounts to.
-The harness has :func:`frame_draws` write the noise into the point's buffers
-that ``run_point`` allocates, which every work unit of the point overwrites.
 """
 
 from __future__ import annotations

@@ -580,6 +580,7 @@ def message_decoder(spec: CodeSpec, decoder: str, L: int, threshold: float = 0.0
     ``run_point`` builds one decoder per point.  Every call checks its
     frames and tests their dead suffix anew, and :meth:`_ListDecoder.decode`
     resets the rest of its state, so no call depends on the ones before it.
+    Its ``list_size`` is the number of paths the walk keeps, 1 for SC.
     """
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
@@ -589,4 +590,5 @@ def message_decoder(spec: CodeSpec, decoder: str, L: int, threshold: float = 0.0
         msgs, pm = walk.decode(_check_frames(spec, frames))
         return _crc_select(msgs, pm, CRC24)[0] if decoder == "CASCL" else msgs[:, 0]
 
+    decode.list_size = walk.L
     return decode

@@ -44,15 +44,21 @@ def _check_power_of_two(n: int) -> int:
 
 def _whole(values, what: str) -> np.ndarray:
     """``values`` as int64, rejecting (not truncating) anything fractional
-    and anything that is not a number."""
+    and anything that is not a number, booleans too, in a list or not."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise ConstructionError(f"{what} must be whole numbers")
+    listed = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
     with np.errstate(invalid="ignore"):  # inf and NaN cast to garbage, caught below
-        ints = arr.astype(np.int64)
-    if not np.array_equal(ints, arr):
+        ints = arr.astype(np.int64) if arr.dtype.kind in "iuf" else None
+    if ints is None or not np.array_equal(ints, arr) or any(isinstance(v, (bool, np.bool_)) for v in listed):
         raise ConstructionError(f"{what} must be whole numbers")
     return ints
+
+
+def _real(value, what: str) -> float:
+    # ``value`` as a float; a boolean is not a real number here.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConstructionError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def bit_reverse(indices, n_bits: int):
@@ -167,9 +173,7 @@ class CodeSpec:
         self.mother_len, self.payload_len, self.tx_len = N, K, M
         self.frozen_mask = mask
         self.tx_positions = tx
-        if not isinstance(self.design_snr_db, numbers.Real):
-            raise ConstructionError(f"design_snr_db must be a number, got {self.design_snr_db!r}")
-        self.design_snr_db = float(self.design_snr_db)
+        self.design_snr_db = _real(self.design_snr_db, "design_snr_db")
 
     @property
     def info_positions(self) -> np.ndarray:

@@ -12,12 +12,7 @@ pipe, a few ahead of the commit, and the workers are terminated at the
 stopping point.  Every frame depends only on its index and every decoder
 step is row-wise, and the units do not depend on the worker count, so the
 counters are bit-for-bit the same for any worker count and any unit size.
-Each point's channel stage runs in two buffers (the noise, then received
-LLRs, and the de-matched frames) that ``run_point`` allocates before any
-worker is forked and every unit reuses; each forked worker writes its own
-pages of them, and the decoder only reads the frames.  The decoder, too, is
-built once per point, by ``codec.message_decoder`` before any worker is
-forked, and decodes every unit of the point in whichever process runs it.
+Every unit of a point reuses the buffers and the decoder ``run_point`` makes.
 """
 
 from __future__ import annotations
@@ -46,6 +41,7 @@ from .construction import (
     REPEAT_RULES,
     CodeSpec,
     ConstructionError,
+    _real,
     build_bec_code,
     build_extended_code,
     build_shortened_code,
@@ -94,10 +90,12 @@ class ExperimentConfig:
             self.M = self.N
         for name in INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConstructionError(f"{name} must be a whole number, got {value!r}")
             setattr(self, name, int(value))
-        self.ebno_sweep = tuple(float(x) for x in self.ebno_sweep)
+        self.design_snr_db = _real(self.design_snr_db, "design_snr_db")
+        self.scl_threshold = _real(self.scl_threshold, "scl_threshold")
+        self.ebno_sweep = tuple(_real(x, "ebno_sweep") for x in self.ebno_sweep)
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConstructionError(f"unknown {name} {getattr(self, name)!r}")
@@ -209,12 +207,11 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return max(0.0, (centre - half) / scale), min(1.0, (centre + half) / scale)
 
 
-def _work_units(cfg: ExperimentConfig):
+def _work_units(cfg: ExperimentConfig, L: int):
     """The ``(start, count)`` work units of a point, in frame order.  Each holds
-    the most whole batches whose decoder holds at most ``UNIT_LLRS`` LLRs, at
-    least one and at most ``UNIT_BATCHES`` (4 for SC at N = 64, 2 for SC at
-    N = 512, 1 for a list of 16 at N = 512); the last ends at ``max_frames``."""
-    L = 1 if cfg.decoder == "SC" else cfg.list_size
+    the most whole batches whose decoder, walking ``L`` paths, holds at most
+    ``UNIT_LLRS`` LLRs, at least one and at most ``UNIT_BATCHES`` (4 for SC at
+    N = 64, 2 at N = 512, 1 for a list of 16 at N = 512); the last ends at ``max_frames``."""
     size = BATCH_FRAMES * min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N)))
     for start in range(0, cfg.max_frames, size):
         yield start, min(size, cfg.max_frames - start)
@@ -329,29 +326,28 @@ def run_point(
     decoded in the work units of :func:`_work_units`, in this process when
     ``workers`` is 1 or less (the default).  With ``workers`` > 1 each
     worker of a fork pool owned by this call (:func:`_pool`) takes whole
-    units.  The point's channel, its two buffers, sized for its first
-    (largest) unit, and its one decoder (``codec.message_decoder``) are made
-    here before the pool forks, so a bad ``ebno_db`` raises ``ValueError``
-    before any unit runs.  Each worker inherits ``spec``, ``cfg``, the
-    channel, the buffers and the decoder through the fork, so a unit is
-    sent as its ``(start, count)`` alone; the buffers' pages are first
-    written, and so made private, in the process that runs the unit.  At
-    most ``workers + 1`` units are in flight, and their counters are
+    units.  The point's channel, its one decoder (``codec.message_decoder``)
+    and its two buffers, sized for the first (largest) unit of that
+    decoder's walk, are made here before the pool forks, so a bad
+    ``ebno_db`` raises ``ValueError`` before any unit runs.  Each worker
+    inherits them, ``spec`` and ``cfg`` through the fork, so a unit is sent
+    as its ``(start, count)`` alone; the buffers' pages are first written,
+    and so made private, in the process that runs the unit.  Counters are
     committed in batch order; at the stopping point no further unit is
-    sent, and the workers are terminated and joined, which drops the few
-    units still in flight.
+    sent, and the workers are terminated and joined, which drops the units
+    still in flight (at most ``workers + 1``, see :func:`_pool`).
     """
     if spec is None:
         spec = build_spec(cfg)
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
-    rows = next(_work_units(cfg))[1]
-    buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N))
     decode = message_decoder(spec, cfg.decoder, cfg.list_size, cfg.scl_threshold, cfg.rule)
+    rows = next(_work_units(cfg, decode.list_size))[1]
+    buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N))
     unit = functools.partial(_sim_chunk, spec, cfg, chan, buffers, decode)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     with _pool(unit, workers) as run:
-        for n, be, fe in itertools.chain.from_iterable(run(_work_units(cfg))):
+        for n, be, fe in itertools.chain.from_iterable(run(_work_units(cfg, decode.list_size))):
             frames += n
             bit_errors += be
             frame_errors += fe

@@ -2,22 +2,19 @@
 for the BER/FER its decoders measure.  ``tests/golden/`` holds one file per
 entry of ``RUNS``: ``<name>.json``, the spec ``nupolar construct`` writes,
 and ``<name>.csv``, the CSV ``nupolar simulate`` writes at one worker.
-``test_golden.py`` compares each with ``output``, and CI compares the output
-of every run that ``--list`` prints with it.
+``test_golden.py`` compares the output of every run ``comparisons`` yields
+with its file: every construction once, every simulation at 1 and 2
+workers, and ``ODD_WORKERS`` at 3 as well.  CI runs it with the rest of
+the suite.
 
 After a declared output change, regenerate them with
 
     PYTHONPATH=src python3 tests/golden.py
 
-which rewrites every file and prints a unified diff of what moved: a spec
-holds one mask entry a line, so the diff names the positions.
+which takes no arguments, rewrites every file and prints a unified diff
+of what moved: a spec holds one mask entry a line, so the diff names the
+positions."""
 
-    PYTHONPATH=src python3 tests/golden.py --list
-
-prints CI's runs, one ``<file> <arguments>`` line each: every construction
-once, every simulation at 1 and 2 workers, and ``ODD_WORKERS`` at 3 as well."""
-
-import argparse
 import contextlib
 import difflib
 import io
@@ -28,9 +25,8 @@ from nupolar import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# The ``nupolar`` arguments of each golden file.  SC units hold 4 batches of
-# 256 frames at N <= 256 and 2 at N = 512; list units hold the most batches
-# with frames * L * N <= 2^18, at most 4.
+# The ``nupolar`` arguments of each golden file.  The comments count frames
+# in the work units of ``harness._work_units``.
 RUNS = {
     # One code per named rule: each shortening pattern, re-polarized and
     # baseline, each repetition rule, the mother code and the BEC oracle.
@@ -99,13 +95,13 @@ RUNS = {
                     "--ebno-sweep 1,3 --max-frames 1000",
 }
 
-# Simulations CI also runs at 3 workers, an odd worker count.
+# Simulations also compared at 3 workers, an odd worker count.
 ODD_WORKERS = ("ext64-sc-unit-stop.csv",)
 
 
-def ci_runs():
-    """The ``(file, arguments)`` of each run whose output CI compares with
-    ``tests/golden/<file>``."""
+def comparisons():
+    """The ``(file, arguments)`` of each run whose output ``test_golden.py``
+    compares with ``tests/golden/<file>``."""
     for name, args in RUNS.items():
         if args.startswith("construct"):
             yield name, args
@@ -115,8 +111,8 @@ def ci_runs():
 
 
 def output(args: str) -> str:
-    """The text ``nupolar <args>`` writes to stdout; a simulation runs at its
-    default single worker."""
+    """The text ``nupolar <args>`` writes to stdout; a simulation runs at one
+    worker unless ``args`` give ``--workers``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = cli.main(args.split())
@@ -126,12 +122,11 @@ def output(args: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate the golden files, or list CI's runs.")
-    parser.add_argument("--list", action="store_true", help="print CI's runs, one per line, and exit")
-    if parser.parse_args(argv).list:
-        for run in ci_runs():
-            print(*run)
-        return 0
+    # Any argument is a mistake, and rewrites nothing.
+    extra = sys.argv[1:] if argv is None else argv
+    if extra:
+        print(f"golden.py takes no arguments, got {' '.join(extra)}", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
     for name, args in RUNS.items():
         path = GOLDEN / name

@@ -134,7 +134,7 @@ def _fig8_sweep(method, sweep, seed=205):
         N=512, M=320, K=160, method=method, pattern_method="CW" if method == "GA_uniform" else "NAT_PD",
         decoder="SC", ebno_sweep=tuple(sweep), max_frames=200_000, min_frame_errors=100, seed=seed,
     )
-    return run_sweep(cfg).points
+    return run_sweep(cfg, workers=2).points
 
 
 def test_criterion_07_shortened_fer_comparison():
@@ -263,7 +263,7 @@ def test_criterion_09_extension_vs_shortening_ber():
             N=N, M=280, K=128, method=method, decoder="CASCL", list_size=16, crc_len=24,
             ebno_sweep=(1.5, 2.0), max_frames=12_000, min_frame_errors=100, seed=209,
         )
-        points[name] = [run_point(cfg, e, spec=spec) for e in cfg.ebno_sweep]
+        points[name] = [run_point(cfg, e, workers=2, spec=spec) for e in cfg.ebno_sweep]
     for pe, ps in zip(points["ext"], points["short"]):
         margin = 1.96 * np.sqrt(_ber_sigma(pe, payload) ** 2 + _ber_sigma(ps, payload) ** 2)
         assert pe.ber <= ps.ber + margin, (

@@ -497,6 +497,11 @@ class TestBuildExtended:
         with pytest.raises(ConstructionError, match="whole numbers"):
             RateMatchPattern("extend", [60.5, 61.5, 62.9])
         assert build_extended_code(64, 16.0, 40).tx_len == 80
+        # Nor read as 1: a boolean is not a whole number.
+        with pytest.raises(ConstructionError, match="whole numbers"):
+            build_extended_code(8, True, 3)
+        with pytest.raises(ConstructionError, match="whole numbers"):
+            RateMatchPattern("extend", [True, 5])
         assert RateMatchPattern("extend", [60.0, 61.0, 62.0]).indices.tolist() == [60, 61, 62]
         with pytest.raises(ConstructionError, match="delta_M <= K"):
             build_extended_code(8, 3, 2, repeat="weak_info")
@@ -721,12 +726,14 @@ class TestCodeSpec:
             CodeSpec(8, 3, 9, mask, RateMatchPattern("extend", [8]))
 
     @pytest.mark.parametrize("key, value", [
-        ("indices", [7.9]), ("frozen_mask", [2, 1, 1, 0, 1, 0, 1, 0]), ("mother_len", 8.7),
-    ], ids=["position", "mask_entry", "mother_len"])
+        ("indices", [7.9]), ("frozen_mask", [2, 1, 1, 1, 1, 1, 1, 0]), ("mother_len", 8.7),
+        ("design_snr_db", True), ("payload_len", True), ("indices", [True]),
+    ], ids=["position", "mask_entry", "mother_len", "design_snr_true", "payload_len_true", "position_true"])
     def test_json_values_are_not_truncated(self, key, value):
         # Each would otherwise load as a valid spec: the 1-based position 7,
-        # a frozen first entry, and N = 8.
-        doc = json.loads(build_extended_code(8, 1, 3).to_json())
+        # a frozen first entry, N = 8, a 1 dB design SNR, K = 1 and the
+        # 1-based position 1.
+        doc = json.loads(build_extended_code(8, 1, 1).to_json())
         (doc["pattern"] if key == "indices" else doc)[key] = value
         with pytest.raises(ConstructionError):
             CodeSpec.from_json(json.dumps(doc))

@@ -1,17 +1,18 @@
-import re
-from pathlib import Path
-
 import pytest
 
 import golden
-from golden import GOLDEN, ODD_WORKERS, RUNS, ci_runs, main, output
-
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+from golden import GOLDEN, ODD_WORKERS, RUNS, comparisons, main, output
 
 
-@pytest.mark.parametrize("name", RUNS)
-def test_bytes_equal_the_golden_file(name):
-    assert output(RUNS[name]).encode() == (GOLDEN / name).read_bytes()
+def _case(name, args):
+    # A run at one worker, the file's own run, keeps the file's name as its id.
+    workers = args.partition(" --workers ")[2]
+    return pytest.param(name, args, id=name if workers in ("", "1") else f"{name}-{workers}workers")
+
+
+@pytest.mark.parametrize("name, args", [_case(*run) for run in comparisons()])
+def test_bytes_equal_the_golden_file(name, args):
+    assert output(args).encode() == (GOLDEN / name).read_bytes(), f"nupolar {args}"
 
 
 def test_sc_walk_equals_scl_at_list_size_one():
@@ -36,32 +37,18 @@ def test_regeneration_rewrites_the_files_and_prints_what_moved(monkeypatch, tmp_
         "--- old/mother64.json", "+++ new/mother64.json", '-  "tx_len": 63,', '+  "tx_len": 64,']
 
 
-def test_list_prints_every_run(capsys):
-    assert main(["--list"]) == 0
-    runs = [tuple(line.split(" ", 1)) for line in capsys.readouterr().out.splitlines()]
-    assert runs == list(ci_runs())
+def test_an_argument_rewrites_nothing(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(golden, "GOLDEN", tmp_path)
+    assert main(["--list"]) == 2
+    assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
+
+
+def test_every_run_is_compared_and_every_file_has_a_run():
     workers = {}
-    for name, args in runs:
+    for name, args in comparisons():
         base, _, count = args.partition(" --workers ")
         assert base == RUNS[name]
         workers.setdefault(name, []).append(count)
     assert workers == {name: [""] if name.endswith(".json") else ["1", "2", "3"] if name in ODD_WORKERS
                        else ["1", "2"] for name in RUNS}
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(RUNS)
-
-
-def test_ci_reads_its_runs_from_the_list():
-    # CI's golden loop takes each run from `golden.py --list` and compares
-    # its output with the golden file, so no second copy of the arguments
-    # can drift from RUNS.
-    text = WORKFLOW.read_text()
-    for line in ('python3 tests/golden.py --list > "$RUNNER_TEMP/runs.txt"',
-                 "while read -r file args; do",
-                 'timeout --signal=ABRT 300 nupolar $args > "$out" < /dev/null &&',
-                 'cmp "$out" "tests/golden/$file" || { echo "golden run failed: $file: nupolar $args"; exit 1; }',
-                 'done < "$RUNNER_TEMP/runs.txt"'):
-        assert line in text, line
-    # A run's arguments may begin a longer command, as mother64's begin the
-    # exit-2 step's; a copy is what ends where a run's command line would.
-    for args in RUNS.values():
-        assert not re.search(re.escape(args) + r" *($|>|--workers)", text, re.M), args

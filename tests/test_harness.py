@@ -1,4 +1,5 @@
 import faulthandler
+import functools
 import itertools
 import json
 import multiprocessing
@@ -29,6 +30,13 @@ def small_cfg(**kw):
                 min_frame_errors=30, seed=9)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def units_of(cfg):
+    """The ``(start, count)`` work units of ``cfg``'s points, sized by the
+    list size of the decoder ``run_point`` builds for them."""
+    decode = harness.message_decoder(build_spec(cfg), cfg.decoder, cfg.list_size)
+    return list(_work_units(cfg, decode.list_size))
 
 
 def replay_sc(cfg, spec, ebno):
@@ -92,8 +100,13 @@ class TestConfig:
         # Integer fields must hold integers: rejected when the config is made,
         # not truncated or left to fail inside run_point.
         for name, value in (("N", 64.5), ("K", 32.5), ("M", 48.5), ("list_size", 2.5), ("crc_len", 24.0),
-                            ("max_frames", 1000.5), ("min_frame_errors", 10.5), ("seed", 1.5)):
+                            ("max_frames", 1000.5), ("min_frame_errors", 10.5), ("seed", 1.5),
+                            ("list_size", True), ("max_frames", True), ("seed", False)):
             with pytest.raises(ConstructionError, match=f"{name} must be a whole number"):
+                ExperimentConfig(**{"N": 64, "K": 32, "decoder": "SCL", name: value})
+        # A boolean is not a number, though Python counts True as 1.
+        for name, value in (("design_snr_db", True), ("scl_threshold", True), ("ebno_sweep", (1.0, True))):
+            with pytest.raises(ConstructionError, match=f"{name} must be a number"):
                 ExperimentConfig(**{"N": 64, "K": 32, "decoder": "SCL", name: value})
         # numpy integers are stored as ints, so the JSON report can echo them.
         cfg = ExperimentConfig(N=np.int64(64), K=32, seed=np.uint64(2**64 - 1))
@@ -282,7 +295,7 @@ class TestRunPoint:
         cfg = small_cfg(max_frames=100_000, min_frame_errors=300)
         p = run_point(cfg, 3.0, workers=workers)
         assert p.stop == "errors"
-        committed = sum(start < p.frames for start, _ in _work_units(cfg))
+        committed = sum(start < p.frames for start, _ in units_of(cfg))
         assert committed > workers + 1
         assert peak == workers + 1
         # Nothing is sent past the stopping point but the units already in flight.
@@ -330,7 +343,7 @@ class TestRunPoint:
         # dematch must refill in every unit.
         cfg = ExperimentConfig(N=512, M=400, K=200, method="NUPGA_shortened", pattern_method="RQUP",
                                decoder="SC", max_frames=1000, min_frame_errors=10**6, seed=8)
-        assert [count for _, count in _work_units(cfg)] == [512, 488]
+        assert [count for _, count in units_of(cfg)] == [512, 488]
         spec = build_spec(cfg)
         assert np.diff(spec.pattern.indices).max() > 1
         for ebno in (1.5, 2.5):
@@ -390,6 +403,9 @@ class TestPointDecoder:
         # Four units of up to four batches: the parent builds the point's
         # one decoder before the pool forks, and no worker builds another
         # (one that tried would raise in the caller).
+        cfg = small_cfg(decoder=decoder, list_size=4, crc_len=24 if decoder == "CASCL" else 0,
+                        max_frames=3 * 4 * BATCH_FRAMES + 100, min_frame_errors=10**6)
+        assert len(units_of(cfg)) == 4
         parent, built = os.getpid(), []
         init = codec._ListDecoder.__init__
 
@@ -399,9 +415,6 @@ class TestPointDecoder:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(codec._ListDecoder, "__init__", counted)
-        cfg = small_cfg(decoder=decoder, list_size=4, crc_len=24 if decoder == "CASCL" else 0,
-                        max_frames=3 * 4 * BATCH_FRAMES + 100, min_frame_errors=10**6)
-        assert len(list(_work_units(cfg))) == 4
         p = run_point(cfg, 2.0, workers=workers)
         assert p.frames == cfg.max_frames and len(built) == 1
         assert multiprocessing.active_children() == []
@@ -411,7 +424,7 @@ class TestWorkUnits:
     @pytest.mark.parametrize("max_frames", [1, 255, 256, 1000, 4096, 10_000])
     @pytest.mark.parametrize("N", [16, 64, 512])
     def test_units_tile_the_frames(self, N, max_frames):
-        units = list(_work_units(small_cfg(N=N, K=N // 2, max_frames=max_frames)))
+        units = units_of(small_cfg(N=N, K=N // 2, max_frames=max_frames))
         starts = [start for start, _ in units]
         ends = list(itertools.accumulate(count for _, count in units))
         assert starts == [0] + ends[:-1]
@@ -428,7 +441,27 @@ class TestWorkUnits:
         cfg = small_cfg(N=N, K=N // 2, decoder="SCL" if L > 1 else "SC", list_size=L,
                         max_frames=3 * batches * BATCH_FRAMES + 100)
         size = batches * BATCH_FRAMES
-        assert list(_work_units(cfg)) == [(0, size), (size, size), (2 * size, size), (3 * size, 100)]
+        assert units_of(cfg) == [(0, size), (size, size), (2 * size, size), (3 * size, 100)]
+
+    def test_units_follow_the_built_decoder(self, monkeypatch):
+        # SC walks one path whatever list_size says, so its units hold 4
+        # batches at N = 64.  Built as SCL from the same config, the decoder
+        # walks 8, and the units and buffers hold 2 batches.
+        cfg = small_cfg(list_size=8, max_frames=1100, min_frame_errors=10**6)
+        build, chunk, seen = harness.message_decoder, harness._sim_chunk, []
+
+        def recorded(spec, cfg, chan, buffers, decode, unit):
+            seen.append((len(buffers[1]), unit[1]))
+            return chunk(spec, cfg, chan, buffers, decode, unit)
+
+        monkeypatch.setattr(harness, "_sim_chunk", recorded)
+        sc = run_point(cfg, 2.0)
+        assert seen == [(1024, 1024), (1024, 76)]
+        seen.clear()
+        monkeypatch.setattr(harness, "message_decoder", lambda spec, decoder, *args: build(spec, "SCL", *args))
+        scl = run_point(cfg, 2.0)
+        assert seen == [(512, 512), (512, 512), (512, 76)]
+        assert sc.frames == scl.frames == 1100
 
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(N=1024, K=512, max_frames=8192),
@@ -437,7 +470,7 @@ class TestWorkUnits:
         ExperimentConfig(N=64, K=40, decoder="CASCL", list_size=16, crc_len=24, max_frames=8192),
     ])
     def test_one_batch_cap(self, cfg):
-        assert {count for _, count in _work_units(cfg)} == {BATCH_FRAMES}
+        assert {count for _, count in units_of(cfg)} == {BATCH_FRAMES}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unit_size_does_not_change_results(self, monkeypatch, workers):
@@ -449,12 +482,12 @@ class TestWorkUnits:
             # The error target is met inside a unit of several batches (4 at
             # N = 64, 2 at N = 512), so the batches after it in that unit
             # must be dropped.
-            ends = list(itertools.accumulate(count for _, count in _work_units(cfg)))
+            ends = list(itertools.accumulate(count for _, count in units_of(cfg)))
             assert rep.points[0].stop == "errors" and rep.points[0].frames not in ends
         monkeypatch.setattr(harness, "UNIT_LLRS", 0)
         strip = lambda p: {k: v for k, v in vars(p).items() if k != "wall_time_s"}  # noqa: E731
         for cfg, rep in zip(cfgs, multi):
-            assert max(count for _, count in _work_units(cfg)) == BATCH_FRAMES
+            assert max(count for _, count in units_of(cfg)) == BATCH_FRAMES
             single = run_sweep(cfg, workers=workers)
             assert strip(single.points[0]) == strip(rep.points[0])
             assert single.csv_text() == rep.csv_text()
@@ -467,6 +500,7 @@ class TestWorkUnits:
         def counted(*args):
             decode = build(*args)
 
+            @functools.wraps(decode)
             def decode_counted(frames):
                 rows.append(len(frames))
                 return decode(frames)
