@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construction import _integer
+
 
 @dataclass
 class ChannelConfig:
@@ -24,7 +26,7 @@ class ChannelConfig:
 
     ``rate`` is the code rate K/M used in the Eb/N0 to noise-variance
     conversion ``sigma^2 = 1 / (2 R 10^(Eb/N0 / 10))`` under unit-energy
-    BPSK.
+    BPSK.  ``seed``, a whole number, keys every frame's :func:`frame_rng`.
     """
 
     ebno_db: float
@@ -32,6 +34,7 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = _integer(self.seed, "seed")
         if not 0 < self.rate <= 1:
             raise ValueError(f"code rate must lie in (0, 1], got {self.rate}")
         # 2 / sigma^2 is positive and finite exactly when sigma is; it also
@@ -60,11 +63,11 @@ class ChannelConfig:
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """Counter-based generator for one frame, independent of all others.
 
-    Its Philox key is the two 64-bit words ``(seed mod 2^64, frame_index)``;
-    the key is built as a ``uint64`` array, since a plain list holding a word
-    of 2^63 or more converts to float64 and loses the low bits.
+    Its Philox key is the two 64-bit words ``(seed mod 2^64, frame_index)``
+    of whole numbers, built as a ``uint64`` array: a plain list holding a
+    word of 2^63 or more converts to float64 and loses the low bits.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, frame_index], dtype=np.uint64)
+    key = np.array([_integer(seed, "seed") % 2**64, _integer(frame_index, "frame index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -23,12 +23,11 @@ message each of them picks.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import CodeSpec
+from .construction import CodeSpec, _butterfly, _integer, _real
 from .numerics import KNOWN_ZERO_LLR
 
 
@@ -47,9 +46,9 @@ class CrcConfig:
     width: int = 24
 
     def __post_init__(self):
-        if not isinstance(self.width, numbers.Integral) or not 1 <= self.width <= 63:
+        if not 1 <= _integer(self.width, "CRC width") <= 63:
             raise ValueError(f"CRC width must be a whole number in [1, 63], got {self.width!r}")
-        if not isinstance(self.poly, numbers.Integral) or not 0 <= self.poly < 1 << self.width:
+        if not 0 <= _integer(self.poly, "CRC polynomial") < 1 << self.width:
             raise ValueError(f"CRC polynomial must be a whole number in [0, 2^{self.width}), got {self.poly!r}")
 
 
@@ -60,28 +59,20 @@ CRC24 = CrcConfig()
 # encoding
 
 
-def _transform(x) -> np.ndarray:
-    """The polar transform, in place on C-contiguous bits ``x`` of shape
-    ``(N, ...)``: the XOR butterfly that multiplies by the n-fold Kronecker
-    power of [[1,0],[1,1]] (no bit reversal), which is its own inverse over
-    GF(2).  With N on axis 0 each XOR runs over whole frames."""
-    N = len(x)
-    d = 1
-    while d < N:
-        # Sized explicitly, so that an empty batch reshapes too.
-        pairs = x.reshape((N // (2 * d), 2, d) + x.shape[1:])
-        pairs[:, 0] ^= pairs[:, 1]
-        d *= 2
-    return x
+def _xor(a, b):
+    # The polar transform's pair, in place on a: the driver's write-back of a
+    # onto itself then copies nothing, as numpy skips a same-memory copy.
+    return np.bitwise_xor(a, b, out=a), b
 
 
 def encode(spec: CodeSpec, msg) -> np.ndarray:
     """Map K message bits to the length-N mother codeword.
 
     The source block carries ``msg`` at the information positions in
-    ascending index order and zeros elsewhere; :func:`_transform` maps it
-    to the codeword.  Accepts a single message ``(K,)`` or a batch with
-    leading dimensions such as ``(B, K)``.
+    ascending index order and zeros elsewhere; :func:`_butterfly` with the
+    :func:`_xor` pair maps it to the codeword, N on axis 0 so that each XOR
+    runs over whole frames.  Accepts a single message ``(K,)`` or a batch
+    with leading dimensions such as ``(B, K)``.
     """
     msg = np.asarray(msg)
     if not np.all((msg == 0) | (msg == 1)):
@@ -90,7 +81,7 @@ def encode(spec: CodeSpec, msg) -> np.ndarray:
         raise ValueError(f"message length {msg.shape[-1]} != K = {spec.payload_len}")
     x = np.zeros((spec.mother_len,) + msg.shape[:-1], dtype=np.uint8)
     x[spec.info_positions] = np.moveaxis(msg, -1, 0)
-    return np.moveaxis(_transform(x), 0, -1)
+    return np.moveaxis(_butterfly(x, _xor), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +264,8 @@ class _ListDecoder:
     stable re-sort of just the rows where it meets a tie (:meth:`_top`).
     A frozen leaf whose LLR is known-zero (+inf) on every row adds nothing
     to the metric and skips its ``logaddexp``.  The messages are read off
-    the root's codewords, in metric order, through the self-inverse
-    :func:`_transform`.
+    the root's codewords, in metric order, through the self-inverse polar
+    transform of :func:`encode`, :func:`_butterfly` with the :func:`_xor` pair.
 
     One walk, :meth:`_rec`, serves both modes: each node, the subtree of
     positions ``offset::stride``, reads its kind from :func:`_node_kinds`.
@@ -308,9 +299,9 @@ class _ListDecoder:
     """
 
     def __init__(self, spec: CodeSpec, L: int, threshold: float, rule: str, metric: bool = True):
-        if not isinstance(L, numbers.Integral) or L < 1:
+        if _integer(L, "list size") < 1:
             raise ValueError(f"list size must be a whole number >= 1, got {L!r}")
-        if not 0.0 <= threshold <= 1.0:
+        if not 0.0 <= _real(threshold, "pruning threshold") <= 1.0:
             raise ValueError("pruning threshold must lie in [0, 1]")
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}")
@@ -348,7 +339,7 @@ class _ListDecoder:
         u[n:] = 0  # the dead columns' codeword bits
         for i in range(0, B * L, 64):  # blocks stay in cache: 5x faster at B*L = 4096, N = 512
             u.reshape(N, B * L)[:n, i : i + 64] = x[i : i + 64].T
-        msgs = _transform(u)[~self.frozen].transpose(1, 2, 0)
+        msgs = _butterfly(u, _xor)[~self.frozen].transpose(1, 2, 0)
         return msgs, None if self.pm is None else self.pm.ravel()[order].reshape(B, L)
 
     def _align(self, x, to):

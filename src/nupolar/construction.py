@@ -54,6 +54,13 @@ def _whole(values, what: str) -> np.ndarray:
     return ints
 
 
+def _integer(value, what: str) -> int:
+    # ``value`` as an int; a boolean is not a whole number here.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConstructionError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _real(value, what: str) -> float:
     # ``value`` as a float; a boolean is not a real number here.
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -210,15 +217,16 @@ def _exact_keys(doc, cls) -> dict:
 
 
 def _butterfly(v, pair, hold=None):
-    # The polarization butterfly, in place on v.  Stage s pairs positions
-    # that differ in bit s (distance 2^s, smallest first); pair(a, b)
-    # returns new (minus, plus) arrays, which land on the lower and the upper
-    # index.  A pair with a member in the boolean mask `hold` is not
-    # evaluated and keeps its values, so the held set is the same at every
-    # stage.  Without `hold` every pair is evaluated.
+    # The polarization butterfly, in place on C-contiguous v, positions on
+    # axis 0 (reshapes are sized, so an empty batch fits).  Stage s pairs
+    # the positions that differ in bit s (distance 2^s, smallest first), and
+    # pair(a, b) returns their new (minus, plus) values, lower index first.
+    # A pair with a member in the 1-D boolean mask `hold` keeps its values,
+    # so the held set is the same at every stage.  Codec's XOR pair makes the
+    # Kronecker power of [[1,0],[1,1]], no bit reversal, self-inverse mod 2.
     d = 1
-    while d < v.size:
-        lo, hi = v.reshape(-1, 2, d).swapaxes(0, 1)
+    while d < len(v):
+        lo, hi = v.reshape((len(v) // (2 * d), 2, d) + v.shape[1:]).swapaxes(0, 1)
         if hold is None:
             lo[...], hi[...] = pair(lo, hi)
         else:

@@ -24,7 +24,6 @@ import functools
 import io
 import itertools
 import math
-import numbers
 import time
 import typing
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ from .construction import (
     REPEAT_RULES,
     CodeSpec,
     ConstructionError,
+    _integer,
     _real,
     build_bec_code,
     build_extended_code,
@@ -89,10 +89,7 @@ class ExperimentConfig:
         if self.M is None:
             self.M = self.N
         for name in INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConstructionError(f"{name} must be a whole number, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, _integer(getattr(self, name), name))
         self.design_snr_db = _real(self.design_snr_db, "design_snr_db")
         self.scl_threshold = _real(self.scl_threshold, "scl_threshold")
         self.ebno_sweep = tuple(_real(x, "ebno_sweep") for x in self.ebno_sweep)

@@ -208,8 +208,8 @@ def test_criterion_08_low_rate_cascl_gain():
         N=N, M=M, K=K, method="NUPGA_shortened", pattern_method="NAT_PD", decoder="CASCL",
         list_size=16, crc_len=24, ebno_sweep=(1.0,), max_frames=1024, min_frame_errors=1024, seed=208,
     )
-    pk = run_point(cfg, 1.0, spec=known_bit)
-    pe = run_point(cfg, 1.0, spec=erasure)
+    pk = run_point(cfg, 1.0, workers=2, spec=known_bit)
+    pe = run_point(cfg, 1.0, workers=2, spec=erasure)
     margin = 1.96 * np.sqrt(pk.fer * (1 - pk.fer) / pk.frames + pe.fer * (1 - pe.fer) / pe.frames)
     assert pe.fer - pk.fer > margin, (
         f"erasure-reading FER {pe.fer:.4f} not above known-bit FER {pk.fer:.4f} by the 95% CI ({margin:.4f})"

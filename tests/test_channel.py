@@ -36,6 +36,13 @@ class TestChannelConfig:
             ChannelConfig(ebno_db=ebno_db, rate=0.5)
         ChannelConfig(ebno_db=np.sign(ebno_db) * 3000.0, rate=0.5)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), True])
+    def test_seed_must_be_a_whole_number(self, seed):
+        # A fractional seed once failed only at the first draw, and True keyed seed 1.
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            ChannelConfig(2.0, 0.5, seed)
+        assert ChannelConfig(2.0, 0.5, np.int64(3)).seed == 3
+
 
 def noise_of(cfg, frame_index, n):
     """Frame ``frame_index``'s noise alone: its first ``n`` normal draws."""
@@ -142,6 +149,16 @@ class TestFrameDraws:
         chan = ChannelConfig(ebno_db=2.5, rate=0.5)
         with pytest.raises(ValueError, match="shape"):
             frame_draws(chan, 0, 4, 8, 10, out=np.empty((5, 10)))
+
+    @pytest.mark.parametrize("seed, frame_index", [(0, 1.5), (0, np.float64(1.0)), (0, True), (1.5, 0), (True, 0)])
+    def test_frame_rng_key_must_be_whole_numbers(self, seed, frame_index):
+        # Frame index 1.5 once keyed frame 1's stream, and a True seed keyed seed 1.
+        with pytest.raises(ValueError, match="must be a whole number"):
+            frame_rng(seed, frame_index)
+
+    def test_fractional_start_is_rejected(self):
+        with pytest.raises(ValueError, match="frame index must be a whole number"):
+            frame_draws(ChannelConfig(2.0, 0.5), 1.5, 2, 8, 4)
 
     @pytest.mark.parametrize("seed", [2**63 + 5, 0xDEADBEEFCAFEF00D, -1, -7, 2**64 + 3])
     def test_frame_rng_key_is_exact(self, seed):

@@ -363,10 +363,13 @@ class TestSclDecode:
             scl_decode_batch(spec, np.zeros(8), L=0)
         with pytest.raises(ValueError):
             scl_decode_batch(spec, np.zeros(8), L=2, threshold=1.5)
-        # A list size must be an integer, not a float that would be truncated.
-        for L in (2.5, 2.0, np.float64(4.0)):
+        # A list size must be an integer, not a float that would be truncated
+        # nor a boolean that would read as 1.
+        for L in (2.5, 2.0, np.float64(4.0), True):
             with pytest.raises(ValueError, match="whole number"):
                 scl_decode_batch(spec, np.zeros(8), L=L)
+        with pytest.raises(ValueError, match="pruning threshold must be a number"):
+            scl_decode_batch(spec, np.zeros(8), L=2, threshold=True)
         assert scl_decode_batch(spec, np.zeros(8), L=np.int64(2))[0].shape == (1, 2, 4)
 
     def test_rule_validation(self):
@@ -375,6 +378,8 @@ class TestSclDecode:
             sc_decode_batch(spec, np.zeros(8), rule="x")
         with pytest.raises(ValueError, match="unknown rule"):
             scl_decode_batch(spec, np.zeros(8), L=2, rule="x")
+        with pytest.raises(ValueError, match="unknown decoder"):
+            codec.message_decoder(spec, "ML", 1)
 
 
 BIT_IDENTITY_CODES = {
@@ -846,13 +851,13 @@ class TestCrc:
         with pytest.raises(ValueError, match="shorter than the checksum"):
             crc_check(np.zeros(24, np.uint8))
 
-    @pytest.mark.parametrize("width", [0, 64, 2.5])
+    @pytest.mark.parametrize("width", [0, 64, 2.5, True])
     def test_rejects_width_outside_the_register(self, width):
         # width 0 failed on a broadcast and 64 overflowed the int64 register.
         with pytest.raises(ValueError, match="CRC width"):
             CrcConfig(poly=1, width=width)
 
-    @pytest.mark.parametrize("poly", [0x1FF, -5, 1.0])
+    @pytest.mark.parametrize("poly", [0x1FF, -5, 1.0, True])
     def test_rejects_poly_outside_its_width(self, poly):
         # Both out-of-range polynomials used to return a checksum.
         with pytest.raises(ValueError, match="CRC polynomial"):
