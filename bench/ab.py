@@ -19,9 +19,13 @@ The report gives per workload the median of the per-pair time ratios
 (head / base) and its quartiles, and checks that both sides give equal
 frozen masks and rate-matching patterns (every workload) and error
 counters ``(frames, bit_errors, frame_errors)`` (the simulation
-workloads).  Beside each op's time it counts the minor page faults the op
-took (the ``ru_minflt`` delta of ``RUSAGE_SELF``, plus that of
-``RUSAGE_CHILDREN`` for a multi-worker workload, whose pool is joined
+workloads).  Beside each op's time it reports each side's median frames
+sent per op, the frames the op handed to work units
+(``PointReport.frames_sent``, at least the frames committed), so a report
+tells less work from faster work; a side whose tree lacks the field, and
+the construction workload, report none.  It also counts the minor page
+faults the op took (the ``ru_minflt`` delta of ``RUSAGE_SELF``, plus that
+of ``RUSAGE_CHILDREN`` for a multi-worker workload, whose pool is joined
 before the op returns) and reports each side's median.  The faults per op
 describe the pair, not one tree: both sides share this process's heap, so
 what one side frees moves glibc's mmap and trim thresholds for the other
@@ -100,18 +104,20 @@ def spec_digest(spec) -> str:
 
 def make_op(lib, workload):
     """One op of ``workload`` on one tree: ``op(i)`` runs op ``i`` and returns
-    what both trees must agree on."""
+    what both trees must agree on, and the frames the op handed to work
+    units (``PointReport.frames_sent``; None for the construction workload
+    and for a tree whose report lacks the field)."""
     cfg_of = lambda cfg: lib.ExperimentConfig(**dataclasses.asdict(cfg))  # noqa: E731
     if workload.cfg is None:
         family = [cfg_of(cfg) for cfg in workloads.construct_family(SEED)]
-        return lambda i: [spec_digest(lib.build_spec(cfg)) for cfg in family]
+        return lambda i: ([spec_digest(lib.build_spec(cfg)) for cfg in family], None)
     spec = lib.build_spec(cfg_of(workload.cfg))
     digest = spec_digest(spec)
 
     def op(i):
         cfg = cfg_of(workloads.op_config(workload, SEED, i))
         p = lib.run_point(cfg, workload.ebno_db, workers=workload.workers, spec=spec)
-        return digest, p.frames, p.bit_errors, p.frame_errors
+        return (digest, p.frames, p.bit_errors, p.frame_errors), getattr(p, "frames_sent", None)
     return op
 
 
@@ -127,13 +133,14 @@ def usage(children: bool) -> np.ndarray:
 
 
 def timed(op, i: int, children: bool = False):
-    """Op ``i``'s wall time, minor page faults, workers' CPU seconds and output."""
+    """Op ``i``'s wall time, minor page faults, workers' CPU seconds, output
+    and frames sent."""
     u0 = usage(children)
     t0 = time.perf_counter()
-    out = op(i)
+    out, sent = op(i)
     t = time.perf_counter() - t0
     faults, cpu = usage(children) - u0
-    return t, int(faults), float(cpu), out
+    return t, int(faults), float(cpu), out, sent
 
 
 def traced_peak_mb(op, i: int) -> float:
@@ -146,24 +153,31 @@ def traced_peak_mb(op, i: int) -> float:
         tracemalloc.stop()
 
 
+def sent_median(sent: list):
+    """The median frames sent per op, or None when the side reports none."""
+    return None if None in sent else statistics.median(sent)
+
+
 def compare(workload, base, head, pairs: int) -> dict:
     cores = sorted(ALLOWED_CORES)[-workload.workers:]
     os.sched_setaffinity(0, cores)
     base, head = make_op(base, workload), make_op(head, workload)
     children = workload.workers > 1
     timed(base, 0), timed(head, 0)  # warm-up
-    base_s, head_s, base_f, head_f, base_c, head_c, diffs = [], [], [], [], [], [], []
+    base_s, head_s, base_f, head_f, base_c, head_c, base_n, head_n, diffs = [], [], [], [], [], [], [], [], []
     for i in range(pairs):
         if i % 2:
-            (th, fh, ch, oh), (tb, fb, cb, ob) = timed(head, i, children), timed(base, i, children)
+            (th, fh, ch, oh, nh), (tb, fb, cb, ob, nb) = timed(head, i, children), timed(base, i, children)
         else:
-            (tb, fb, cb, ob), (th, fh, ch, oh) = timed(base, i, children), timed(head, i, children)
+            (tb, fb, cb, ob, nb), (th, fh, ch, oh, nh) = timed(base, i, children), timed(head, i, children)
         base_s.append(tb)
         head_s.append(th)
         base_f.append(fb)
         head_f.append(fh)
         base_c.append(cb)
         head_c.append(ch)
+        base_n.append(nb)
+        head_n.append(nh)
         if ob != oh:
             diffs.append({"op": i, "base": ob, "head": oh})
     base_mb, head_mb = traced_peak_mb(base, 0), traced_peak_mb(head, 0)
@@ -173,8 +187,11 @@ def compare(workload, base, head, pairs: int) -> dict:
     q1, med, q3 = np.percentile(ratios, [25, 50, 75])
     workers_cpu = (f"  workers' CPU/op {statistics.median(base_c) * 1e3:.1f} -> "
                    f"{statistics.median(head_c) * 1e3:.1f} ms" if children else "")
+    base_sent, head_sent = sent_median(base_n), sent_median(head_n)
+    shown = ["none" if n is None else f"{n:.0f}" for n in (base_sent, head_sent)]
     print(f"{workload.name:22s} base {statistics.median(base_s) * 1e3:9.2f} ms  head "
-          f"{statistics.median(head_s) * 1e3:9.2f} ms  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
+          f"{statistics.median(head_s) * 1e3:9.2f} ms  frames sent/op {shown[0]} -> {shown[1]}"
+          f"  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
           f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}"
           f"  minor faults/op {statistics.median(base_f):.0f} -> {statistics.median(head_f):.0f}{workers_cpu}"
           f"  traced peak {base_mb:.2f} -> {head_mb:.2f} MB ({scope})")
@@ -185,6 +202,8 @@ def compare(workload, base, head, pairs: int) -> dict:
         "pairs": pairs,
         "base_median_s": statistics.median(base_s),
         "head_median_s": statistics.median(head_s),
+        "base_frames_sent_median": base_sent,
+        "head_frames_sent_median": head_sent,
         "ratio_median": med,
         "ratio_iqr": [q1, q3],
         "speedup_median": 1 / med,
@@ -204,6 +223,8 @@ def compare(workload, base, head, pairs: int) -> dict:
         "head_minor_faults": head_f,
         "base_workers_cpu_s": base_c if children else None,
         "head_workers_cpu_s": head_c if children else None,
+        "base_frames_sent": base_n,
+        "head_frames_sent": head_n,
     }
 
 

@@ -66,8 +66,12 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     Its Philox key is the two 64-bit words ``(seed mod 2^64, frame_index)``
     of whole numbers, built as a ``uint64`` array: a plain list holding a
     word of 2^63 or more converts to float64 and loses the low bits.
+    Raises ``ValueError`` unless ``0 <= frame_index < 2^64``.
     """
-    key = np.array([_integer(seed, "seed") % 2**64, _integer(frame_index, "frame index")], dtype=np.uint64)
+    frame_index = _integer(frame_index, "frame index")
+    if not 0 <= frame_index < 2**64:
+        raise ValueError(f"frame index must lie in [0, 2^64), got {frame_index}")
+    key = np.array([_integer(seed, "seed") % 2**64, frame_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -83,7 +87,9 @@ def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_nois
     is written into ``out``, a C-contiguous float64 array of that shape,
     when one is given (the harness passes the leading rows of the point's
     buffers that ``run_point`` allocates, which every work unit reuses),
-    else into a new array; the noise returned is ``out`` itself.
+    else into a new array; the noise returned is ``out`` itself.  The
+    indices are checked against ``[0, 2^64)`` before any frame is drawn:
+    ``ValueError`` if one lies outside.
 
     The bits are taken from ``random_raw`` words instead, bit for bit the
     same:
@@ -105,6 +111,9 @@ def frame_draws(chan: ChannelConfig, start: int, count: int, n_bits: int, n_nois
     once per call: ``normal`` returns ``loc + scale * z`` per sample, and
     ``z * sigma + 0.0`` is the same value, the sign of zero included.
     """
+    start = _integer(start, "frame index")
+    if start < 0 or start + count > 2**64:
+        raise ValueError(f"frame indices [{start}, {start + count}) must lie in [0, 2^64)")
     words = -(-n_bits // 8)
     raw = []
     noise = np.empty((count, n_noise)) if out is None else out

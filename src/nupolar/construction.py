@@ -36,15 +36,16 @@ class ConstructionError(ValueError):
 
 
 def _check_power_of_two(n: int) -> int:
-    n = int(_whole(n, "mother length"))
+    n = _integer(n, "mother length")
     if n < 2 or n & (n - 1):
         raise ConstructionError(f"mother length must be a power of two >= 2, got {n}")
     return n
 
 
 def _whole(values, what: str) -> np.ndarray:
-    """``values`` as int64, rejecting (not truncating) anything fractional
-    and anything that is not a number, booleans too, in a list or not."""
+    """``values``, an array of indices, as int64, rejecting (not truncating)
+    anything fractional and anything that is not a number, booleans too, in
+    a list or not.  A scalar length goes through :func:`_integer`."""
     arr = np.asarray(values)
     listed = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
     with np.errstate(invalid="ignore"):  # inf and NaN cast to garbage, caught below
@@ -148,8 +149,9 @@ class CodeSpec:
     tx_positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        N, K, M = _whole([self.mother_len, self.payload_len, self.tx_len], "code lengths").tolist()
-        N = _check_power_of_two(N)
+        N = _check_power_of_two(self.mother_len)
+        K = _integer(self.payload_len, "payload length")
+        M = _integer(self.tx_len, "tx length")
         mask = np.asarray(self.frozen_mask)
         if mask.shape != (N,) or not np.all((mask == 0) | (mask == 1)):
             raise ConstructionError("frozen mask must hold N entries, each 0 or 1")
@@ -282,7 +284,7 @@ def select_information_set(rel, K: int) -> np.ndarray:
     rel = np.asarray(rel, dtype=np.float64)
     if rel.ndim != 1:
         raise ConstructionError("reliability vector must be one-dimensional")
-    K = int(_whole(K, "payload length"))
+    K = _integer(K, "payload length")
     if K < 0:
         raise ConstructionError(f"payload length {K} is negative")
     usable = int(np.count_nonzero(rel > 0))
@@ -313,6 +315,7 @@ def _build_code(N, K, pattern, design_snr_db, g_mode, method) -> CodeSpec:
     # probability exp(-S) exactly.  The re-polarized methods evolve the
     # design-point mean times each position's observation count; GA_uniform
     # evolves the uniform vector and skips the pattern afterwards.
+    K = _integer(K, "payload length")
     tx = pattern.tx_positions(N)
     if not 0 < K <= min(N, tx.size):
         raise ConstructionError(f"payload length {K} outside (0, {min(N, tx.size)}]")
@@ -357,7 +360,7 @@ def shortening_pattern(method: str, N: int, M: int) -> RateMatchPattern:
     the pattern is read off the index bits without building the matrix.
     """
     N = _check_power_of_two(N)
-    M = int(_whole(M, "shortened length"))
+    M = _integer(M, "shortened length")
     if not N // 2 < M < N:
         raise ConstructionError(f"shortened length must satisfy N/2 < M < N, got M={M}, N={N}")
     r = N - M
@@ -405,7 +408,7 @@ def build_shortened_code(
     N = _check_power_of_two(N)
     if not (isinstance(pattern, str) and pattern in PATTERN_METHODS):
         raise ConstructionError(f"unknown shortening method {pattern!r}")
-    if M == N:
+    if _integer(M, "shortened length") == N:
         return build_mother_code(N, K, design_snr_db, g_mode)
     method = "NUPGA_shortened" if repolarize else "GA_uniform"
     return _build_code(N, K, shortening_pattern(pattern, N, M), design_snr_db, g_mode, method)
@@ -429,7 +432,8 @@ def build_extended_code(
     of the mother code's least reliable information bits.
     """
     N = _check_power_of_two(N)
-    delta_M = int(_whole(delta_M, "extension length"))
+    delta_M = _integer(delta_M, "extension length")
+    K = _integer(K, "payload length")
     if not 0 < delta_M < N // 2:
         raise ConstructionError(f"extension length must satisfy 0 < delta_M < N/2, got {delta_M}")
     if not 0 < K <= N:
@@ -464,7 +468,7 @@ def bec_construct(erasures, K: int) -> np.ndarray:
     unfrozen; ties break toward the lower index.
     """
     final = evolve_bec(erasures)
-    K = int(_whole(K, "payload length"))
+    K = _integer(K, "payload length")
     if not 0 <= K <= final.size:
         raise ConstructionError(f"payload length {K} outside [0, {final.size}]")
     order = np.argsort(final, kind="stable")

@@ -5,14 +5,18 @@ draws its payload and noise from a counter-based stream keyed by
 ``(seed, frame index)`` (payload bits first, then noise samples).  Counters
 are committed per batch of ``BATCH_FRAMES`` frames, in batch order, with the
 stopping rule checked after each one.  The frames are decoded in work units
-of one size, in whole batches (the last ends at ``max_frames``), each in one
-pass through the numpy pipeline; a unit returns the counters of every batch
-in it.  With several workers, each forked worker is sent units down its own
-pipe, a few ahead of the commit, and the workers are terminated at the
-stopping point.  Every frame depends only on its index and every decoder
-step is row-wise, and the units do not depend on the worker count, so the
-counters are bit-for-bit the same for any worker count and any unit size.
-Every unit of a point reuses the buffers and the decoder ``run_point`` makes.
+of whole batches, each in one pass through the numpy pipeline; a unit
+returns the counters of every batch in it.  ``run_point`` asks
+:func:`_unit_size` for each next unit: a full unit while the error target
+is far, and only the batches the running FER predicts are still needed as
+it nears, so few frames are decoded past the stop.  With
+several workers, each forked worker is sent units down its own pipe, a few
+ahead of the commit, and the workers are terminated at the stopping point.
+Every frame depends only on its index and every decoder step is row-wise,
+so the counters are bit-for-bit the same for any worker count and any unit
+size; only the frames handed out (``PointReport.frames_sent``) depend on
+the worker count.  Every unit of a point reuses the buffers and the decoder
+``run_point`` makes.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ from .numerics import G_MODES
 from .ratematch import dematch, tx_frame
 
 BATCH_FRAMES = 256
-# A work unit holds at most this many decoder LLRs (frames * list size * N),
-# at least one batch and at most UNIT_BATCHES.
-UNIT_LLRS = 1 << 18
+# A full work unit holds at most this many decoder LLRs (frames * list size
+# * N), at least one batch and at most UNIT_BATCHES.
+UNIT_LLRS = 1 << 19
 UNIT_BATCHES = 4
 # BPSK symbols are made in row blocks of about this many (64 KB of float64).
 BPSK_BLOCK = 1 << 13
@@ -138,11 +142,14 @@ INT_FIELDS = tuple(name for name, kind in FIELD_TYPES.items() if int in (typing.
 class PointReport:
     """Counters of one Eb/N0 point.  ``stop`` says why it ended: ``"errors"``
     when the frame-error target was met, else ``"frames"`` (the frame cap);
-    ``fer_ci95`` is the 95% Wilson score interval on FER.  Both go to the
-    JSON report only, not to the CSV."""
+    ``fer_ci95`` is the 95% Wilson score interval on FER.  ``frames_sent``
+    counts the frames handed to work units, committed or not: at least
+    ``frames``, and the one count that may differ with the worker count.
+    These three go to the JSON report only, not to the CSV."""
 
     ebno_db: float
     frames: int
+    frames_sent: int
     bit_errors: int
     frame_errors: int
     ber: float
@@ -204,14 +211,19 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return max(0.0, (centre - half) / scale), min(1.0, (centre + half) / scale)
 
 
-def _work_units(cfg: ExperimentConfig, L: int):
-    """The ``(start, count)`` work units of a point, in frame order.  Each holds
-    the most whole batches whose decoder, walking ``L`` paths, holds at most
-    ``UNIT_LLRS`` LLRs, at least one and at most ``UNIT_BATCHES`` (4 for SC at
-    N = 64, 2 at N = 512, 1 for a list of 16 at N = 512); the last ends at ``max_frames``."""
-    size = BATCH_FRAMES * min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * L * cfg.N)))
-    for start in range(0, cfg.max_frames, size):
-        yield start, min(size, cfg.max_frames - start)
+def _unit_size(cfg: ExperimentConfig, cap: int, last: int, start: int, frames: int, frame_errors: int) -> int:
+    """The frames of the work unit that starts at frame ``start``, after a
+    unit of ``last`` frames, once ``frames`` frames with ``frame_errors``
+    frame errors are committed.  It holds ``cap`` frames until the running
+    FER predicts that the frames handed out (``start``: committed plus in
+    flight) plus ``cap`` more meet ``min_frame_errors``; from then on, the
+    whole batches that prediction still needs, at least one.  Never more
+    than ``last``, so units only shrink, and never past ``max_frames``."""
+    want = cap
+    if frame_errors and frame_errors * (start + cap) >= frames * cfg.min_frame_errors:
+        need = -(-frames * cfg.min_frame_errors // frame_errors) - start
+        want = BATCH_FRAMES * max(1, -(-need // BATCH_FRAMES))
+    return min(want, last, cfg.max_frames - start)
 
 
 def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, chan: ChannelConfig,
@@ -267,14 +279,17 @@ def _receive(conn):
 @contextlib.contextmanager
 def _pool(unit, workers: int):
     """Yields a function that maps work units to the results of ``unit``, in
-    order.  With ``workers`` > 1 they run in as many forked processes that
-    each inherit ``unit`` and have a pipe of their own: unit ``i`` goes to
-    worker ``i mod workers``, and at most ``workers + 1`` units are sent and
-    not yet received.  On exit the workers are terminated and joined.  No
-    lock is shared between the processes, so a worker terminated in
-    mid-send cannot hang the parent (``multiprocessing.Pool.terminate``
-    can: its task thread waits forever on the result queue's lock when a
-    worker was killed holding it)."""
+    order, drawing each unit from its iterable only when it is about to be
+    sent.  With ``workers`` <= 1 that is once the previous unit's results
+    are taken.  With ``workers`` > 1 the units run in as many forked
+    processes that each inherit ``unit`` and have a pipe of their own: unit
+    ``i`` goes to worker ``i mod workers``, at most ``workers + 1`` units
+    are sent and not yet received, and unit ``i`` is drawn once the results
+    of unit ``i - workers - 1`` are taken.  On exit the workers are
+    terminated and joined.  No lock is shared between the processes, so a
+    worker terminated in mid-send cannot hang the parent
+    (``multiprocessing.Pool.terminate`` can: its task thread waits forever
+    on the result queue's lock when a worker was killed holding it)."""
     if workers <= 1:
         yield functools.partial(map, unit)
         return
@@ -320,31 +335,52 @@ def run_point(
     Counters are committed per batch of ``BATCH_FRAMES`` frames until
     ``min_frame_errors`` frame errors have been counted or ``max_frames``
     frames have been simulated, whichever comes first.  The batches are
-    decoded in the work units of :func:`_work_units`, in this process when
-    ``workers`` is 1 or less (the default).  With ``workers`` > 1 each
-    worker of a fork pool owned by this call (:func:`_pool`) takes whole
-    units.  The point's channel, its one decoder (``codec.message_decoder``)
-    and its two buffers, sized for the first (largest) unit of that
-    decoder's walk, are made here before the pool forks, so a bad
-    ``ebno_db`` raises ``ValueError`` before any unit runs.  Each worker
-    inherits them, ``spec`` and ``cfg`` through the fork, so a unit is sent
-    as its ``(start, count)`` alone; the buffers' pages are first written,
-    and so made private, in the process that runs the unit.  Counters are
-    committed in batch order; at the stopping point no further unit is
-    sent, and the workers are terminated and joined, which drops the units
-    still in flight (at most ``workers + 1``, see :func:`_pool`).
+    decoded in work units, in this process when ``workers`` is 1 or less
+    (the default).  With ``workers`` > 1 each worker of a fork pool owned
+    by this call (:func:`_pool`) takes whole units.  A full unit holds the
+    most whole batches whose decoder, walking its list of paths, holds at
+    most ``UNIT_LLRS`` LLRs, at least one and at most ``UNIT_BATCHES``: 4
+    for SC at N = 64 and N = 512, 2 at N = 1024, 1 for a list of 16 at
+    N = 512.  Each next unit is sized by :func:`_unit_size` when the pool
+    draws it, from the frames handed out and the counters committed by
+    then: full units while the error target is far, then only the batches
+    the running FER predicts are still needed.  The pool draws a unit
+    after the results of the unit ``workers + 1`` places before it are
+    committed (the one before it with one worker), so the sizes depend on
+    the counters and the worker count alone.
+
+    The point's channel, its one decoder (``codec.message_decoder``) and
+    its two buffers, sized for the first unit (units only shrink), are made
+    here before the pool forks, so a bad ``ebno_db`` raises ``ValueError``
+    before any unit runs.  Each worker inherits them, ``spec`` and ``cfg``
+    through the fork, so a unit is sent as its ``(start, count)`` alone;
+    the buffers' pages are first written, and so made private, in the
+    process that runs the unit.  Counters are committed in batch order; at
+    the stopping point no further unit is sent, and the workers are
+    terminated and joined, which drops the units still in flight (at most
+    ``workers + 1``, see :func:`_pool`).
     """
     if spec is None:
         spec = build_spec(cfg)
     chan = ChannelConfig(ebno_db, cfg.rate, cfg.seed)
     decode = message_decoder(spec, cfg.decoder, cfg.list_size, cfg.scl_threshold, cfg.rule)
-    rows = next(_work_units(cfg, decode.list_size))[1]
+    cap = BATCH_FRAMES * min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * decode.list_size * cfg.N)))
+    rows = min(cap, cfg.max_frames)
     buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N))
     unit = functools.partial(_sim_chunk, spec, cfg, chan, buffers, decode)
     t0 = time.perf_counter()
-    frames = bit_errors = frame_errors = 0
+    frames = bit_errors = frame_errors = sent = 0
+
+    def units():
+        nonlocal sent
+        count = rows
+        while sent < cfg.max_frames:
+            count = _unit_size(cfg, cap, count, sent, frames, frame_errors)
+            sent += count
+            yield sent - count, count
+
     with _pool(unit, workers) as run:
-        for n, be, fe in itertools.chain.from_iterable(run(_work_units(cfg, decode.list_size))):
+        for n, be, fe in itertools.chain.from_iterable(run(units())):
             frames += n
             bit_errors += be
             frame_errors += fe
@@ -354,6 +390,7 @@ def run_point(
     return PointReport(
         ebno_db=float(ebno_db),
         frames=frames,
+        frames_sent=sent,
         bit_errors=bit_errors,
         frame_errors=frame_errors,
         ber=bit_errors / (frames * cfg.payload_bits),

@@ -4,7 +4,10 @@ entry of ``RUNS``: ``<name>.json``, the spec ``nupolar construct`` writes,
 and ``<name>.csv``, the CSV ``nupolar simulate`` writes at one worker.
 ``test_golden.py`` compares the output of every run ``comparisons`` yields
 with its file: every construction once, every simulation at 1 and 2
-workers, and ``ODD_WORKERS`` at 3 as well.  CI runs it with the rest of
+workers, and ``ODD_WORKERS``, whose points stop after their work units
+shrank, at 3 as well.  The CSV bytes cannot depend on the worker count or
+on the sizes of the work units: counters are committed per batch, in
+batch order.  CI runs it with the rest of
 the suite.
 
 After a declared output change, regenerate them with
@@ -26,7 +29,9 @@ from nupolar import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # The ``nupolar`` arguments of each golden file.  The comments count frames
-# in the work units of ``harness._work_units``.
+# in the work units ``run_point`` draws at one worker (``harness._unit_size``
+# sizes them: full units while the error target is far, fewer batches as it
+# nears).
 RUNS = {
     # One code per named rule: each shortening pattern, re-polarized and
     # baseline, each repetition rule, the mother code and the BEC oracle.
@@ -44,9 +49,10 @@ RUNS = {
     # Extended SC: 2 dB stops on its error target inside the first unit,
     # 4 dB at the frame cap.
     "ext64-sc.csv": "simulate --N 64 --M 80 --K 40 --method NUPGA_extended --ebno-sweep 2,4 --max-frames 2048",
-    # 2 dB meets its error target inside the second 4-batch unit (frame
-    # 1280), so the workers' later batches must be dropped; 3 dB at the end
-    # of the third.
+    # 2 dB runs one 4-batch unit, then a unit shrunk to the one batch its
+    # running FER predicts, and meets its error target there (frame 1280);
+    # 3 dB at the end of the third 4-batch unit.  With more workers, the
+    # units still in flight at the stop must be dropped.
     "ext64-sc-unit-stop.csv": "simulate --N 64 --M 80 --K 40 --method NUPGA_extended --ebno-sweep 2,3 "
                               "--min-frame-errors 300 --max-frames 100000",
     # CA-SCL with a 36-bit payload, not a whole number of bytes.
@@ -61,8 +67,9 @@ RUNS = {
     # Shortened SC: the decoder meets known-zero (+inf) LLRs.
     "short512-sc.csv": "simulate --N 512 --M 320 --K 160 --method NUPGA_shortened --pattern-method NAT_PD "
                        "--ebno-sweep 2,3 --max-frames 1024",
-    # Shortened SC in 2-batch units: 2 dB meets its error target inside
-    # the fourth (frame 1792), 1.5 dB at the end of the second.
+    # Shortened SC in 4-batch units: 1.5 dB meets its error target at the
+    # end of the first (frame 1024); 2 dB runs one, then a unit shrunk to 3
+    # batches, and meets its target there (frame 1792).
     "short512-sc-unit-stop.csv": "simulate --N 512 --M 320 --K 160 --method NUPGA_shortened --pattern-method NAT_PD "
                                  "--ebno-sweep 1.5,2 --min-frame-errors 300 --max-frames 8192",
     # The same shortened code with SCL at L = 1, SC with its path metric:
@@ -84,8 +91,7 @@ RUNS = {
     "rqup256-sc.csv": "simulate --N 256 --M 200 --K 100 --method NUPGA_shortened --pattern-method RQUP "
                       "--ebno-sweep 2,3 --max-frames 2000",
     # CW-shortened SCL, also with scattered positions never sent: 1 dB stops
-    # on its error target; 3 dB runs a 2-batch unit and a short last one
-    # (488 frames).
+    # on its error target; 3 dB runs all 1000 frames in one unit.
     "cw128-scl.csv": "simulate --N 128 --M 100 --K 50 --method NUPGA_shortened --pattern-method CW --decoder SCL "
                      "--list-size 4 --ebno-sweep 1,3 --max-frames 1000",
     # The same CW-shortened code with SC: its dead channel positions are
@@ -96,7 +102,7 @@ RUNS = {
 }
 
 # Simulations also compared at 3 workers, an odd worker count.
-ODD_WORKERS = ("ext64-sc-unit-stop.csv",)
+ODD_WORKERS = ("ext64-sc-unit-stop.csv", "short512-sc-unit-stop.csv")
 
 
 def comparisons():

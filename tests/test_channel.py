@@ -160,6 +160,27 @@ class TestFrameDraws:
         with pytest.raises(ValueError, match="frame index must be a whole number"):
             frame_draws(ChannelConfig(2.0, 0.5), 1.5, 2, 8, 4)
 
+    @pytest.mark.parametrize("frame_index", [-1, 2**64, -(2**64)])
+    def test_frame_index_outside_the_key_word_is_rejected(self, frame_index):
+        # The index is the key's second 64-bit word; it once raised OverflowError.
+        with pytest.raises(ValueError, match=r"frame index must lie in \[0, 2\^64\)"):
+            frame_rng(0, frame_index)
+
+    @pytest.mark.parametrize("start, count", [(2**64 - 1, 2), (-1, 1), (-2, 3), (2**64, 0)])
+    def test_frame_range_is_checked_before_any_draw(self, start, count):
+        # Frames 2^64 - 1 and 2^64: the first once drew, then the loop raised
+        # OverflowError; now the range fails as a whole and nothing is drawn.
+        chan = ChannelConfig(2.0, 0.5, seed=4)
+        out = np.full((count, 4), 7.0)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            frame_draws(chan, start, count, 8, 4, out=out)
+        assert (out == 7.0).all()
+        # The last two frames of the index range draw as frame_rng keys them.
+        bits, noise = frame_draws(chan, 2**64 - 2, 2, 8, 4)
+        want_bits, want_noise = self.per_frame(4, 2**64 - 2, 2, 8, 4, chan.sigma)
+        np.testing.assert_array_equal(bits, want_bits)
+        assert np.array_equal(noise.view(np.uint64), want_noise.view(np.uint64))
+
     @pytest.mark.parametrize("seed", [2**63 + 5, 0xDEADBEEFCAFEF00D, -1, -7, 2**64 + 3])
     def test_frame_rng_key_is_exact(self, seed):
         # A seed word of 2^63 or more once went through float64: seeds lost

@@ -283,10 +283,12 @@ class TestSelect:
                 select_information_set(rel, 1)
 
     def test_rejects_fractional_count(self):
-        # Rejected, not truncated to K = 3; a whole float still selects.
-        with pytest.raises(ConstructionError, match="whole numbers"):
-            select_information_set([1.0, 2.0, 3.0, 4.0], 3.7)
-        assert np.count_nonzero(~select_information_set([1.0, 2.0, 3.0, 4.0], 3.0)) == 3
+        # Rejected, not truncated to K = 3; a whole float is no count either,
+        # as in ExperimentConfig.
+        for K in (3.7, 3.0, True):
+            with pytest.raises(ConstructionError, match="payload length must be a whole number"):
+                select_information_set([1.0, 2.0, 3.0, 4.0], K)
+        assert np.count_nonzero(~select_information_set([1.0, 2.0, 3.0, 4.0], np.int64(3))) == 3
 
 
 class TestMotherCode:
@@ -302,10 +304,12 @@ class TestMotherCode:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConstructionError):
             build_mother_code(96, 48)
-        # Rejected, not truncated to N = 64; a whole float still builds.
-        with pytest.raises(ConstructionError, match="whole numbers"):
-            build_mother_code(64.5, 32)
-        assert build_mother_code(64.0, 32).mother_len == 64
+        # Rejected, not truncated to N = 64; a whole float is rejected too,
+        # for N and K alike, as ExperimentConfig(N=64.0) is.
+        for N, K in ((64.5, 32), (64.0, 32), (8, 4.0), (8, True)):
+            with pytest.raises(ConstructionError, match="must be a whole number"):
+                build_mother_code(N, K)
+        assert build_mother_code(np.int64(64), np.uint64(32)).mother_len == 64
 
     @pytest.mark.parametrize("design_snr_db", [4000.0, float("inf"), float("nan")], ids=["4000", "inf", "nan"])
     def test_rejects_non_finite_design_point(self, design_snr_db):
@@ -392,13 +396,17 @@ class TestShorteningPattern:
             shortening_pattern("NAT_PD", 8, 4)
         with pytest.raises(ConstructionError):
             shortening_pattern("XYZ", 8, 6)
-        # A fractional M is a construction error, not a TypeError or a truncation.
+        # A fractional M is a construction error, not a TypeError or a
+        # truncation; so is a whole float, M = N (the mother code) included.
         for method in PATTERN_METHODS:
-            with pytest.raises(ConstructionError, match="whole numbers"):
-                shortening_pattern(method, 64, 40.5)
-            with pytest.raises(ConstructionError, match="whole numbers"):
-                build_shortened_code(64, 40.5, 20, method)
-        assert build_shortened_code(64, 40.0, 20, "CW").tx_len == 40
+            for M in (40.5, 40.0, 64.0):
+                with pytest.raises(ConstructionError, match="shortened length must be a whole number"):
+                    shortening_pattern(method, 64, M)
+                with pytest.raises(ConstructionError, match="shortened length must be a whole number"):
+                    build_shortened_code(64, M, 20, method)
+            with pytest.raises(ConstructionError, match="payload length must be a whole number"):
+                build_shortened_code(64, 40, 20.0, method)
+        assert build_shortened_code(64, np.int64(40), 20, "CW").tx_len == 40
 
 
 class TestBuildShortened:
@@ -492,13 +500,16 @@ class TestBuildExtended:
         with pytest.raises(ConstructionError):
             build_extended_code(8, 3, 0)
         # Rejected, not truncated to delta_M = 16 or to positions 60, 61, 62.
-        with pytest.raises(ConstructionError, match="whole numbers"):
-            build_extended_code(64, 16.7, 40)
+        # A scalar length must be an integer, a whole float too; the
+        # pattern's index array still takes whole floats.
+        for delta_M, K in ((16.7, 40), (16.0, 40), (16, 40.0)):
+            with pytest.raises(ConstructionError, match="length must be a whole number"):
+                build_extended_code(64, delta_M, K)
         with pytest.raises(ConstructionError, match="whole numbers"):
             RateMatchPattern("extend", [60.5, 61.5, 62.9])
-        assert build_extended_code(64, 16.0, 40).tx_len == 80
+        assert build_extended_code(64, np.int64(16), 40).tx_len == 80
         # Nor read as 1: a boolean is not a whole number.
-        with pytest.raises(ConstructionError, match="whole numbers"):
+        with pytest.raises(ConstructionError, match="extension length must be a whole number"):
             build_extended_code(8, True, 3)
         with pytest.raises(ConstructionError, match="whole numbers"):
             RateMatchPattern("extend", [True, 5])
@@ -554,8 +565,9 @@ class TestBecConstruct:
                 evolve_bec(eps)
         with pytest.raises(ConstructionError):
             bec_construct([np.nan, 0.5, 0.5, 0.5], 2)
-        with pytest.raises(ConstructionError, match="whole numbers"):
-            bec_construct(np.full(8, 0.5), 3.7)
+        for K in (3.7, 3.0):
+            with pytest.raises(ConstructionError, match="payload length must be a whole number"):
+                bec_construct(np.full(8, 0.5), K)
         with pytest.raises(ConstructionError, match="one-dimensional"):
             evolve_bec(np.full((2, 2), 0.5))
         for K in (-1, 9):
@@ -597,7 +609,12 @@ class TestCodeSpec:
                             ({"pattern": {"kind": "none", "indices": [None, None]}}, "pattern indices must be whole"),
                             ({"pattern": {"kind": "none", "indices": [float("inf")]}}, "pattern indices must be whole"),
                             ({"design_snr_db": "abc"}, "design_snr_db must be a number"),
-                            ({"design_snr_db": None}, "design_snr_db must be a number")):
+                            ({"design_snr_db": None}, "design_snr_db must be a number"),
+                            # A length is an integer, as in ExperimentConfig: 8.0 is not one.
+                            ({"mother_len": 8.0}, "mother length must be a whole number"),
+                            ({"payload_len": 3.0}, "payload length must be a whole number"),
+                            ({"tx_len": 8.0}, "tx length must be a whole number"),
+                            ({"tx_len": True}, "tx length must be a whole number")):
             doc = json.loads(build_mother_code(8, 3).to_json()) | edit
             with pytest.raises(ConstructionError, match=match):
                 CodeSpec.from_json(json.dumps(doc))

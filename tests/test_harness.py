@@ -1,7 +1,10 @@
+import collections
 import faulthandler
+import fractions
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -21,7 +24,7 @@ from nupolar.construction import (
     build_extended_code,
     build_shortened_code,
 )
-from nupolar.harness import BATCH_FRAMES, ExperimentConfig, _work_units, build_spec, run_point, run_sweep
+from nupolar.harness import BATCH_FRAMES, ExperimentConfig, build_spec, run_point, run_sweep
 from nupolar.ratematch import dematch, tx_frame
 
 
@@ -32,11 +35,40 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
-def units_of(cfg):
-    """The ``(start, count)`` work units of ``cfg``'s points, sized by the
-    list size of the decoder ``run_point`` builds for them."""
-    decode = harness.message_decoder(build_spec(cfg), cfg.decoder, cfg.list_size)
-    return list(_work_units(cfg, decode.list_size))
+# One work unit as run_point draws it: its frames, and the cap and the
+# counters committed when it was drawn.
+Drawn = collections.namedtuple("Drawn", "start count cap frames frame_errors")
+
+
+def record_units(monkeypatch):
+    """The list of :class:`Drawn` units that later ``run_point`` calls draw,
+    in order.  The parent sizes every unit, so this holds at any worker count."""
+    drawn, size = [], harness._unit_size
+
+    def recorded(cfg, cap, last, start, frames, frame_errors):
+        count = size(cfg, cap, last, start, frames, frame_errors)
+        drawn.append(Drawn(start, count, cap, frames, frame_errors))
+        return count
+
+    monkeypatch.setattr(harness, "_unit_size", recorded)
+    return drawn
+
+
+def failing_every(every, until=None):
+    """A stand-in for ``harness._sim_chunk`` that decodes nothing: frame ``j``
+    fails, with one bit error, when ``every`` divides it and ``j < until``
+    (never when ``every`` is 0).  Its counters depend only on the frame
+    indices, as the real chunk's do."""
+    def chunk(spec, cfg, chan, buffers, decode, unit):
+        start, count = unit
+        counters = []
+        for a in range(start, start + count, BATCH_FRAMES):
+            b = min(a + BATCH_FRAMES, start + count)
+            end = b if until is None else max(a, min(b, until))
+            errors = (end - 1) // every - (a - 1) // every if every else 0  # the multiples in [a, end)
+            counters.append((b - a, errors, errors))
+        return counters
+    return chunk
 
 
 def replay_sc(cfg, spec, ebno):
@@ -292,15 +324,41 @@ class TestRunPoint:
 
         monkeypatch.setattr(multiprocessing.connection.Connection, "send", counted_send)
         monkeypatch.setattr(multiprocessing.connection.Connection, "recv", counted_recv)
+        drawn = record_units(monkeypatch)
         cfg = small_cfg(max_frames=100_000, min_frame_errors=300)
         p = run_point(cfg, 3.0, workers=workers)
-        assert p.stop == "errors"
-        committed = sum(start < p.frames for start, _ in units_of(cfg))
+        assert p.stop == "errors" and sent == len(drawn)
+        committed = sum(unit.start < p.frames for unit in drawn)
         assert committed > workers + 1
         assert peak == workers + 1
         # Nothing is sent past the stopping point but the units already in flight.
         assert received == committed and sent <= committed + workers
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_frames_sent(self, monkeypatch, workers):
+        # 12 dB stops at the frame cap, 2 dB on the error target.  A point
+        # hands out at least the frames it commits and never a frame past
+        # max_frames; at one worker, an error stop leaves less than its
+        # last unit uncommitted.
+        drawn = record_units(monkeypatch)
+        cfg = small_cfg(ebno_sweep=(12.0, 2.0), max_frames=5000, min_frame_errors=300)
+        rep = run_sweep(cfg, workers=workers)
+        clean, noisy = rep.points
+        assert (clean.stop, noisy.stop) == ("frames", "errors")
+        assert clean.frames_sent == clean.frames == 5000
+        assert noisy.frames_sent >= noisy.frames
+        if workers == 1:
+            assert noisy.frames_sent - noisy.frames < drawn[-1].count
+        # The count goes to the JSON report only.
+        assert [p["frames_sent"] for p in rep.to_json_dict()["points"]] == [clean.frames_sent, noisy.frames_sent]
+        assert all(len(row.split(",")) == 6 for row in rep.csv_text().splitlines())
+        # The units, and so frames_sent, depend on the committed counters
+        # and the worker count alone, not on the workers' timing.
+        first = list(drawn)
+        drawn.clear()
+        again = run_sweep(cfg, workers=workers)
+        assert drawn == first and [p.frames_sent for p in again.points] == [clean.frames_sent, noisy.frames_sent]
 
     def test_fer_at_least_ber(self):
         p = run_point(small_cfg(), 1.0)
@@ -336,20 +394,22 @@ class TestRunPoint:
             assert p.stop == ("errors" if ebno == 2.0 else "frames")
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_reused_workspace_replays_the_public_chain(self, workers):
-        # 1000 frames at N = 512 run in units of 512 and 488 frames: the
-        # point's buffers hold 512 rows, the last unit uses their leading
+    def test_reused_workspace_replays_the_public_chain(self, workers, monkeypatch):
+        # 2000 frames at N = 512 run in units of 1024 and 976 frames: the
+        # point's buffers hold 1024 rows, the last unit uses their leading
         # rows, and RQUP leaves scattered positions never sent, which
         # dematch must refill in every unit.
         cfg = ExperimentConfig(N=512, M=400, K=200, method="NUPGA_shortened", pattern_method="RQUP",
-                               decoder="SC", max_frames=1000, min_frame_errors=10**6, seed=8)
-        assert [count for _, count in units_of(cfg)] == [512, 488]
+                               decoder="SC", max_frames=2000, min_frame_errors=10**6, seed=8)
         spec = build_spec(cfg)
         assert np.diff(spec.pattern.indices).max() > 1
+        drawn = record_units(monkeypatch)
         for ebno in (1.5, 2.5):
+            drawn.clear()
             p = run_point(cfg, ebno, workers=workers, spec=spec)
+            assert [unit.count for unit in drawn] == [1024, 976]
             assert (p.frames, p.bit_errors, p.frame_errors) == replay_sc(cfg, spec, ebno), ebno
-            assert p.frames == 1000 and p.frame_errors > 0
+            assert p.frames == 2000 and p.frame_errors > 0
 
 
 class TestSimChunk:
@@ -405,7 +465,7 @@ class TestPointDecoder:
         # (one that tried would raise in the caller).
         cfg = small_cfg(decoder=decoder, list_size=4, crc_len=24 if decoder == "CASCL" else 0,
                         max_frames=3 * 4 * BATCH_FRAMES + 100, min_frame_errors=10**6)
-        assert len(units_of(cfg)) == 4
+        drawn = record_units(monkeypatch)
         parent, built = os.getpid(), []
         init = codec._ListDecoder.__init__
 
@@ -416,38 +476,96 @@ class TestPointDecoder:
 
         monkeypatch.setattr(codec._ListDecoder, "__init__", counted)
         p = run_point(cfg, 2.0, workers=workers)
-        assert p.frames == cfg.max_frames and len(built) == 1
+        assert p.frames == cfg.max_frames and len(built) == 1 and len(drawn) == 4
         assert multiprocessing.active_children() == []
 
 
 class TestWorkUnits:
+    @staticmethod
+    def run_failing(monkeypatch, cfg, every, workers=1, until=None):
+        """run_point on ``cfg`` at 2 dB with :func:`failing_every` in place
+        of the chunk: the unit policy at a set FER, without decoding."""
+        monkeypatch.setattr(harness, "_sim_chunk", failing_every(every, until))
+        return run_point(cfg, 2.0, workers=workers)
+
     @pytest.mark.parametrize("max_frames", [1, 255, 256, 1000, 4096, 10_000])
     @pytest.mark.parametrize("N", [16, 64, 512])
-    def test_units_tile_the_frames(self, N, max_frames):
-        units = units_of(small_cfg(N=N, K=N // 2, max_frames=max_frames))
-        starts = [start for start, _ in units]
-        ends = list(itertools.accumulate(count for _, count in units))
-        assert starts == [0] + ends[:-1]
-        assert ends[-1] == max_frames
-        assert all(start % BATCH_FRAMES == 0 for start in starts)
+    def test_units_tile_the_frames(self, N, max_frames, monkeypatch):
+        # Units are whole batches from frame 0 and the last ends at
+        # max_frames, whether they hold the cap throughout (no frame fails)
+        # or shrink as the error target nears (every third frame fails, so
+        # the target is met by the last batch).
+        drawn = record_units(monkeypatch)
+        cfg = small_cfg(N=N, K=N // 2, max_frames=max_frames, min_frame_errors=-(-max_frames // 3))
+        for every in (0, 3):
+            drawn.clear()
+            p = self.run_failing(monkeypatch, cfg, every)
+            starts = [unit.start for unit in drawn]
+            ends = list(itertools.accumulate(unit.count for unit in drawn))
+            assert starts == [0] + ends[:-1]
+            assert ends[-1] == p.frames == p.frames_sent == max_frames
+            assert all(start % BATCH_FRAMES == 0 for start in starts)
+            assert p.stop == ("errors" if every else "frames")
 
     @pytest.mark.parametrize("N, L, batches", [
         (16, 1, 4), (32, 1, 4), (64, 1, 4), (64, 2, 4), (128, 1, 4),
-        (256, 1, 4), (512, 1, 2), (64, 8, 2), (1024, 1, 1),
+        (256, 1, 4), (512, 1, 4), (64, 8, 4), (1024, 1, 2),
     ])
-    def test_units_have_the_cap_size(self, N, L, batches):
-        # The cap is the most whole batches with frames * L * N <= 2^18, at
-        # most 4.  Every unit but the last holds it; the last ends at max_frames.
+    def test_units_have_the_cap_size(self, N, L, batches, monkeypatch):
+        # The cap is the most whole batches with frames * L * N <= 2^19, at
+        # most 4.  While no frame fails, every unit but the last holds it;
+        # the last ends at max_frames.
+        drawn = record_units(monkeypatch)
         cfg = small_cfg(N=N, K=N // 2, decoder="SCL" if L > 1 else "SC", list_size=L,
                         max_frames=3 * batches * BATCH_FRAMES + 100)
+        self.run_failing(monkeypatch, cfg, 0)
         size = batches * BATCH_FRAMES
-        assert units_of(cfg) == [(0, size), (size, size), (2 * size, size), (3 * size, 100)]
+        assert [(unit.start, unit.count) for unit in drawn] == [(0, size), (size, size), (2 * size, size),
+                                                                (3 * size, 100)]
+        assert {unit.cap for unit in drawn} == {size}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_units_shrink_as_the_target_nears(self, monkeypatch, workers):
+        # Every fifth frame fails, so the 1900th error is frame 9495.  Units
+        # hold the cap until the running FER predicts that the frames
+        # handed out (committed plus in flight) plus one full unit meet the
+        # target; from then on each holds the whole batches that prediction
+        # still needs, at least one.  They never grow.
+        drawn = record_units(monkeypatch)
+        cfg = small_cfg(max_frames=100_000, min_frame_errors=1900)
+        p = self.run_failing(monkeypatch, cfg, 5, workers)
+        assert p.stop == "errors" and p.frames == 38 * BATCH_FRAMES
+        counts = [unit.count for unit in drawn]
+        assert counts == sorted(counts, reverse=True)
+        predicted = [unit.frame_errors * (unit.start + unit.cap) >= unit.frames * cfg.min_frame_errors > 0
+                     for unit in drawn]
+        first = predicted.index(True)
+        assert 0 < first and not any(predicted[:first]) and all(predicted[first:])
+        assert set(counts[:first]) == {4 * BATCH_FRAMES}
+        for unit in drawn[first:]:
+            need = fractions.Fraction(unit.frames * cfg.min_frame_errors, unit.frame_errors) - unit.start
+            assert BATCH_FRAMES <= unit.count <= BATCH_FRAMES * max(1, math.ceil(need / BATCH_FRAMES))
+        assert counts[-1] < 4 * BATCH_FRAMES
+        # The frames past the stop are at most the units in flight.
+        assert p.frames_sent == sum(counts) and p.frames_sent - p.frames < sum(counts[-workers - 1:])
+
+    def test_units_do_not_grow_back_when_the_fer_falls(self, monkeypatch):
+        # Every fifth frame before frame 6000 fails and none after, so the
+        # 1300-error target is never met.  The prediction first holds at
+        # frame 6144 (2 batches needed); as clean batches commit, it asks
+        # for more, then fails, but no unit holds more than the one before.
+        drawn = record_units(monkeypatch)
+        cfg = small_cfg(max_frames=20_000, min_frame_errors=1300)
+        p = self.run_failing(monkeypatch, cfg, 5, until=6000)
+        assert p.stop == "frames" and p.frames_sent == 20_000
+        counts = [unit.count for unit in drawn]
+        assert counts[:7] == [1024] * 6 + [512] and set(counts[7:-1]) == {512}
 
     def test_units_follow_the_built_decoder(self, monkeypatch):
         # SC walks one path whatever list_size says, so its units hold 4
-        # batches at N = 64.  Built as SCL from the same config, the decoder
-        # walks 8, and the units and buffers hold 2 batches.
-        cfg = small_cfg(list_size=8, max_frames=1100, min_frame_errors=10**6)
+        # batches at N = 128.  Built as SCL from the same config, the
+        # decoder walks 8, and the units and buffers hold 2 batches.
+        cfg = small_cfg(N=128, K=64, list_size=8, max_frames=1100, min_frame_errors=10**6)
         build, chunk, seen = harness.message_decoder, harness._sim_chunk, []
 
         def recorded(spec, cfg, chan, buffers, decode, unit):
@@ -464,31 +582,41 @@ class TestWorkUnits:
         assert sc.frames == scl.frames == 1100
 
     @pytest.mark.parametrize("cfg", [
-        ExperimentConfig(N=1024, K=512, max_frames=8192),
+        ExperimentConfig(N=512, K=256, decoder="SCL", list_size=8, max_frames=8192),
         ExperimentConfig(N=512, M=280, K=128, method="NUPGA_shortened", decoder="CASCL",
                          list_size=16, crc_len=24, max_frames=8192),
-        ExperimentConfig(N=64, K=40, decoder="CASCL", list_size=16, crc_len=24, max_frames=8192),
+        ExperimentConfig(N=128, K=64, decoder="CASCL", list_size=16, crc_len=24, max_frames=8192),
     ])
-    def test_one_batch_cap(self, cfg):
-        assert {count for _, count in units_of(cfg)} == {BATCH_FRAMES}
+    def test_one_batch_cap(self, cfg, monkeypatch):
+        # A list of 8 at N = 512 or of 16 at N = 128 or more holds more than
+        # 2^19 LLRs in two batches.
+        drawn = record_units(monkeypatch)
+        self.run_failing(monkeypatch, cfg, 0)
+        assert {unit.count for unit in drawn} == {BATCH_FRAMES} and len(drawn) == 32
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unit_size_does_not_change_results(self, monkeypatch, workers):
+        # The counters equal those of one-batch units.
         cfgs = [small_cfg(ebno_sweep=(2.0,), max_frames=100_000, min_frame_errors=300),
                 small_cfg(N=512, M=320, K=160, method="NUPGA_shortened", pattern_method="NAT_PD",
                           ebno_sweep=(2.0,), max_frames=8192, min_frame_errors=300)]
-        multi = [run_sweep(cfg, workers=workers) for cfg in cfgs]
-        for cfg, rep in zip(cfgs, multi):
-            # The error target is met inside a unit of several batches (4 at
-            # N = 64, 2 at N = 512), so the batches after it in that unit
-            # must be dropped.
-            ends = list(itertools.accumulate(count for _, count in units_of(cfg)))
-            assert rep.points[0].stop == "errors" and rep.points[0].frames not in ends
+        drawn = record_units(monkeypatch)
+        multi = []
+        for cfg in cfgs:
+            drawn.clear()
+            multi.append(run_sweep(cfg, workers=workers))
+            # The point stops on its error target after its units shrank,
+            # the shrinking path: full units, then smaller ones before the
+            # frame cap.
+            counts = [unit.count for unit in drawn]
+            assert multi[-1].points[0].stop == "errors"
+            assert counts[0] == drawn[0].cap > min(counts) and sum(counts) < cfg.max_frames
         monkeypatch.setattr(harness, "UNIT_LLRS", 0)
-        strip = lambda p: {k: v for k, v in vars(p).items() if k != "wall_time_s"}  # noqa: E731
+        strip = lambda p: {k: v for k, v in vars(p).items() if k not in ("wall_time_s", "frames_sent")}  # noqa: E731
         for cfg, rep in zip(cfgs, multi):
-            assert max(count for _, count in units_of(cfg)) == BATCH_FRAMES
+            drawn.clear()
             single = run_sweep(cfg, workers=workers)
+            assert {unit.count for unit in drawn} == {BATCH_FRAMES}
             assert strip(single.points[0]) == strip(rep.points[0])
             assert single.csv_text() == rep.csv_text()
 
