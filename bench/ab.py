@@ -16,7 +16,9 @@ Each workload runs on as many of the process's allowed cores as it has
 workers (the last ones), so a 1-worker workload keeps to one core.  Each
 pair times the two sides back to back, the order flipping every pair.
 The report gives per workload the median of the per-pair time ratios
-(head / base) and its quartiles, and checks that both sides give equal
+(head / base) and its quartiles, each side's per-op times and their
+quartiles (so the base side's own spread shows beside a claimed gain), and
+checks that both sides give equal
 frozen masks and rate-matching patterns (every workload) and error
 counters ``(frames, bit_errors, frame_errors)`` (the simulation
 workloads).  Beside each op's time it reports each side's median frames
@@ -189,7 +191,8 @@ def compare(workload, base, head, pairs: int) -> dict:
                    f"{statistics.median(head_c) * 1e3:.1f} ms" if children else "")
     base_sent, head_sent = sent_median(base_n), sent_median(head_n)
     shown = ["none" if n is None else f"{n:.0f}" for n in (base_sent, head_sent)]
-    print(f"{workload.name:22s} base {statistics.median(base_s) * 1e3:9.2f} ms  head "
+    base_q = np.percentile(base_s, [25, 50, 75])
+    print(f"{workload.name:22s} base {base_q[1] * 1e3:9.2f} ms (IQR {base_q[0] * 1e3:.2f}-{base_q[2] * 1e3:.2f})  head "
           f"{statistics.median(head_s) * 1e3:9.2f} ms  frames sent/op {shown[0]} -> {shown[1]}"
           f"  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
           f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}"
@@ -202,6 +205,8 @@ def compare(workload, base, head, pairs: int) -> dict:
         "pairs": pairs,
         "base_median_s": statistics.median(base_s),
         "head_median_s": statistics.median(head_s),
+        "base_quartiles_s": base_q.tolist(),
+        "head_quartiles_s": np.percentile(head_s, [25, 50, 75]).tolist(),
         "base_frames_sent_median": base_sent,
         "head_frames_sent_median": head_sent,
         "ratio_median": med,
@@ -219,6 +224,8 @@ def compare(workload, base, head, pairs: int) -> dict:
         "equal": not diffs,
         "differences": diffs,
         "ratios": ratios.tolist(),
+        "base_s": base_s,
+        "head_s": head_s,
         "base_minor_faults": base_f,
         "head_minor_faults": head_f,
         "base_workers_cpu_s": base_c if children else None,

@@ -1,9 +1,11 @@
+import warnings
+
 import ga_reference
 import numpy as np
 import pytest
 
 from nupolar import numerics
-from nupolar.numerics import bec_pair, nupga_pair, phi, phi_inv
+from nupolar.numerics import G_MODES, bec_pair, nupga_pair, phi, phi_inv
 
 
 def phi_smallx(x):
@@ -181,33 +183,65 @@ class TestBitIdentity:
             assert type(got) is float
             assert got == ga_reference.phi_inv(y)
 
-    def test_fast_path_calls_phi_at_most_24_times(self, monkeypatch):
+    def test_fast_path_calls_phi_at_most_15_times(self, monkeypatch):
         # Seeded and jumped to depth ~40, each target needs about 13 more
         # bisection steps; the full bisection took 90 calls.  Targets in the
-        # junction band restart at [0, 3000], so they are left out.
-        band = fast_path_targets()["junction_band"]
-        y = np.logspace(-300, 0, 512)
-        y = y[(y < band.min()) | (y > band.max())]
+        # junction band leave the recorded path toward 10 and jump inside
+        # the half they take, so they cost no more.
+        y = np.concatenate([np.logspace(-300, 0, 512), fast_path_targets()["junction_band"]])
         calls = []
         monkeypatch.setattr(numerics, "_phi", lambda x: calls.append(x.size) or ga_reference.phi(x))
         got = phi_inv(y)
-        assert len(calls) <= 24
+        assert len(calls) <= 15
         assert np.array_equal(got, ga_reference.phi_inv(y))
 
+    def test_only_subnormal_targets_restart(self):
+        # A target whose jump fails the check and that has no narrower
+        # bracket starts over at [0, 3000].
+        for name, y in bisection_targets().items():
+            targets = np.unique(y)
+            with np.errstate(divide="ignore", over="ignore"):
+                lo, hi = numerics._phi_inv_start(targets)
+            restarted = targets[(lo == 0.0) & (hi == numerics._PHI_INV_HI)]
+            assert np.all(restarted < np.finfo(float).smallest_normal), name
+
+    def test_band_targets_start_on_one_side_of_10(self):
+        band = np.unique(fast_path_targets()["junction_band"])
+        lo, hi = numerics._phi_inv_start(band)
+        assert np.all(0.0 < lo) and np.all((hi <= 10.0) | (lo > 10.0))
+
     def test_wrong_large_branch_seed_only_costs_time(self, monkeypatch):
-        # A seed hundreds of cells off fails the check, and its target goes
-        # back to [0, 3000].
+        # A seed hundreds of cells off fails the check, and its target starts
+        # from its bracket: [0, 3000], or its half on one side of 10.
         root = numerics._large_branch_root
         monkeypatch.setattr(numerics, "_large_branch_root", lambda ln_y: root(ln_y) * (1 + 1e-9))
         y = np.concatenate([fast_path_targets()["junction_band"], np.logspace(-300, 0, 200)])
         assert np.array_equal(phi_inv(y), ga_reference.phi_inv(y))
 
     def test_phi(self):
-        x = np.concatenate([[0.0, 1e-300, 10.0, 1e300, np.inf], np.logspace(-6, 6, 5001)])
+        x = np.concatenate([[0.0, 5e-324, 1e-310, 1e-300, 10.0, 1e300, np.inf], np.logspace(-6, 6, 5001)])
         with np.errstate(over="ignore"):  # the reference's 7 x overflows at 1e300
             want = ga_reference.phi(x)
         assert np.array_equal(phi(x), want)
         assert phi(4.0) == ga_reference.phi(4.0)
+
+
+class TestNoWarnings:
+    """At x = 0 the large branch divides by 0 and at x = inf both branches
+    meet infinities; the branch np.where drops, and the clamp, keep the
+    values right, and no RuntimeWarning leaves the module."""
+
+    def test_phi_phi_inv_and_nupga_pair_are_silent_at_0_and_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi(0.0) == 1.0 and phi(np.inf) == 0.0
+            assert np.array_equal(phi(np.array([0.0, np.inf])), [1.0, 0.0])
+            assert phi_inv(1.0) == 0.0
+            assert np.array_equal(phi_inv(np.array([1.0, 5e-324])), ga_reference.phi_inv([1.0, 5e-324]))
+            for g_mode in G_MODES:
+                assert nupga_pair(0.0, 0.0, g_mode) == (0.0, 0.0)
+                assert nupga_pair(np.inf, np.inf, g_mode) == (np.inf, np.inf)
+                assert nupga_pair(0.0, np.inf, g_mode) == (0.0, np.inf if g_mode == "sum" else 0.0)
 
 
 class TestGaPairUniform:
