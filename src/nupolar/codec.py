@@ -337,7 +337,9 @@ class _ListDecoder:
         n = x.shape[1]
         u = np.empty((N, B, L), dtype=np.uint8)
         u[n:] = 0  # the dead columns' codeword bits
-        for i in range(0, B * L, 64):  # blocks stay in cache: 5x faster at B*L = 4096, N = 512
+        # 64-row blocks stay in cache: 0.51 ms against 0.64 ms for a plain x.T at B*L x n = 4096 x 280,
+        # 0.10 ms against 0.17 ms at 1024 x 320 (median of 30 on one pinned core of an x86-64 VM).
+        for i in range(0, B * L, 64):
             u.reshape(N, B * L)[:n, i : i + 64] = x[i : i + 64].T
         msgs = _butterfly(u, _xor)[~self.frozen].transpose(1, 2, 0)
         return msgs, None if self.pm is None else self.pm.ravel()[order].reshape(B, L)

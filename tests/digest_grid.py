@@ -16,18 +16,10 @@ digest is the first 16 hex digits of the SHA-256 of the spec's
 ``to_json()`` (mask, pattern, tx length and every other field) or of the
 error's text, after ``spec`` or ``ConstructionError``.
 ``test_digest_grid.py`` rebuilds the grid, one N at a time, and compares.
+``tests/golden.py`` writes the file with the golden files: each line names
+one code, so its diff lists the codes that moved."""
 
-After a declared change of construction, regenerate the file with
-
-    PYTHONPATH=src python3 tests/digest_grid.py
-
-which takes no arguments, rewrites it and prints a unified diff: each line
-names one code, so the diff lists the codes that moved."""
-
-import difflib
 import hashlib
-import sys
-from pathlib import Path
 
 from nupolar.construction import (
     PATTERN_METHODS,
@@ -39,7 +31,6 @@ from nupolar.construction import (
     build_shortened_code,
 )
 
-DIGESTS = Path(__file__).resolve().parent / "digest_grid.txt"
 LENGTHS = (64, 512, 1024, 4096)
 DESIGN_SNRS_DB = (-2.0, 0.0, 2.0, 5.0)
 G_MODES = ("sum", "product")
@@ -78,25 +69,3 @@ def line(builder, args) -> str:
 def lines(N: int) -> list:
     """The listing's lines for mother length ``N``, in grid order."""
     return [line(*code) for code in codes(N)]
-
-
-def moved(old: list, new: list, name: str = "digest_grid.txt") -> str:
-    """A unified diff of two listings: the codes whose digest moved."""
-    return "".join(difflib.unified_diff(old, new, f"old/{name}", f"new/{name}", n=0))
-
-
-def main(argv=None) -> int:
-    # Any argument is a mistake, and rewrites nothing.
-    extra = sys.argv[1:] if argv is None else argv
-    if extra:
-        print(f"digest_grid.py takes no arguments, got {' '.join(extra)}", file=sys.stderr)
-        return 2
-    old = DIGESTS.read_text().splitlines(True) if DIGESTS.exists() else []
-    new = [entry for N in LENGTHS for entry in lines(N)]
-    sys.stdout.write(moved(old, new))
-    DIGESTS.write_text("".join(new))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,22 +1,22 @@
-"""Golden files: the bytes ``nupolar`` writes for the codes it builds and
-for the BER/FER its decoders measure.  ``tests/golden/`` holds one file per
-entry of ``RUNS``: ``<name>.json``, the spec ``nupolar construct`` writes,
-and ``<name>.csv``, the CSV ``nupolar simulate`` writes at one worker.
+"""Pinned outputs: the bytes ``nupolar`` writes for the codes it builds and
+for the BER/FER its decoders measure, and the digests of the builder grid
+``digest_grid.py`` defines.  ``tests/golden/`` holds one file per entry of
+``RUNS``: ``<name>.json``, the spec ``nupolar construct`` writes, and
+``<name>.csv``, the CSV ``nupolar simulate`` writes at one worker.
 ``test_golden.py`` compares the output of every run ``comparisons`` yields
 with its file: every construction once, every simulation at 1 and 2
 workers, and ``ODD_WORKERS``, whose points stop after their work units
 shrank, at 3 as well.  The CSV bytes cannot depend on the worker count or
 on the sizes of the work units: counters are committed per batch, in
-batch order.  CI runs it with the rest of
-the suite.
+batch order.  ``test_digest_grid.py`` checks ``tests/digest_grid.txt``.
 
-After a declared output change, regenerate them with
+After a declared output change, regenerate every pinned file with
 
     PYTHONPATH=src python3 tests/golden.py
 
-which takes no arguments, rewrites every file and prints a unified diff
-of what moved: a spec holds one mask entry a line, so the diff names the
-positions."""
+which takes no arguments, rewrites the files and prints a unified diff of
+what moved: a spec holds one mask entry a line and the digest listing one
+code a line, so the diff names the positions and the codes."""
 
 import contextlib
 import difflib
@@ -24,9 +24,11 @@ import io
 import sys
 from pathlib import Path
 
+import digest_grid
 from nupolar import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = Path(__file__).resolve().parent / "digest_grid.txt"
 
 # The ``nupolar`` arguments of each golden file.  The comments count frames
 # in the work units ``run_point`` draws at one worker (``harness._unit_size``
@@ -127,6 +129,12 @@ def output(args: str) -> str:
     return out.getvalue()
 
 
+def moved(old: str, new: str, name: str) -> str:
+    """A unified diff, without context, of a pinned file's old and new text."""
+    return "".join(difflib.unified_diff(old.splitlines(True), new.splitlines(True),
+                                        f"old/{name}", f"new/{name}", n=0))
+
+
 def main(argv=None) -> int:
     # Any argument is a mistake, and rewrites nothing.
     extra = sys.argv[1:] if argv is None else argv
@@ -134,12 +142,10 @@ def main(argv=None) -> int:
         print(f"golden.py takes no arguments, got {' '.join(extra)}", file=sys.stderr)
         return 2
     GOLDEN.mkdir(exist_ok=True)
-    for name, args in RUNS.items():
-        path = GOLDEN / name
-        old = path.read_text() if path.exists() else ""
-        new = output(args)
-        sys.stdout.writelines(difflib.unified_diff(old.splitlines(True), new.splitlines(True),
-                                                   f"old/{name}", f"new/{name}"))
+    pinned = {GOLDEN / name: output(args) for name, args in RUNS.items()}
+    pinned[DIGESTS] = "".join(entry for N in digest_grid.LENGTHS for entry in digest_grid.lines(N))
+    for path, new in pinned.items():
+        sys.stdout.write(moved(path.read_text() if path.exists() else "", new, path.name))
         path.write_text(new)
     return 0
 
