@@ -24,8 +24,8 @@ counters ``(frames, bit_errors, frame_errors)`` (the simulation
 workloads).  Beside each op's time it reports each side's median frames
 sent per op, the frames the op handed to work units
 (``PointReport.frames_sent``, at least the frames committed), so a report
-tells less work from faster work; a side whose tree lacks the field, and
-the construction workload, report none.  It also counts the minor page
+tells less work from faster work; the construction workload reports
+none.  It also counts the minor page
 faults the op took (the ``ru_minflt`` delta of ``RUSAGE_SELF``, plus that
 of ``RUSAGE_CHILDREN`` for a multi-worker workload, whose pool is joined
 before the op returns) and reports each side's median.  The faults per op
@@ -40,18 +40,20 @@ ticks of 10 ms.  After the timed
 pairs it runs one more op per side, untimed, under ``tracemalloc`` and
 reports each side's peak traced memory: what numpy and Python allocate in
 this process, so for a multi-worker workload the pool's parent process
-only.
+only.  Each side keeps one record of its per-op samples (``SAMPLES``),
+and the report writes the same keys for both sides.
 
-Compare the parent commit with the working tree (``git archive`` output
-unpacked anywhere outside the repository):
+The head side is this checkout's ``src``.  Compare the parent commit with
+it (``git archive`` output unpacked anywhere outside the repository):
 
     git archive <parent> src | tar -x -C /tmp/parent
-    python3 bench/ab.py --base /tmp/parent/src --head src \\
+    python3 bench/ab.py --base /tmp/parent/src \\
         --base-label "$(git rev-parse --short <parent>)" --head-label <head> \\
         --pairs 30 --out bench/BENCH_<n>.json
 
 where ``<head>`` names the working tree, for example the head commit's
-short sha, or that sha with "+ working tree" while the change is uncommitted.
+short sha, or that sha with "+ working tree" while the change is
+uncommitted.  ``--base src`` times the checkout against itself (A/A).
 
 Run the tree against itself for a few pairs, as a quick check that the
 script works (no report unless ``--out`` is given):
@@ -85,6 +87,9 @@ import workloads  # noqa: E402  (the configurations only; ops run on the loaded 
 SMOKE_PAIRS = 2
 SEED = 0  # the benchmark's default seed, whose reference.json pins the masks
 ALLOWED_CORES = os.sched_getaffinity(0)
+SIDES = ("base", "head")
+# An op's samples, in the order ``timed`` gives them.
+SAMPLES = ("s", "minor_faults", "workers_cpu_s", "frames_sent")
 
 
 def load_tree(src: Path, name: str):
@@ -107,8 +112,7 @@ def spec_digest(spec) -> str:
 def make_op(lib, workload):
     """One op of ``workload`` on one tree: ``op(i)`` runs op ``i`` and returns
     what both trees must agree on, and the frames the op handed to work
-    units (``PointReport.frames_sent``; None for the construction workload
-    and for a tree whose report lacks the field)."""
+    units (``PointReport.frames_sent``; None for the construction workload)."""
     cfg_of = lambda cfg: lib.ExperimentConfig(**dataclasses.asdict(cfg))  # noqa: E731
     if workload.cfg is None:
         family = [cfg_of(cfg) for cfg in workloads.construct_family(SEED)]
@@ -119,7 +123,7 @@ def make_op(lib, workload):
     def op(i):
         cfg = cfg_of(workloads.op_config(workload, SEED, i))
         p = lib.run_point(cfg, workload.ebno_db, workers=workload.workers, spec=spec)
-        return (digest, p.frames, p.bit_errors, p.frame_errors), getattr(p, "frames_sent", None)
+        return (digest, p.frames, p.bit_errors, p.frame_errors), p.frames_sent
     return op
 
 
@@ -135,14 +139,14 @@ def usage(children: bool) -> np.ndarray:
 
 
 def timed(op, i: int, children: bool = False):
-    """Op ``i``'s wall time, minor page faults, workers' CPU seconds, output
-    and frames sent."""
+    """Op ``i``'s output and its samples: wall time, minor page faults,
+    workers' CPU seconds and frames sent."""
     u0 = usage(children)
     t0 = time.perf_counter()
     out, sent = op(i)
     t = time.perf_counter() - t0
     faults, cpu = usage(children) - u0
-    return t, int(faults), float(cpu), out, sent
+    return out, (t, int(faults), float(cpu), sent)
 
 
 def traced_peak_mb(op, i: int) -> float:
@@ -155,84 +159,68 @@ def traced_peak_mb(op, i: int) -> float:
         tracemalloc.stop()
 
 
-def sent_median(sent: list):
-    """The median frames sent per op, or None when the side reports none."""
-    return None if None in sent else statistics.median(sent)
+def median(samples):
+    """The median of a side's samples, or None when the side has none."""
+    return None if samples is None or None in samples else statistics.median(samples)
 
 
 def compare(workload, base, head, pairs: int) -> dict:
     cores = sorted(ALLOWED_CORES)[-workload.workers:]
     os.sched_setaffinity(0, cores)
-    base, head = make_op(base, workload), make_op(head, workload)
+    ops = {"base": make_op(base, workload), "head": make_op(head, workload)}
     children = workload.workers > 1
-    timed(base, 0), timed(head, 0)  # warm-up
-    base_s, head_s, base_f, head_f, base_c, head_c, base_n, head_n, diffs = [], [], [], [], [], [], [], [], []
+    for op in ops.values():
+        timed(op, 0)  # warm-up
+    sides = {side: {key: [] for key in SAMPLES} for side in SIDES}
+    diffs = []
     for i in range(pairs):
-        if i % 2:
-            (th, fh, ch, oh, nh), (tb, fb, cb, ob, nb) = timed(head, i, children), timed(base, i, children)
-        else:
-            (tb, fb, cb, ob, nb), (th, fh, ch, oh, nh) = timed(base, i, children), timed(head, i, children)
-        base_s.append(tb)
-        head_s.append(th)
-        base_f.append(fb)
-        head_f.append(fh)
-        base_c.append(cb)
-        head_c.append(ch)
-        base_n.append(nb)
-        head_n.append(nh)
-        if ob != oh:
-            diffs.append({"op": i, "base": ob, "head": oh})
-    base_mb, head_mb = traced_peak_mb(base, 0), traced_peak_mb(head, 0)
+        out = {}
+        for side in SIDES[::-1] if i % 2 else SIDES:
+            out[side], samples = timed(ops[side], i, children)
+            for key, value in zip(SAMPLES, samples):
+                sides[side][key].append(value)
+        if out["base"] != out["head"]:
+            diffs.append({"op": i, "base": out["base"], "head": out["head"]})
+    if not children:
+        for record in sides.values():
+            record["workers_cpu_s"] = None  # the op has no workers
+    peak_mb = {side: traced_peak_mb(ops[side], 0) for side in SIDES}
+    med = {side: {key: median(samples) for key, samples in record.items()} for side, record in sides.items()}
     scope = "this process" if workload.workers == 1 else "the parent process only"
     faults_scope = "this process" if workload.workers == 1 else "this process and its reaped workers"
-    ratios = np.array(head_s) / np.array(base_s)
-    q1, med, q3 = np.percentile(ratios, [25, 50, 75])
-    workers_cpu = (f"  workers' CPU/op {statistics.median(base_c) * 1e3:.1f} -> "
-                   f"{statistics.median(head_c) * 1e3:.1f} ms" if children else "")
-    base_sent, head_sent = sent_median(base_n), sent_median(head_n)
-    shown = ["none" if n is None else f"{n:.0f}" for n in (base_sent, head_sent)]
-    base_q = np.percentile(base_s, [25, 50, 75])
+    ratios = np.array(sides["head"]["s"]) / np.array(sides["base"]["s"])
+    q1, ratio, q3 = np.percentile(ratios, [25, 50, 75])
+    workers_cpu = (f"  workers' CPU/op {med['base']['workers_cpu_s'] * 1e3:.1f} -> "
+                   f"{med['head']['workers_cpu_s'] * 1e3:.1f} ms" if children else "")
+    shown = ["none" if med[side]["frames_sent"] is None else f"{med[side]['frames_sent']:.0f}" for side in SIDES]
+    base_q = np.percentile(sides["base"]["s"], [25, 50, 75])
     print(f"{workload.name:22s} base {base_q[1] * 1e3:9.2f} ms (IQR {base_q[0] * 1e3:.2f}-{base_q[2] * 1e3:.2f})  head "
-          f"{statistics.median(head_s) * 1e3:9.2f} ms  frames sent/op {shown[0]} -> {shown[1]}"
-          f"  ratio {med:.3f} (IQR {q1:.3f}-{q3:.3f})"
-          f"  speed-up {1 / med:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}"
-          f"  minor faults/op {statistics.median(base_f):.0f} -> {statistics.median(head_f):.0f}{workers_cpu}"
-          f"  traced peak {base_mb:.2f} -> {head_mb:.2f} MB ({scope})")
-    return {
+          f"{med['head']['s'] * 1e3:9.2f} ms  frames sent/op {shown[0]} -> {shown[1]}"
+          f"  ratio {ratio:.3f} (IQR {q1:.3f}-{q3:.3f})"
+          f"  speed-up {1 / ratio:.2f}x  {'equal' if not diffs else f'{len(diffs)} DIFFER'}"
+          f"  minor faults/op {med['base']['minor_faults']:.0f} -> {med['head']['minor_faults']:.0f}{workers_cpu}"
+          f"  traced peak {peak_mb['base']:.2f} -> {peak_mb['head']:.2f} MB ({scope})")
+    report = {
         "op": "build_spec over the seed-0 family" if workload.cfg is None else "one run_point call",
         "workers": workload.workers,
         "cores": cores,
         "pairs": pairs,
-        "base_median_s": statistics.median(base_s),
-        "head_median_s": statistics.median(head_s),
-        "base_quartiles_s": base_q.tolist(),
-        "head_quartiles_s": np.percentile(head_s, [25, 50, 75]).tolist(),
-        "base_frames_sent_median": base_sent,
-        "head_frames_sent_median": head_sent,
-        "ratio_median": med,
+        "ratio_median": ratio,
         "ratio_iqr": [q1, q3],
-        "speedup_median": 1 / med,
+        "speedup_median": 1 / ratio,
         "head_faster_pairs": int(np.sum(ratios < 1)),
-        "base_minor_faults_median": statistics.median(base_f),
-        "head_minor_faults_median": statistics.median(head_f),
         "minor_faults_scope": faults_scope,
-        "base_workers_cpu_s_median": statistics.median(base_c) if children else None,
-        "head_workers_cpu_s_median": statistics.median(head_c) if children else None,
-        "base_peak_traced_mb": base_mb,
-        "head_peak_traced_mb": head_mb,
         "peak_traced_scope": scope,
         "equal": not diffs,
         "differences": diffs,
         "ratios": ratios.tolist(),
-        "base_s": base_s,
-        "head_s": head_s,
-        "base_minor_faults": base_f,
-        "head_minor_faults": head_f,
-        "base_workers_cpu_s": base_c if children else None,
-        "head_workers_cpu_s": head_c if children else None,
-        "base_frames_sent": base_n,
-        "head_frames_sent": head_n,
     }
+    for side, record in sides.items():
+        report |= {f"{side}_median_s": med[side]["s"], f"{side}_peak_traced_mb": peak_mb[side],
+                   f"{side}_quartiles_s": np.percentile(record["s"], [25, 50, 75]).tolist()}
+        report |= {f"{side}_{key}_median": med[side][key] for key in SAMPLES[1:]}
+        report |= {f"{side}_{key}": samples for key, samples in record.items()}
+    return report
 
 
 def fingerprint() -> dict:
@@ -251,21 +239,22 @@ def fingerprint() -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    # No abbreviations: the retired ``--head`` must not pass as ``--head-label``.
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter,
+                                     allow_abbrev=False)
     parser.add_argument("--base", type=Path, help="the base tree's src directory")
-    parser.add_argument("--head", type=Path, default=ROOT / "src", help="the head tree's src directory (default: this checkout)")
     parser.add_argument("--base-label", default="", help="what the base tree is, for the report (e.g. a commit)")
-    parser.add_argument("--head-label", default="", help="what the head tree is, for the report")
+    parser.add_argument("--head-label", default="", help="what this checkout, the head tree, is, for the report")
     parser.add_argument("--pairs", type=int, default=30, help="timed pairs per workload (default 30)")
     parser.add_argument("--out", type=Path, help="write the JSON report here")
     parser.add_argument("--smoke", action="store_true",
                         help=f"this checkout against itself, {SMOKE_PAIRS} pairs per workload")
     args = parser.parse_args(argv)
     if args.smoke:
-        args.base, args.head, args.pairs = ROOT / "src", ROOT / "src", SMOKE_PAIRS
+        args.base, args.pairs = ROOT / "src", SMOKE_PAIRS
     if args.base is None:
         parser.error("--base is required (or --smoke)")
-    base, head = load_tree(args.base.resolve(), "nupolar_base"), load_tree(args.head.resolve(), "nupolar_head")
+    base, head = load_tree(args.base.resolve(), "nupolar_base"), load_tree(ROOT / "src", "nupolar_head")
     report = {
         "tool": "bench/ab.py",
         "base": {"label": args.base_label, "version": base.__version__},

@@ -1,14 +1,31 @@
 """Pinned outputs: the bytes ``nupolar`` writes for the codes it builds and
-for the BER/FER its decoders measure, and the digests of the builder grid
-``digest_grid.py`` defines.  ``tests/golden/`` holds one file per entry of
-``RUNS``: ``<name>.json``, the spec ``nupolar construct`` writes, and
-``<name>.csv``, the CSV ``nupolar simulate`` writes at one worker.
-``test_golden.py`` compares the output of every run ``comparisons`` yields
-with its file: every construction once, every simulation at 1 and 2
-workers, and ``ODD_WORKERS``, whose points stop after their work units
-shrank, at 3 as well.  The CSV bytes cannot depend on the worker count or
-on the sizes of the work units: counters are committed per batch, in
-batch order.  ``test_digest_grid.py`` checks ``tests/digest_grid.txt``.
+for the BER/FER its decoders measure, and the frozen-mask digests of the
+builder grid.  This module defines them all; ``test_golden.py`` checks them.
+
+``tests/golden/`` holds one file per entry of ``RUNS``: ``<name>.json``,
+the spec ``nupolar construct`` writes, and ``<name>.csv``, the CSV
+``nupolar simulate`` writes at one worker.  ``test_golden.py`` compares the
+output of every run ``comparisons`` yields with its file: every
+construction once, every simulation at 1 and 2 workers, and
+``ODD_WORKERS``, whose points stop after their work units shrank, at 3 as
+well.  The CSV bytes cannot depend on the worker count or on the sizes of
+the work units: counters are committed per batch, in batch order.
+
+``tests/digest_grid.txt`` holds one line per code of the grid: the call
+that builds it and a digest of what it gives.  The grid calls the four
+public builders at every N in {64, 512, 1024, 4096}, design SNR in
+{-2, 0, 2, 5} dB, both g-modes and K in {N/4, N/2}:
+
+* ``build_shortened_code`` for each pattern at M in {N/2 + 1, 5N/8, 7N/8, N},
+  with and without re-polarization (M = N gives the mother code);
+* ``build_extended_code`` with ``tail`` and ``weak_info`` at
+  delta_M in {1, N/8, N/2 - 1};
+* ``build_mother_code`` and ``build_bec_code``.
+
+That is 2048 codes, of which 211 raise ``ConstructionError``.  A line's
+digest is the first 16 hex digits of the SHA-256 of the spec's
+``to_json()`` (mask, pattern, tx length and every other field) or of the
+error's text, after ``spec`` or ``ConstructionError``.
 
 After a declared output change, regenerate every pinned file with
 
@@ -20,12 +37,21 @@ code a line, so the diff names the positions and the codes."""
 
 import contextlib
 import difflib
+import hashlib
 import io
 import sys
 from pathlib import Path
 
-import digest_grid
 from nupolar import cli
+from nupolar.construction import (
+    PATTERN_METHODS,
+    REPEAT_RULES,
+    ConstructionError,
+    build_bec_code,
+    build_extended_code,
+    build_mother_code,
+    build_shortened_code,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = Path(__file__).resolve().parent / "digest_grid.txt"
@@ -118,6 +144,47 @@ def comparisons():
             yield name, f"{args} --workers {workers}"
 
 
+# The builder grid of ``tests/digest_grid.txt``.
+LENGTHS = (64, 512, 1024, 4096)
+DESIGN_SNRS_DB = (-2.0, 0.0, 2.0, 5.0)
+G_MODES = ("sum", "product")
+
+
+def codes(N: int):
+    """The grid's builder calls at mother length ``N``, as ``(builder, args)``."""
+    for snr in DESIGN_SNRS_DB:
+        for g_mode in G_MODES:
+            for K in (N // 4, N // 2):
+                for pattern in PATTERN_METHODS:
+                    for M in (N // 2 + 1, 5 * N // 8, 7 * N // 8, N):
+                        for repolarize in (True, False):
+                            yield build_shortened_code, (N, M, K, pattern, snr, g_mode, repolarize)
+                for repeat in REPEAT_RULES:
+                    for delta_M in (1, N // 8, N // 2 - 1):
+                        yield build_extended_code, (N, delta_M, K, snr, g_mode, repeat)
+                yield build_mother_code, (N, K, snr, g_mode)
+                yield build_bec_code, (N, K, snr, g_mode)
+
+
+def call(builder, args) -> str:
+    """The builder call as source text."""
+    return f"{builder.__name__}({', '.join(map(repr, args))})"
+
+
+def line(builder, args) -> str:
+    """The call and the digest of what it builds, or of the error it raises."""
+    try:
+        text, kind = builder(*args).to_json(), "spec"
+    except ConstructionError as err:
+        text, kind = str(err), "ConstructionError"
+    return f"{call(builder, args)}: {kind} {hashlib.sha256(text.encode()).hexdigest()[:16]}\n"
+
+
+def lines(N: int) -> list:
+    """The listing's lines for mother length ``N``, in grid order."""
+    return [line(*code) for code in codes(N)]
+
+
 def output(args: str) -> str:
     """The text ``nupolar <args>`` writes to stdout; a simulation runs at one
     worker unless ``args`` give ``--workers``."""
@@ -143,7 +210,7 @@ def main(argv=None) -> int:
         return 2
     GOLDEN.mkdir(exist_ok=True)
     pinned = {GOLDEN / name: output(args) for name, args in RUNS.items()}
-    pinned[DIGESTS] = "".join(entry for N in digest_grid.LENGTHS for entry in digest_grid.lines(N))
+    pinned[DIGESTS] = "".join(entry for N in LENGTHS for entry in lines(N))
     for path, new in pinned.items():
         sys.stdout.write(moved(path.read_text() if path.exists() else "", new, path.name))
         path.write_text(new)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -6,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-import digest_grid
 import golden
-from golden import DIGESTS, GOLDEN, ODD_WORKERS, RUNS, comparisons, main, output
+from golden import DIGESTS, GOLDEN, LENGTHS, ODD_WORKERS, RUNS, call, codes, comparisons, lines, main, moved, output
+from nupolar import construction
 
 
 def _case(name, args):
@@ -29,36 +30,80 @@ def test_sc_walk_equals_scl_at_list_size_one():
     assert output(args).encode() == (GOLDEN / "short512-scl1.csv").read_bytes()
 
 
-def test_regeneration_rewrites_the_files_and_prints_what_moved(monkeypatch, tmp_path, capsys):
-    names = ("mother64.json", "scl64-exact.csv")
+def listed(N):
+    """The digest file's lines for mother length ``N``."""
+    return [entry for entry in DIGESTS.read_text().splitlines(True) if entry.partition("(")[2].startswith(f"{N},")]
+
+
+@pytest.fixture
+def evolve_once(monkeypatch):
+    """Evolve each distinct stage-0 vector once.  The grid's codes share
+    many (every GA_uniform code of one design point and g-mode evolves the
+    same uniform vector, whatever its K and pattern), and the evolution is a
+    function of the vector and the g-mode alone; each caller gets a copy."""
+    evolve, done = construction.evolve_reliabilities, {}
+
+    def once(stage0, g_mode="sum"):
+        v = np.asarray(stage0, dtype=np.float64)
+        key = v.tobytes(), g_mode
+        if key not in done:
+            done[key] = evolve(v, g_mode)
+        return done[key].copy()
+
+    monkeypatch.setattr(construction, "evolve_reliabilities", once)
+
+
+@pytest.mark.parametrize("N", LENGTHS)
+def test_digests_equal_the_file(N, evolve_once):
+    want, got = "".join(listed(N)), "".join(lines(N))
+    assert got == want, f"codes that moved at N = {N}:\n{moved(want, got, DIGESTS.name)}"
+
+
+def test_the_file_lists_the_grid_once_in_order():
+    assert [entry.partition(": ")[0] for entry in DIGESTS.read_text().splitlines()] == [
+        call(*code) for N in LENGTHS for code in codes(N)]
+
+
+@pytest.mark.parametrize("names", [("mother64.json", "scl64-exact.csv"), ()], ids=["files-and-listing", "listing"])
+def test_regeneration_rewrites_the_files_and_prints_what_moved(names, monkeypatch, tmp_path, capsys):
+    # mother64.json (the CSV has no tx_len: it stays current) and one code of
+    # the listing are stale, and the listing lacks its last code; without
+    # runs, the listing alone is pinned.
     monkeypatch.setattr(golden, "RUNS", {name: RUNS[name] for name in names})
     monkeypatch.setattr(golden, "GOLDEN", tmp_path)
     monkeypatch.setattr(golden, "DIGESTS", tmp_path / "digest_grid.txt")
-    monkeypatch.setattr(digest_grid, "LENGTHS", (64,))
-    first = digest_grid.codes
-    monkeypatch.setattr(digest_grid, "codes", lambda N: list(first(N))[:2])
+    monkeypatch.setattr(golden, "LENGTHS", (64,))
+    monkeypatch.setattr(golden, "codes", lambda N: itertools.islice(codes(N), 3))
     spec = (GOLDEN / "mother64.json").read_text()
-    (tmp_path / "mother64.json").write_text(spec.replace('"tx_len": 64,', '"tx_len": 63,'))
-    (tmp_path / "scl64-exact.csv").write_text((GOLDEN / "scl64-exact.csv").read_text())
-    digests = DIGESTS.read_text().splitlines(True)[:2]
-    stale = digests[1].replace(": spec ", ": spec 0")
-    (tmp_path / "digest_grid.txt").write_text(digests[0] + stale)
+    for name in names:
+        (tmp_path / name).write_text((GOLDEN / name).read_text().replace('"tx_len": 64,', '"tx_len": 63,'))
+    want = listed(64)[:3]
+    stale = want[0].replace(": spec ", ": spec 0")
+    (tmp_path / "digest_grid.txt").write_text(stale + want[1])
     assert main([]) == 0
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
-    assert (tmp_path / "digest_grid.txt").read_text() == "".join(digests)
+    assert (tmp_path / "digest_grid.txt").read_text() == "".join(want)
     row = spec.splitlines().index('  "tx_len": 64,') + 1
-    assert capsys.readouterr().out.splitlines(True) == [
-        "--- old/mother64.json\n", "+++ new/mother64.json\n", f"@@ -{row} +{row} @@\n",
-        '-  "tx_len": 63,\n', '+  "tx_len": 64,\n',
-        "--- old/digest_grid.txt\n", "+++ new/digest_grid.txt\n", "@@ -2 +2 @@\n", "-" + stale, "+" + digests[1]]
+    spec_diff = ["--- old/mother64.json\n", "+++ new/mother64.json\n", f"@@ -{row} +{row} @@\n",
+                 '-  "tx_len": 63,\n', '+  "tx_len": 64,\n'] if names else []
+    assert capsys.readouterr().out.splitlines(True) == spec_diff + [
+        "--- old/digest_grid.txt\n", "+++ new/digest_grid.txt\n", "@@ -1 +1 @@\n", "-" + stale, "+" + want[0],
+        "@@ -2,0 +3 @@\n", "+" + want[2]]
 
 
-def test_an_argument_rewrites_nothing(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("listing", [None, "stale\n"], ids=["nothing-pinned", "stale-listing"])
+def test_an_argument_rewrites_nothing(listing, monkeypatch, tmp_path, capsys):
+    # The argument is refused before anything is built, so a stale listing keeps its bytes.
     monkeypatch.setattr(golden, "GOLDEN", tmp_path / "golden")
     monkeypatch.setattr(golden, "DIGESTS", tmp_path / "digest_grid.txt")
+    if listing:
+        (tmp_path / "digest_grid.txt").write_text(listing)
     assert main(["--list"]) == 2
-    assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
+    assert {path.name: path.read_text() for path in tmp_path.iterdir()} == (
+        {"digest_grid.txt": listing} if listing else {})
+    out, err = capsys.readouterr()
+    assert out == "" and "--list" in err
 
 
 def test_every_run_is_compared_and_every_file_has_a_run():
@@ -84,14 +129,14 @@ def exp_digest() -> str:
 
 def test_masks_and_csvs_do_not_depend_on_the_simd_dispatch(capsys):
     # numpy reads the variable when it loads, so a child Python that sets it
-    # first reruns the one-worker golden runs and the fast digest grid.
+    # first reruns the one-worker golden runs and the digest grid at every N.
     tests = GOLDEN.parent
     child = subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import pytest, test_golden; "
          "print(test_golden.exp_digest(), flush=True); sys.exit(pytest.main(sys.argv[2:]))",
-         str(tests), "-q", "-p", "no:cacheprovider", "-m", "not slow",
+         str(tests), "-q", "-p", "no:cacheprovider",
          *(f"{tests}/test_golden.py::test_bytes_equal_the_golden_file[{name}]" for name in RUNS),
-         f"{tests}/test_digest_grid.py::test_digests_equal_the_file"],
+         f"{tests}/test_golden.py::test_digests_equal_the_file"],
         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}, capture_output=True, text=True, timeout=120)
     digest, _, report = child.stdout.partition("\n")
     assert child.returncode == 0, report + child.stderr
