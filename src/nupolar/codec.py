@@ -1,9 +1,14 @@
 """Polar encoding and SC / SCL / CRC-aided SCL decoding in the LLR domain.
 
-Bits are numpy ``uint8`` arrays; LLRs are ``float64`` with the convention
+Bits are numpy ``uint8`` arrays; LLRs are floats with the convention
 that positive values favour bit 0.  ``numerics.KNOWN_ZERO_LLR`` (+inf)
 marks a position whose transmitted bit is known to be zero; both node
-update rules absorb it without ever producing NaN.
+update rules absorb it without ever producing NaN.  The walk holds its
+LLRs as ``LLR_DTYPE`` (float32), half the bytes of float64: min-sum's ``f``
+is exact in any float format, so precision enters only through the
+rounding of the channel LLRs and of ``g``'s sums.  Path metrics stay
+float64.  Frames of another dtype are cast once by :func:`cast_llrs`,
+which keeps a finite LLR finite.
 
 There is one decoder API, and it is batched: ``sc_decode_batch``,
 ``scl_decode_batch`` and ``ca_scl_decode_batch`` take frames ``(B, N)``
@@ -53,6 +58,27 @@ class CrcConfig:
 
 
 CRC24 = CrcConfig()
+
+# The dtype of the decoder walk's LLRs.
+LLR_DTYPE = np.float32
+
+
+def cast_llrs(src, out):
+    """Write the LLRs ``src`` into the float array ``out`` of their shape, cast
+    to its dtype, and return ``out``.  A finite LLR beyond that dtype's range
+    becomes its largest finite value of the same sign, never +-inf: +inf is
+    the known-zero marker and ``inf - inf`` an erasure.  +-inf and NaN are
+    kept, and a magnitude too small for the dtype rounds to a zero of its
+    sign."""
+    with np.errstate(over="ignore"):  # the overflows are mended below
+        np.copyto(out, src, casting="same_kind")
+    top = np.finfo(out.dtype).max
+    if top < np.finfo(src.dtype).max:  # else no finite value overflows
+        over = np.isinf(out)
+        if over.any():
+            over &= np.isfinite(src)
+            out[over] = np.copysign(top, src[over])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +160,13 @@ def _g(a, b, u_sum):
     broadcast to it: the walk passes a frame's one row, ``(B, 1, n/2)``,
     against the ``(B, L, n/2)`` partial codewords of its ``L`` paths.
     ``u_sum=None`` stands for all zeros, where the update is ``b + a`` on
-    arrays of one shape.  The caller ignores invalid and overflowing
-    floating-point operations, as the walk's ``np.errstate`` does."""
+    arrays of one shape.  The output takes ``a``'s dtype.  The caller
+    ignores invalid and overflowing floating-point operations, as the
+    walk's ``np.errstate`` does."""
     if u_sum is None:
         out = b + a
     else:
-        out = u_sum.astype(np.float64)
+        out = u_sum.astype(a.dtype)
         out *= -2.0
         out += 1.0
         out *= a
@@ -165,9 +192,13 @@ def _penalties(lam):
 
 
 def _check_frames(spec: CodeSpec, frames) -> np.ndarray:
-    """``frames`` as a float64 ``(B, N)`` batch; a single ``(N,)`` frame is a
-    batch of one."""
-    llr = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    """``frames`` as an ``LLR_DTYPE`` ``(B, N)`` batch; a single ``(N,)`` frame
+    is a batch of one.  ``LLR_DTYPE`` frames pass through uncopied, since the
+    walk only reads them; any other input is cast once, through float64,
+    by :func:`cast_llrs`."""
+    llr = np.atleast_2d(np.asarray(frames))
+    if llr.dtype != LLR_DTYPE:
+        llr = cast_llrs(np.asarray(llr, dtype=np.float64), np.empty(llr.shape, LLR_DTYPE))
     if llr.ndim != 2 or llr.shape[1] != spec.mother_len:
         raise ValueError(f"LLR frame length must be N = {spec.mother_len}")
     if np.isnan(llr).any():
@@ -369,7 +400,7 @@ class _ListDecoder:
                 return self._leaf(llr[:, 0], offset)[:, None]
             # An odd number of live columns: pad them with known zeros to the
             # full width, once, and hand back the live columns' codeword.
-            full = np.full((len(llr), len(self.frozen) // stride), KNOWN_ZERO_LLR)
+            full = np.full((len(llr), len(self.frozen) // stride), KNOWN_ZERO_LLR, llr.dtype)
             full[:, :n] = llr
             del llr
             return self._rec([full], offset, stride)[:, :n]

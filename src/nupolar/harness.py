@@ -37,7 +37,7 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .channel import ChannelConfig, bpsk_modulate, frame_draws
-from .codec import CRC24, DECODERS, RULES, crc_append, encode, message_decoder
+from .codec import CRC24, DECODERS, LLR_DTYPE, RULES, crc_append, encode, message_decoder
 from .construction import (
     CONSTRUCTION_METHODS,
     PATTERN_METHODS,
@@ -234,7 +234,8 @@ def _sim_chunk(spec: CodeSpec, cfg: ExperimentConfig, chan: ChannelConfig,
     of each ``BATCH_FRAMES`` batch in it, in order.  The channel stage runs
     in the leading ``count`` rows of ``buffers``: the noise, which becomes
     the received LLRs in place, ``(rows, M)``, and the de-matched frames
-    ``(rows, N)``.
+    ``(rows, N)`` in the decoder walk's ``codec.LLR_DTYPE``, which the
+    received float64 LLRs are cast to as :func:`dematch` writes them.
 
     The received LLRs are ``llr_demod(bpsk_modulate(tx) + noise)``, bit for
     bit, computed in place on the noise array: IEEE addition and
@@ -366,7 +367,7 @@ def run_point(
     decode = message_decoder(spec, cfg.decoder, cfg.list_size, cfg.scl_threshold, cfg.rule)
     cap = BATCH_FRAMES * min(UNIT_BATCHES, max(1, UNIT_LLRS // (BATCH_FRAMES * decode.list_size * cfg.N)))
     rows = min(cap, cfg.max_frames)
-    buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N))
+    buffers = np.empty((rows, cfg.M)), np.empty((rows, cfg.N), LLR_DTYPE)
     unit = functools.partial(_sim_chunk, spec, cfg, chan, buffers, decode)
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = sent = 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .codec import cast_llrs
 from .construction import CodeSpec
 from .numerics import KNOWN_ZERO_LLR
 
@@ -45,13 +46,15 @@ def dematch(spec: CodeSpec, rx_llr, out=None) -> np.ndarray:
     """Inverse of :func:`tx_frame` on LLRs.
 
     Positions never sent get the known-zero LLR; the observations of a
-    repeated position are added.  The frames are written straight into
-    ``out`` when it is given (a float64 array of the frames' shape, as the
-    harness reuses one for every work unit of a point), else into a new
-    array; either way the result is returned.  When the kept positions are
-    a prefix ``0..n-1``, the first ``n`` columns are one slice copy and the
-    rest one fill; otherwise (RQUP, CW) each column is gathered from its
-    first observation.
+    repeated position are added, in float64.  The frames are written
+    straight into ``out`` when it is given (a float array of the frames'
+    shape, as the harness reuses one ``codec.LLR_DTYPE`` array for every
+    work unit of a point), else into a new float64 array; either way the
+    result is returned.  Into a narrower ``out`` each frame is the float64
+    result cast by ``codec.cast_llrs``, bit for bit, so a finite LLR stays
+    finite.  When the kept positions are a prefix ``0..n-1``, the first
+    ``n`` columns are one slice copy and the rest one fill; otherwise
+    (RQUP, CW) each column is gathered from its first observation.
     """
     rx = np.asarray(rx_llr, dtype=np.float64)
     if rx.shape[-1] != spec.tx_len:
@@ -59,18 +62,24 @@ def dematch(spec: CodeSpec, rx_llr, out=None) -> np.ndarray:
     N, pos = spec.mother_len, spec.tx_positions
     first = pos[:N]
     n = len(first)
+    if out is None:
+        out = np.empty(rx.shape[:-1] + (N,))
     if first[-1] == n - 1:  # ascending, so the kept positions are 0..n-1
-        if out is None:
-            out = np.empty(rx.shape[:-1] + (N,))
-        out[..., :n] = rx[..., :n]
+        cast_llrs(rx[..., :n], out[..., :n])
         out[..., n:] = KNOWN_ZERO_LLR
+        if len(pos) > N:  # an extension: it keeps all N, so position p's first observation is column p
+            rep = pos[N:]
+            out[..., rep] = cast_llrs(rx[..., rep] + rx[..., N:], np.empty(rx[..., N:].shape, out.dtype))
     else:
         source = np.full(N, -1)
         source[first] = np.arange(n)
+        # Gather in out's dtype: np.take into an out of another dtype first
+        # casts out's old contents, whose bits may be a signalling NaN.
+        if out.dtype != rx.dtype:
+            rx = cast_llrs(rx, np.empty(rx.shape, out.dtype))
         # "clip" has the positions never sent (-1) read column 0 until they
         # are overwritten, and unlike the default "raise" it writes into
         # ``out`` without a buffer.
-        out = np.take(rx, source, axis=-1, out=out, mode="clip")
+        np.take(rx, source, axis=-1, out=out, mode="clip")
         out[..., source < 0] = KNOWN_ZERO_LLR
-    out[..., pos[N:]] += rx[..., N:]
     return out

@@ -5,10 +5,23 @@ bit array at every information leaf and re-aligns every captured array
 with ``np.take_along_axis``.  It is slow but simple, and the fast decoder
 in ``codec`` must reproduce its messages and metrics bit for bit.  The
 node updates are copied here too, so that a later change to the ones in
-``codec`` is also checked against this arithmetic.
+``codec`` is also checked against this arithmetic.  It runs at the walk's
+dtype, ``codec.LLR_DTYPE``: :func:`walk_llrs` casts the frames by the
+written-out rule, and the node updates keep their inputs' dtype, while the
+path metrics are float64.
 """
 
 import numpy as np
+
+from nupolar.codec import LLR_DTYPE
+
+
+def walk_llrs(llr):
+    """``llr`` cast to ``LLR_DTYPE`` through float64, each finite value first
+    clipped to that dtype's largest finite magnitude; +-inf and NaN kept."""
+    llr = np.asarray(llr, dtype=np.float64)
+    top = float(np.finfo(LLR_DTYPE).max)
+    return np.where(np.isinf(llr), llr, np.clip(llr, -top, top)).astype(LLR_DTYPE)
 
 
 def f_minsum(a, b):
@@ -28,7 +41,7 @@ def f_exact(a, b):
 
 def g_node(a, b, u_sum):
     with np.errstate(invalid="ignore"):
-        out = b + (1.0 - 2.0 * u_sum.astype(np.float64)) * a
+        out = b + (1.0 - 2.0 * u_sum.astype(a.dtype)) * a
     return np.where(np.isnan(out), 0.0, out)
 
 
@@ -105,6 +118,6 @@ class ReferenceListDecoder:
 
 def reference_scl_decode_batch(spec, llr, L: int, threshold: float = 0.0, rule: str = "minsum"):
     """``(messages (B, L, K), metrics (B, L))``, best metric first."""
-    llr = np.asarray(llr, dtype=np.float64)
+    llr = walk_llrs(llr)
     u, pm, _ = ReferenceListDecoder(spec.frozen_mask, L, threshold, rule).decode(llr)
     return u[:, :, spec.info_positions], pm

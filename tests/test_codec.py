@@ -9,6 +9,7 @@ from nupolar import codec
 from nupolar.channel import ChannelConfig, frame_draws
 from nupolar.codec import (
     CRC24,
+    LLR_DTYPE,
     CrcConfig,
     ca_scl_decode_batch,
     crc_append,
@@ -33,7 +34,7 @@ from nupolar.construction import (
 from nupolar.numerics import KNOWN_ZERO_LLR
 from nupolar.oracles import dense_encode, ml_codeword_scores, ml_decode
 from nupolar.ratematch import dematch, tx_frame
-from scl_reference import reference_scl_decode_batch
+from scl_reference import reference_scl_decode_batch, walk_llrs
 from random_codes import EXTREME_LLRS, random_cases
 
 
@@ -180,24 +181,31 @@ class TestNodeFunctions:
         pairs = [(a, b, u), (rows[..., 0::2], rows[..., 1::2], paths)]
         pairs += [(np.array(x), np.array(y), np.array(v, np.uint8))
                   for x, y in zip(edge, edge[::-1]) for v in (0, 1)]
+        # The same pairs at the walk's dtype, near-overflow magnitudes clipped to its maximum.
+        pairs += [(walk_llrs(x), walk_llrs(y), v) for x, y, v in pairs]
         for x, y, v in pairs:
-            with np.errstate(over="ignore"):  # sums near 1e308 overflow to inf on both sides
+            with np.errstate(over="ignore"):  # sums near the maximum overflow to inf on both sides
                 results = ((f_minsum(x, y), scl_reference.f_minsum(x, y)),
                            (f_exact(x, y), scl_reference.f_exact(x, y)),
                            (walk_g(x, y, v), scl_reference.g_node(x, y, v)))
             for got, want in results:
-                assert np.shape(got) == np.shape(want)
-                assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.shape == want.shape and got.dtype == want.dtype == x.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_leaf_penalties_equal_two_logaddexps(self):
         # One logaddexp gives both candidates' penalties bit for bit, edge
         # values included: signed zeros, infinities, the smallest subnormal,
         # near-overflow magnitudes and exp's overflow/underflow limits.
-        edge = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 709.78, -709.78, -745.2, 745.2]
+        # Also at the walk's dtype, whose exp limits are near +-88 and -104.
+        edge = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308, 709.78, -709.78, -745.2, 745.2,
+                88.72, -88.72, 103.97, -103.97, 1e-45, -1e-45, 3.4e38, -3.4e38]
         lam = np.concatenate([edge, np.random.default_rng(7).normal(0.0, 8.0, 100_000)])
-        zero, one = _penalties(lam)
-        assert np.array_equal(zero.view(np.uint64), np.logaddexp(0.0, -lam).view(np.uint64))
-        assert np.array_equal(one.view(np.uint64), np.logaddexp(0.0, lam).view(np.uint64))
+        for lam in (lam, walk_llrs(lam)):
+            zero, one = _penalties(lam)
+            assert zero.dtype == one.dtype == lam.dtype
+            assert zero.tobytes() == np.logaddexp(0.0, -lam).tobytes()
+            assert one.tobytes() == np.logaddexp(0.0, lam).tobytes()
 
 
 class TestScDecode:
@@ -474,13 +482,15 @@ class TestListMemory:
         # The floor is the root's right child re-aligning its input: the
         # B*L x N/2 input and its gathered copy, two node inputs.  Keeping
         # every ancestor's input alive and repeating per-frame rows measured
-        # 4.3 node inputs.
+        # 4.3 node inputs.  The frames come in the walk's dtype, as the
+        # harness de-matches them, so the decoder casts nothing.
         spec = build_shortened_code(512, 280, 128, "NAT_PD")
         B, L = 64, 16
         rng = np.random.default_rng(34)
         msgs = rng.integers(0, 2, (B, spec.payload_len), dtype=np.uint8)
-        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.7, rng))
-        node_input = B * L * (spec.mother_len // 2) * np.dtype(np.float64).itemsize
+        frames = dematch(spec, awgn_llrs(tx_frame(spec, encode(spec, msgs)), 0.7, rng),
+                         out=np.empty((B, spec.mother_len), LLR_DTYPE))
+        node_input = B * L * (spec.mother_len // 2) * np.dtype(LLR_DTYPE).itemsize
         tracemalloc.start()
         try:
             scl_decode_batch(spec, frames, L)
@@ -575,7 +585,7 @@ class TestMetricFreeSc:
                 assert np.array_equal(got, sc_with_metric(spec, frames, rule)), spec.to_json()
                 full = _ListDecoder(spec, 1, 0.0, rule)
                 full.live = spec.mother_len  # the full-width walk
-                assert np.array_equal(got, full.decode(frames)[0][:, 0]), spec.to_json()
+                assert np.array_equal(got, full.decode(walk_llrs(frames))[0][:, 0]), spec.to_json()
 
     @pytest.mark.parametrize("code", sorted(METRIC_FREE_CODES))
     def test_walk_stops_at_rate0_nodes(self, code, monkeypatch):
@@ -764,13 +774,13 @@ class TestLiveColumnWalk:
                 want = N // 2 if name == "fallback" else narrow
                 full = _ListDecoder(spec, 1, 0.0, rule, metric=False)
                 full.live = N  # the full-width walk
-                want_msgs = full.decode(frames)[0][:, 0]
+                want_msgs = full.decode(walk_llrs(frames))[0][:, 0]
                 del widths[:]
                 assert np.array_equal(sc_decode_batch(spec, frames, rule)[0], want_msgs), name
                 assert widths[0] == (want, want), name
                 full = _ListDecoder(spec, 1, 0.0, rule)
                 full.live = N
-                want_msgs, want_pm = full.decode(frames)
+                want_msgs, want_pm = full.decode(walk_llrs(frames))
                 del widths[:]
                 msgs, pm = scl_decode_batch(spec, frames, 1, rule=rule)  # SC with its metric
                 assert widths[0] == (want, want), name
@@ -930,32 +940,69 @@ class TestSaturatedFrames:
         assert np.geterr() == before
 
 
+READ_ONLY_SPECS = {
+    "mother": lambda: build_mother_code(64, 32, 2.0),
+    "nat-pd": lambda: build_shortened_code(128, 80, 40, "NAT_PD"),
+    "rqup": lambda: build_shortened_code(128, 100, 50, "RQUP"),
+    "extended": lambda: build_extended_code(64, 16, 40, 3.0),
+}
+
+
 class TestFramesAreReadOnly:
     # The harness de-matches every work unit of a point into one reused
-    # buffer, so a decoder must only read its frames.
-    @pytest.mark.parametrize("spec", [
-        build_mother_code(64, 32, 2.0),
-        build_shortened_code(128, 80, 40, "NAT_PD"),
-        build_shortened_code(128, 100, 50, "RQUP"),
-        build_extended_code(64, 16, 40, 3.0),
-    ], ids=["mother", "nat-pd", "rqup", "extended"])
-    def test_decoders_leave_their_frames_unchanged(self, spec):
+    # buffer, so a decoder must only read its frames.  Frames in the walk's
+    # dtype, as the harness makes them, reach the walk uncopied; float64
+    # frames are cast.
+    @pytest.mark.parametrize("name", sorted(READ_ONLY_SPECS))
+    def test_decoders_leave_their_frames_unchanged(self, name):
+        spec = READ_ONLY_SPECS[name]()
         rng = np.random.default_rng(23)
         rx = rng.normal(0.5, 2.0, (48, spec.tx_len))
         rx[::4, ::3] = rng.choice([0.0, -0.0, 1e308, -1e308], size=rx[::4, ::3].shape)
-        frames = dematch(spec, rx)
-        before = frames.copy()
-        frames.flags.writeable = False  # an in-place write raises
         K = spec.payload_len
+        for dtype, bits in ((np.float64, np.uint64), (LLR_DTYPE, np.uint32)):
+            frames = dematch(spec, rx, out=np.empty((48, spec.mother_len), dtype))
+            assert (codec._check_frames(spec, frames) is frames) == (dtype == LLR_DTYPE)
+            before = frames.copy()
+            frames.flags.writeable = False  # an in-place write raises
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for rule in ("minsum", "exact"):
+                    sc_decode_batch(spec, frames, rule)
+                    scl_decode_batch(spec, frames, 4, 1e-3, rule)
+                    if K > CRC24.width:
+                        ca_scl_decode_batch(spec, frames, 4, CRC24, 0.0, rule)
+                    sc_decode_batch(spec, frames[7], rule)
+            assert np.array_equal(frames.view(bits), before.view(bits)), dtype
+
+
+class TestLlrsBeyondTheWalkRange:
+    """A float64 LLR beyond float32's range reaches the walk as float32's
+    largest finite value of its sign, never as +-inf."""
+
+    @pytest.mark.parametrize("name", sorted(READ_ONLY_SPECS))
+    def test_public_decoders_decode_near_max_frames(self, name):
+        spec = READ_ONLY_SPECS[name]()
+        rng = np.random.default_rng(35)
+        msgs = rng.integers(0, 2, (32, spec.payload_len), dtype=np.uint8)
+        cw = encode(spec, msgs)
+        # Noiseless frames of magnitude 1e308 (+inf where a shortened position is known zero).
+        known_zero = ~np.isin(np.arange(spec.mother_len), spec.tx_positions)
+        frames = np.where(known_zero, KNOWN_ZERO_LLR, 1e308 * (1.0 - 2.0 * cw))
+        walk = codec._check_frames(spec, frames)
+        assert walk.dtype == LLR_DTYPE
+        assert np.array_equal(np.isinf(walk), np.isinf(frames))
+        assert (np.abs(walk[np.isfinite(frames)]) == np.finfo(LLR_DTYPE).max).all()
+        sent = crc_append(msgs[:, : -CRC24.width])  # a CRC-24 in the last 24 message bits
+        crc_frames = np.where(known_zero, KNOWN_ZERO_LLR, 1e308 * (1.0 - 2.0 * encode(spec, sent)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for rule in ("minsum", "exact"):
-                sc_decode_batch(spec, frames, rule)
-                scl_decode_batch(spec, frames, 4, 1e-3, rule)
-                if K > CRC24.width:
-                    ca_scl_decode_batch(spec, frames, 4, CRC24, 0.0, rule)
-                sc_decode_batch(spec, frames[7], rule)
-        assert np.array_equal(frames.view(np.uint64), before.view(np.uint64))
+                assert np.array_equal(sc_decode_batch(spec, frames, rule)[0], msgs), rule
+                for L in (1, 4):
+                    assert np.array_equal(scl_decode_batch(spec, frames, L, 0.0, rule)[0][:, 0], msgs), (rule, L)
+                got, _, crc_ok, _ = ca_scl_decode_batch(spec, crc_frames, 4, CRC24, 0.0, rule)
+                assert crc_ok.all() and np.array_equal(got, sent), rule
 
 
 def test_empty_batch_keeps_its_shapes():

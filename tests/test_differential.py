@@ -43,7 +43,7 @@ from nupolar.construction import PATTERN_METHODS, CodeSpec, shortening_pattern
 from nupolar.oracles import dense_encode
 from nupolar.ratematch import dematch, tx_frame
 from random_codes import EXTREME_LLRS, random_cases
-from scl_reference import reference_scl_decode_batch
+from scl_reference import reference_scl_decode_batch, walk_llrs
 
 COMBOS = list(itertools.product((2, 4, 8), ("minsum", "exact"), (0.0, 1e-3, 1.0)))
 # A 2-bit CRC (x^2 + x + 1), so that on random frames some candidates pass
@@ -162,7 +162,7 @@ def test_live_column_walk_equals_the_full_width_walk(rule):
             for metric in (False, True):
                 full = _ListDecoder(spec, 1, 0.0, rule, metric)
                 full.live = N
-                assert np.array_equal(got, full.decode(frames)[0][:, 0]), (metric, spec.to_json())
+                assert np.array_equal(got, full.decode(walk_llrs(frames))[0][:, 0]), (metric, spec.to_json())
     # Codes of every method have an [information, frozen] pair, and some
     # decode on their live columns.
     assert methods == set(PATTERN_METHODS) and live_walks >= 3

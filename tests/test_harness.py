@@ -26,6 +26,7 @@ from nupolar.construction import (
 )
 from nupolar.harness import BATCH_FRAMES, ExperimentConfig, build_spec, run_point, run_sweep
 from nupolar.ratematch import dematch, tx_frame
+from scl_reference import walk_llrs
 
 
 def small_cfg(**kw):
@@ -423,7 +424,10 @@ class TestSimChunk:
     ], ids=["short-512-320-160", "ext-64-80-40"])
     def test_in_place_llrs_equal_the_public_chain(self, code, monkeypatch):
         # At -4 dB and rate 1/2 the demodulator gain 2 / sigma^2 is below 1,
-        # so the salted 1e308 stays finite and nothing may warn.
+        # so the salted 1e308 stays finite and nothing may warn.  The frames
+        # buffer has the walk's dtype, as run_point's does: each frame is the
+        # float64 chain's, cast with its finite values clipped to float32's
+        # range.
         cfg = ExperimentConfig(decoder="SC", seed=3, **code)
         spec, ebno = build_spec(cfg), -4.0
         chan = ChannelConfig(ebno, cfg.rate, cfg.seed)
@@ -444,16 +448,54 @@ class TestSimChunk:
         monkeypatch.setattr(harness, "frame_draws", salted_draws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            buffers = np.empty((2 * BATCH_FRAMES, cfg.M)), np.empty((2 * BATCH_FRAMES, cfg.N))
+            buffers = np.empty((2 * BATCH_FRAMES, cfg.M)), np.empty((2 * BATCH_FRAMES, cfg.N), codec.LLR_DTYPE)
             harness._sim_chunk(spec, cfg, chan, buffers, decoder, (BATCH_FRAMES, 2 * BATCH_FRAMES))
             payloads, noise = drawn[0]
             tx = tx_frame(spec, encode(spec, payloads))
-            want = dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan))
+            want = walk_llrs(dematch(spec, llr_demod(bpsk_modulate(tx) + noise, chan)))
         got = decoded[0]
         assert got.shape == want.shape == (2 * BATCH_FRAMES, cfg.N)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # The salt reached the frames: exact zeros and finite extremes.
-        assert (got == 0).any() and (np.isfinite(got) & (np.abs(got) > 1e307)).any()
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        # The salt reached the frames: exact zeros and finite extremes, clipped.
+        assert (got == 0).any() and (np.abs(got) == np.finfo(codec.LLR_DTYPE).max).any()
+
+
+class TestLlrsBeyondTheWalkRange:
+    @pytest.mark.parametrize("decoder", ["SC", "SCL"])
+    @pytest.mark.parametrize("code", [
+        dict(N=64, M=48, K=24, method="NUPGA_shortened", pattern_method="NAT_PD"),
+        dict(N=64, M=80, K=40, method="NUPGA_extended"),
+    ], ids=["short-64-48-24", "ext-64-80-40"])
+    def test_run_point_at_an_ebno_beyond_float32(self, code, decoder, monkeypatch):
+        # At 400 dB and rate 1/2 the received LLRs are about 2e40: finite in
+        # float64, beyond float32.  Each reaches the walk as float32's
+        # largest finite value of its sign, so the known-zero +inf stay the
+        # only infinities, and every frame decodes to the message sent.
+        cfg = ExperimentConfig(decoder=decoder, list_size=4, max_frames=2 * BATCH_FRAMES, seed=4, **code)
+        assert cfg.rate == 0.5 and ChannelConfig(400.0, cfg.rate).llr_scale > 1e40
+        spec = build_spec(cfg)
+        known_zero = ~np.isin(np.arange(cfg.N), spec.tx_positions)
+        seen, real = [], harness.message_decoder
+
+        def recording(*args):
+            decode = real(*args)
+
+            def recorded(frames):
+                seen.append(frames.copy())
+                return decode(frames)
+            recorded.list_size = decode.list_size
+            return recorded
+
+        monkeypatch.setattr(harness, "message_decoder", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = run_point(cfg, 400.0, spec=spec)
+        assert p.frames == 2 * BATCH_FRAMES and p.bit_errors == p.frame_errors == 0
+        top = np.finfo(codec.LLR_DTYPE).max
+        for frames in seen:
+            assert frames.dtype == codec.LLR_DTYPE
+            assert np.array_equal(np.isinf(frames), np.broadcast_to(known_zero, frames.shape))
+            assert (np.abs(frames[:, ~known_zero]) == top).all()
 
 
 class TestPointDecoder:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from nupolar.codec import encode, sc_decode_batch
+
+from nupolar.codec import LLR_DTYPE, encode, sc_decode_batch
 from nupolar.construction import (
     PATTERN_METHODS,
     REPEAT_RULES,
@@ -14,6 +17,7 @@ from nupolar.construction import (
 from nupolar.numerics import KNOWN_ZERO_LLR
 from nupolar.ratematch import InvalidSpecError, dematch, tx_frame
 from random_codes import EXTREME_LLRS
+from scl_reference import walk_llrs
 
 
 def all_messages(K):
@@ -244,18 +248,57 @@ def test_dematch_equals_its_written_out_rule(name):
     # Bit for bit, salted with extreme LLRs and -0.0, whose repeated
     # observations may overflow or meet opposite infinities; for one frame,
     # a batch and an empty batch, into a new array and into a buffer full
-    # of NaN.
+    # of NaN.  Into a walk-dtype buffer, each frame is that rule's float64
+    # result cast with its finite values clipped into float32's range.
     spec = REFERENCE_SPECS[name]()
     rng = np.random.default_rng(9)
     rx = rng.normal(0.0, 3.0, (16, spec.tx_len))
     rx = np.where(rng.random(rx.shape) < 0.2, rng.choice(EXTREME_LLRS + [-0.0], rx.shape), rx)
     with np.errstate(over="ignore", invalid="ignore"):
         for frames in (rx, rx[3], rx[:0]):
-            want = written_out_dematch(spec, frames).view(np.int64)
-            assert np.array_equal(dematch(spec, frames).view(np.int64), want)
+            want = written_out_dematch(spec, frames)
+            assert np.array_equal(dematch(spec, frames).view(np.int64), want.view(np.int64))
             buf = np.full(want.shape, np.nan)
             assert dematch(spec, frames, out=buf) is buf
-            assert np.array_equal(buf.view(np.int64), want)
+            assert np.array_equal(buf.view(np.int64), want.view(np.int64))
+            narrow = np.full(want.shape, np.nan, LLR_DTYPE)
+            assert dematch(spec, frames, out=narrow) is narrow
+            assert np.array_equal(narrow.view(np.int32), walk_llrs(want).view(np.int32))
+
+
+@pytest.mark.parametrize("name", [f"{m}-64-{M}" for m in ("RQUP", "CW") for M in (33, 40, 48)] + ["hand-shortened-8-6"])
+def test_gather_into_a_walk_buffer_reads_none_of_its_old_bits(name):
+    # np.take into an out of another dtype casts out's old contents first:
+    # signalling-NaN bits there raised "invalid value encountered in cast".
+    spec = REFERENCE_SPECS[name]()
+    rx = np.random.default_rng(10).normal(0.0, 3.0, (16, spec.tx_len))
+    out = np.empty((16, spec.mother_len), LLR_DTYPE)
+    out.view(np.uint32)[:] = 0x7F800001
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dematch(spec, rx, out=out) is out
+    assert np.array_equal(out.view(np.uint32), walk_llrs(written_out_dematch(spec, rx)).view(np.uint32))
+
+
+def test_repeated_observations_near_the_walk_maximum_stay_finite():
+    # Two observations of float32's largest magnitude sum beyond its range,
+    # and a single one beyond it is clipped too: each becomes the largest
+    # finite value of its sign, never +-inf, and nothing warns.
+    spec = build_extended_code(64, 16, 40)
+    top = float(np.finfo(LLR_DTYPE).max)
+    rep = spec.pattern.indices
+    rx = np.random.default_rng(11).normal(0.0, 3.0, (4, spec.tx_len))
+    rx[:2, rep], rx[:2, 64:] = top, top
+    rx[2:, rep], rx[2:, 64:] = -top, -0.75 * top
+    rx[:, 0] = [1e39, -1e39, 3.5e38, -3.5e38]
+    out = np.empty((4, 64), LLR_DTYPE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dematch(spec, rx, out=out)
+    assert np.isfinite(out).all()
+    assert (out[:2, rep] == top).all() and (out[2:, rep] == -top).all()
+    assert out[:, 0].tolist() == [top, -top, top, -top]
+    assert np.array_equal(out, walk_llrs(written_out_dematch(spec, rx)))
 
 
 def test_reference_specs_take_both_dematch_paths():
