@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Line counts of the ``nupolar`` package, printed as one JSON line.
+"""Line counts of the ``nupolar`` package and its tests, printed as one JSON line.
 
 ``lines`` counts every line of every ``.py`` file under ``src/nupolar``;
 ``code_lines`` leaves out blank lines, comment-only lines and the lines of
 docstrings (the string that opens a module, class or function body).
+``tests_lines`` and ``tests_code_lines`` count the ``.py`` files of the
+``tests`` directory beside ``src`` the same way, so that code moved from
+the package to the tests shows in both counts.
 
     python3 bench/loc.py [--src DIR]
 """
@@ -50,8 +53,10 @@ def main(argv=None) -> int:
     if not files:
         parser.error(f"no nupolar package under {args.src}")
     totals = [count(path.read_text()) for path in files]
+    tests = [count(path.read_text()) for path in sorted((args.src.parent / "tests").glob("*.py"))]
     print(json.dumps({"package": "src/nupolar", "files": len(files),
-                      "lines": sum(t[0] for t in totals), "code_lines": sum(t[1] for t in totals)}))
+                      "lines": sum(t[0] for t in totals), "code_lines": sum(t[1] for t in totals),
+                      "tests_lines": sum(t[0] for t in tests), "tests_code_lines": sum(t[1] for t in tests)}))
     return 0
 
 

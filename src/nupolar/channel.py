@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import _integer
+from .construction import _integer, _real
 
 
 @dataclass
@@ -34,6 +34,8 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.ebno_db = _real(self.ebno_db, "Eb/N0")
+        self.rate = _real(self.rate, "code rate")
         self.seed = _integer(self.seed, "seed")
         if not 0 < self.rate <= 1:
             raise ValueError(f"code rate must lie in (0, 1], got {self.rate}")

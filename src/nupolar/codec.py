@@ -85,6 +85,20 @@ def cast_llrs(src, out):
 # encoding
 
 
+def _bits(values) -> np.ndarray:
+    """``values`` as uint8 bits.  Anything but 0 or 1 is a ``ValueError``,
+    checked before the cast, which would wrap 256 to 0 and truncate 0.5 to
+    0; on uint8 input the check is one ``max``."""
+    bits = np.asarray(values)
+    if bits.dtype == np.uint8:
+        binary = bits.size == 0 or bits.max() <= 1
+    else:
+        binary = np.all((bits == 0) | (bits == 1))
+    if not binary:
+        raise ValueError("message bits must each be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
+
+
 def _xor(a, b):
     # The polar transform's pair, in place on a: the driver's write-back of a
     # onto itself then copies nothing, as numpy skips a same-memory copy.
@@ -100,9 +114,7 @@ def encode(spec: CodeSpec, msg) -> np.ndarray:
     runs over whole frames.  Accepts a single message ``(K,)`` or a batch
     with leading dimensions such as ``(B, K)``.
     """
-    msg = np.asarray(msg)
-    if not np.all((msg == 0) | (msg == 1)):
-        raise ValueError("message bits must each be 0 or 1")
+    msg = _bits(msg)
     if msg.shape[-1] != spec.payload_len:
         raise ValueError(f"message length {msg.shape[-1]} != K = {spec.payload_len}")
     x = np.zeros((spec.mother_len,) + msg.shape[:-1], dtype=np.uint8)
@@ -524,31 +536,30 @@ def scl_decode_batch(spec: CodeSpec, frames, L: int, threshold: float = 0.0, rul
 # CRC plumbing
 
 
-def _crc_remainder(bits, crc: CrcConfig):
-    """Bit-serial polynomial division; ``bits`` may carry leading batch dims."""
-    bits = np.asarray(bits, dtype=np.int64)
+def _checksum(payload, crc: CrcConfig) -> np.ndarray:
+    """The checksum bits of ``payload``, high-order bit first, by bit-serial
+    polynomial division; ``payload`` may carry leading batch dims."""
+    bits = payload.astype(np.int64)
     mask = (1 << crc.width) - 1
     reg = np.zeros(bits.shape[:-1], dtype=np.int64)
     for j in range(bits.shape[-1]):
         feedback = ((reg >> (crc.width - 1)) & 1) ^ bits[..., j]
         reg = ((reg << 1) & mask) ^ (feedback * crc.poly)
-    return reg
+    return ((reg[..., None] >> np.arange(crc.width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def crc_append(payload, crc: CrcConfig = CRC24) -> np.ndarray:
     """Append the checksum of ``payload``, high-order bit first."""
-    payload = np.asarray(payload, dtype=np.uint8)
-    rem = _crc_remainder(payload, crc)
-    bits = (rem[..., None] >> np.arange(crc.width - 1, -1, -1)) & 1
-    return np.concatenate([payload, bits.astype(np.uint8)], axis=-1)
+    payload = _bits(payload)
+    return np.concatenate([payload, _checksum(payload, crc)], axis=-1)
 
 
 def crc_check(msg, crc: CrcConfig = CRC24):
     """True when ``msg`` equals :func:`crc_append` of its leading payload."""
-    msg = np.asarray(msg, dtype=np.uint8)
+    msg = _bits(msg)
     if msg.shape[-1] <= crc.width:
         raise ValueError("message shorter than the checksum")
-    ok = np.all(msg == crc_append(msg[..., : -crc.width], crc), axis=-1)
+    ok = np.all(msg[..., -crc.width:] == _checksum(msg[..., : -crc.width], crc), axis=-1)
     return bool(ok) if ok.ndim == 0 else ok
 
 

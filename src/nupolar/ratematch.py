@@ -6,12 +6,14 @@ ascending, then the repeated ones).  A shortened position is never sent:
 its bit is structurally zero, and the receiver re-inserts it with the
 saturated known-zero LLR.  A repeated position is sent twice, and the
 receiver adds the two observations.  Both transforms accept a single frame
-or a batch with a leading dimension.  When the kept positions are a
-prefix (NAT_PD shortening, extension, mother codes), :func:`dematch`
-copies and fills slices instead of gathering columns.  The harness has
-:func:`dematch` write into the point's buffers that ``run_point``
-allocates, which every work unit of the point overwrites; the decoders
-only read those frames.
+or a batch with a leading dimension.  :func:`dematch` has two paths: when
+the kept positions are a prefix (NAT_PD shortening, extension, mother
+codes) it copies and fills slices; otherwise (RQUP, CW) it scatters each
+observation into a float64 frame of known-zero LLRs and casts that frame
+into the result.  On either path an ``out`` buffer must have the frames'
+shape exactly.  The harness has :func:`dematch` write into the point's
+buffers that ``run_point`` allocates, which every work unit of the point
+overwrites; the decoders only read those frames.
 """
 
 from __future__ import annotations
@@ -47,14 +49,17 @@ def dematch(spec: CodeSpec, rx_llr, out=None) -> np.ndarray:
 
     Positions never sent get the known-zero LLR; the observations of a
     repeated position are added, in float64.  The frames are written
-    straight into ``out`` when it is given (a float array of the frames'
-    shape, as the harness reuses one ``codec.LLR_DTYPE`` array for every
-    work unit of a point), else into a new float64 array; either way the
-    result is returned.  Into a narrower ``out`` each frame is the float64
-    result cast by ``codec.cast_llrs``, bit for bit, so a finite LLR stays
-    finite.  When the kept positions are a prefix ``0..n-1``, the first
-    ``n`` columns are one slice copy and the rest one fill; otherwise
-    (RQUP, CW) each column is gathered from its first observation.
+    straight into ``out`` when it is given (a float array of shape
+    ``rx_llr.shape[:-1] + (N,)``, as the harness reuses one
+    ``codec.LLR_DTYPE`` array for every work unit of a point; any other
+    shape is a ``ValueError``), else into a new float64 array; either way
+    the result is returned.  Into a narrower ``out`` each frame is the
+    float64 result cast by ``codec.cast_llrs``, bit for bit, so a finite
+    LLR stays finite.  When the kept positions are a prefix ``0..n-1``, the
+    first ``n`` columns are one slice copy and the rest one fill.  Otherwise
+    (RQUP, CW) the code is shortened, so each kept position has one
+    observation: a float64 frame of known-zero LLRs gets them scattered in,
+    then is cast into ``out``.
     """
     rx = np.asarray(rx_llr, dtype=np.float64)
     if rx.shape[-1] != spec.tx_len:
@@ -62,24 +67,19 @@ def dematch(spec: CodeSpec, rx_llr, out=None) -> np.ndarray:
     N, pos = spec.mother_len, spec.tx_positions
     first = pos[:N]
     n = len(first)
+    shape = rx.shape[:-1] + (N,)
     if out is None:
-        out = np.empty(rx.shape[:-1] + (N,))
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have the frames' shape {shape}, got {out.shape}")
     if first[-1] == n - 1:  # ascending, so the kept positions are 0..n-1
         cast_llrs(rx[..., :n], out[..., :n])
         out[..., n:] = KNOWN_ZERO_LLR
         if len(pos) > N:  # an extension: it keeps all N, so position p's first observation is column p
             rep = pos[N:]
             out[..., rep] = cast_llrs(rx[..., rep] + rx[..., N:], np.empty(rx[..., N:].shape, out.dtype))
-    else:
-        source = np.full(N, -1)
-        source[first] = np.arange(n)
-        # Gather in out's dtype: np.take into an out of another dtype first
-        # casts out's old contents, whose bits may be a signalling NaN.
-        if out.dtype != rx.dtype:
-            rx = cast_llrs(rx, np.empty(rx.shape, out.dtype))
-        # "clip" has the positions never sent (-1) read column 0 until they
-        # are overwritten, and unlike the default "raise" it writes into
-        # ``out`` without a buffer.
-        np.take(rx, source, axis=-1, out=out, mode="clip")
-        out[..., source < 0] = KNOWN_ZERO_LLR
+    else:  # a shortening (RQUP, CW), so each kept position is observed once
+        frames = np.full(shape, KNOWN_ZERO_LLR)
+        frames[..., first] = rx
+        cast_llrs(frames, out)
     return out

@@ -12,7 +12,7 @@ import pytest
 import nupolar as npl
 from nupolar.construction import CodeSpec, RateMatchPattern
 from nupolar.harness import ExperimentConfig, run_point, run_sweep
-from nupolar.oracles import dense_encode, known_bit_ga_channels, ml_decode
+from oracles import dense_encode, known_bit_ga_channels, ml_decode
 
 
 def report(num, text):

@@ -43,6 +43,14 @@ class TestChannelConfig:
             ChannelConfig(2.0, 0.5, seed)
         assert ChannelConfig(2.0, 0.5, np.int64(3)).seed == 3
 
+    @pytest.mark.parametrize("ebno_db, rate", [(3.0, True), (True, 0.5), ("3", 0.5), (3.0, np.array([0.5]))])
+    def test_ebno_and_rate_must_be_numbers(self, ebno_db, rate):
+        # True once passed as 1, and a string or an array raised TypeError.
+        with pytest.raises(ValueError, match="must be a number"):
+            ChannelConfig(ebno_db, rate)
+        cfg = ChannelConfig(np.float64(3.0), np.float32(0.5))
+        assert (cfg.ebno_db, cfg.rate) == (3.0, 0.5) and type(cfg.rate) is float
+
 
 def noise_of(cfg, frame_index, n):
     """Frame ``frame_index``'s noise alone: its first ``n`` normal draws."""

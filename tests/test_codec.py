@@ -32,8 +32,8 @@ from nupolar.construction import (
     build_shortened_code,
 )
 from nupolar.numerics import KNOWN_ZERO_LLR
-from nupolar.oracles import dense_encode, ml_codeword_scores, ml_decode
 from nupolar.ratematch import dematch, tx_frame
+from oracles import dense_encode, ml_codeword_scores, ml_decode
 from scl_reference import reference_scl_decode_batch, walk_llrs
 from random_codes import EXTREME_LLRS, random_cases
 
@@ -91,6 +91,10 @@ def sc_probability_reference(spec, llr):
     return u_hat[spec.info_positions]
 
 
+# Messages of four bits that are not all 0 or 1, for every function that takes bits.
+NON_BINARY_BITS = [[2, 0, 0, 0], [0.5, 0, 0, 0], [0, 0, -1, 0], [[0, 1, 1, 0], [0, 0, 0, 255]]]
+
+
 class TestEncode:
     def test_length_two(self):
         spec = build_mother_code(2, 2)
@@ -122,7 +126,7 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(spec, np.zeros(5, np.uint8))
 
-    @pytest.mark.parametrize("msg", [[2, 0, 0, 0], [0.5, 0, 0, 0], [0, 0, -1, 0], [[0, 1, 1, 0], [0, 0, 0, 255]]])
+    @pytest.mark.parametrize("msg", NON_BINARY_BITS)
     def test_rejects_non_binary_bits(self, msg):
         # Not truncated or wrapped to uint8: a 2 would carry through the XOR butterfly.
         with pytest.raises(ValueError, match="0 or 1"):
@@ -860,6 +864,25 @@ class TestCrc:
     def test_check_needs_a_payload(self):
         with pytest.raises(ValueError, match="shorter than the checksum"):
             crc_check(np.zeros(24, np.uint8))
+
+    @pytest.mark.parametrize("msg", NON_BINARY_BITS)
+    def test_rejects_non_binary_bits(self, msg):
+        # Not wrapped or truncated to uint8: a 2 once reached a message that
+        # crc_check accepted, and 256 wrapped to 0.  A checksum bit counts too.
+        msg = np.array(msg)
+        pad = np.zeros(msg.shape[:-1] + (CRC24.width,), msg.dtype)
+        for call, bits in ((crc_append, msg), (crc_check, np.concatenate([msg, pad], axis=-1)),
+                           (crc_check, np.concatenate([pad, msg], axis=-1))):
+            with pytest.raises(ValueError, match="0 or 1"):
+                call(bits)
+
+    def test_rejects_bits_that_would_wrap(self):
+        # As uint8, 256 + b reads as b: this message passed crc_check.
+        msg = crc_append(np.array([0, 1, 1])).astype(np.int64)
+        msg[-1] += 256
+        for call, bits in ((crc_append, np.array([256, 0, 1])), (crc_check, msg)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                call(bits)
 
     @pytest.mark.parametrize("width", [0, 64, 2.5, True])
     def test_rejects_width_outside_the_register(self, width):

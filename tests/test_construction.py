@@ -25,7 +25,7 @@ from nupolar.construction import (
     select_information_set,
     shortening_pattern,
 )
-from nupolar.oracles import dense_cw_pattern, exact_bec_channels, known_bit_ga_channels, kronecker_generator
+from oracles import dense_cw_pattern, exact_bec_channels, known_bit_ga_channels, kronecker_generator
 
 
 def info_mask(spec):

@@ -40,8 +40,8 @@ from nupolar.codec import (
     scl_decode_batch,
 )
 from nupolar.construction import PATTERN_METHODS, CodeSpec, shortening_pattern
-from nupolar.oracles import dense_encode
 from nupolar.ratematch import dematch, tx_frame
+from oracles import dense_encode
 from random_codes import EXTREME_LLRS, random_cases
 from scl_reference import reference_scl_decode_batch, walk_llrs
 

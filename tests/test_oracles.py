@@ -1,10 +1,17 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nupolar
 from nupolar.codec import encode
 from nupolar.construction import build_mother_code, build_shortened_code, evolve_reliabilities
 from nupolar.numerics import nupga_pair, phi, phi_inv
-from nupolar.oracles import (
+from oracles import (
     DENSE_MAX_N,
     dense_cw_pattern,
     dense_encode,
@@ -142,3 +149,40 @@ class TestKnownBitGa:
             known_bit_ga_channels([1.0, 2.0], [False])
         with pytest.raises(ValueError):
             known_bit_ga_channels([1.0, 2.0], [False, False], "max")
+
+
+PACKAGE = Path(nupolar.__file__).resolve().parent
+TEST_MODULES = {path.stem for path in Path(__file__).resolve().parent.glob("*.py")}
+
+
+class TestPackageBoundary:
+    """``nupolar`` ships library code; the references of the tests stay here."""
+
+    def test_no_library_module_imports_the_oracles_or_the_tests(self):
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                for module in modules:
+                    parts = module.split(".")
+                    assert "oracles" not in parts, f"{path.name} imports {module}"
+                    assert parts[0] not in TEST_MODULES, f"{path.name} imports {module}"
+
+    def test_importing_the_package_leaves_the_oracles_unloaded(self):
+        code = "import sys, nupolar; print('nupolar.oracles' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+        assert run.stdout == "False\n"
+
+    def test_the_library_oracles_are_the_benchmark_encoder_alone(self):
+        # The names its own statements bind: its functions, classes and assignments.
+        body = ast.parse((PACKAGE / "oracles.py").read_text()).body
+        names = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        names |= {t.id for node in body if isinstance(node, ast.Assign) for t in node.targets}
+        names |= {node.target.id for node in body if isinstance(node, ast.AnnAssign)}
+        assert names == {"DENSE_MAX_N", "kronecker_generator", "dense_encode"}

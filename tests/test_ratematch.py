@@ -16,12 +16,9 @@ from nupolar.construction import (
 )
 from nupolar.numerics import KNOWN_ZERO_LLR
 from nupolar.ratematch import InvalidSpecError, dematch, tx_frame
+from oracles import _all_messages
 from random_codes import EXTREME_LLRS
 from scl_reference import walk_llrs
-
-
-def all_messages(K):
-    return np.indices((2,) * K).reshape(K, -1).T.astype(np.uint8)
 
 
 class TestShorten:
@@ -46,7 +43,7 @@ class TestShorten:
 
     def test_exhaustive_small_code(self):
         spec = build_shortened_code(8, 6, 4, "NAT_PD")
-        cws = encode(spec, all_messages(4))
+        cws = encode(spec, _all_messages(4))
         assert not cws[:, spec.pattern.indices].any()
         assert tx_frame(spec, cws).shape == (16, 6)
 
@@ -264,6 +261,20 @@ def test_dematch_equals_its_written_out_rule(name):
             narrow = np.full(want.shape, np.nan, LLR_DTYPE)
             assert dematch(spec, frames, out=narrow) is narrow
             assert np.array_equal(narrow.view(np.int32), walk_llrs(want).view(np.int32))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_out_of_another_shape_is_refused(name):
+    # On the prefix paths a taller out once took the frames broadcast into
+    # every row; every path now refuses it, and a wider one, writing nothing.
+    spec = REFERENCE_SPECS[name]()
+    rx = np.ones((1, spec.tx_len))
+    for shape in ((3, spec.mother_len), (1, spec.mother_len + 1), (spec.mother_len,)):
+        for dtype in (np.float64, LLR_DTYPE):
+            out = np.full(shape, np.nan, dtype)
+            with pytest.raises(ValueError, match="shape"):
+                dematch(spec, rx, out=out)
+            assert np.isnan(out).all()
 
 
 @pytest.mark.parametrize("name", [f"{m}-64-{M}" for m in ("RQUP", "CW") for M in (33, 40, 48)] + ["hand-shortened-8-6"])
